@@ -17,7 +17,10 @@ let with_exact_reduction g solve =
       Solvers.Scholz.complete reduction sol;
       (Some sol, stats)
 
-(* Route to the persistent or the trail-based driver; a positive
+(* Route to the persistent or the trail-based driver (the entry points
+   default to the trail whenever rollouts are off: the persistent
+   [State] copies the graph at every tree node, the trail undoes moves
+   in place, and both search bit-identically); a positive
    [eval_cache] gives the solve its own transposition cache (repeated
    positions appear across backtracking replans and retreats).  An
    explicit [cache] (possibly striped-shared across a serving pool)
@@ -47,8 +50,8 @@ let solve_exact ?max_nodes ?max_seconds g =
 let solve_feasible ~net ?(mcts = Mcts.default_config)
     ?(order = Order.Decreasing_liberty) ?(backtracking = true)
     ?(replan = true) ?(max_backtracks = 100_000) ?(exact_reduce = false)
-    ?(rollouts = false) ?(incremental = false) ?(eval_cache = 0) ?cache ?serve
-    ?rng g =
+    ?(rollouts = false) ?(incremental = not rollouts) ?(eval_cache = 0) ?cache
+    ?serve ?rng g =
   if rollouts && incremental then
     invalid_arg "Solver.solve_feasible: rollouts are unsupported incrementally";
   let rollout =
@@ -77,7 +80,7 @@ let solve_feasible ~net ?(mcts = Mcts.default_config)
 
 let minimize ~net ?(mcts = Mcts.default_config) ?(order = Order.By_id)
     ?reference ?(shaping = 5.0) ?(exact_reduce = false) ?(rollouts = false)
-    ?(incremental = false) ?(eval_cache = 0) ?cache ?serve ?rng g =
+    ?(incremental = not rollouts) ?(eval_cache = 0) ?cache ?serve ?rng g =
   if rollouts && incremental then
     invalid_arg "Solver.minimize: rollouts are unsupported incrementally";
   let reference =

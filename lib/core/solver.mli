@@ -46,9 +46,12 @@ val solve_feasible :
     (§IV-E); default [mcts.k]: 50.  [rng] is only needed for
     [~order:Random].
 
-    [incremental] (default false) runs the search on the trail-based
-    {!Istate} — O(deg) apply/undo instead of per-move graph copies, with
-    bit-identical results; incompatible with [rollouts].  A positive
+    [incremental] (default [not rollouts]) runs the search on the
+    trail-based {!Istate} — O(deg) apply/undo instead of a graph copy per
+    tree node, with bit-identical results.  [~incremental:false] runs it
+    on the persistent {!State}, which [rollouts] still requires: with
+    [~rollouts:true] the default is the persistent state, and an explicit
+    [~incremental:true] raises [Invalid_argument].  A positive
     [eval_cache] gives the solve an LRU transposition cache of that many
     network evaluations (see {!Nn.Evalcache}), also result-preserving.
 

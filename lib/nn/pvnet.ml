@@ -28,7 +28,27 @@ type buffers = {
   svalues : Tensor.t;  (* B × 1 *)
 }
 
+(* Flat CSR scratch for the GCN message pass of [prepare]: per call one
+   vertex index, the neighbour rows in increasing order and the resolved
+   message matrices, shared by every GCN layer, plus the embedding
+   buffers.  Everything is overwritten call over call and only grows
+   (to the largest graph the replica has seen); a fresh net holds
+   1-row placeholders, so nothing is sized before the first [prepare]. *)
+type csr = {
+  mutable rows : int;  (* live vertices of the current graph *)
+  mutable row_of : int array;  (* vertex id ↦ row, valid for live ids *)
+  mutable vert : int array;  (* row ↦ vertex id, increasing *)
+  mutable off : int array;  (* row r's edges are [off.(r), off.(r + 1)) *)
+  mutable nbr : int array;  (* edge ↦ neighbour row *)
+  mutable emat : Mat.t array;  (* edge ↦ the graph's matrix (fill only) *)
+  mutable msg : floatarray array;  (* edge ↦ message matrix, m × m *)
+  mutable h : Tensor.t;  (* cap × m  embeddings, updated in place *)
+  mutable hs : Tensor.t;  (* cap × m  self transforms *)
+  mutable hm : Tensor.t;  (* cap × m  neighbour means *)
+}
+
 type arena = {
+  csr : csr;
   bufs : (int, buffers) Hashtbl.t;  (* batch rows ↦ buffer set *)
   packs : (string, Tensor.packed) Hashtbl.t;
       (* param name ↦ packed transposed weight panels (the B operand of
@@ -43,11 +63,28 @@ type arena = {
          first quantized use of a batch size *)
 }
 
+module Idtbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id land max_int (* ids are sequential: already spread *)
+end)
+
+(* Message matrices memoized by Mat.id, in two generations: lookups try
+   [young] then [old] (promoting old hits), and when [young] fills up it
+   becomes [old] and the previous [old] is dropped.  Matrices are
+   immutable and shared across MCTS states, so a search's working set —
+   one instance's directed edges — stays hot, while entries of dead
+   graphs (every [Graph.copy] mints fresh ids) age out within two
+   generations. *)
+type msg_cache = {
+  mutable young : Tensor.t Idtbl.t;
+  mutable old : Tensor.t Idtbl.t;
+}
+
 type t = {
   config : config;
-  msg_cache : (int, Tensor.t) Hashtbl.t;
-      (* message matrices memoized by Mat.id — matrices are immutable and
-         shared across MCTS states, so this stays hot through a search *)
+  msg_cache : msg_cache;
   arena : arena;
       (* per-replica like msg_cache: the batched forward reuses these
          buffers call over call, so steady-state inference allocates only
@@ -86,9 +123,22 @@ let create ~rng config =
   let m = config.m in
   {
     config;
-    msg_cache = Hashtbl.create 1024;
+    msg_cache = { young = Idtbl.create 1024; old = Idtbl.create 16 };
     arena =
       {
+        csr =
+          {
+            rows = 0;
+            row_of = [||];
+            vert = [||];
+            off = [| 0 |];
+            nbr = [||];
+            emat = [||];
+            msg = [||];
+            h = Tensor.zeros [| 1; m |];
+            hs = Tensor.zeros [| 1; m |];
+            hm = Tensor.zeros [| 1; m |];
+          };
         bufs = Hashtbl.create 8;
         packs = Hashtbl.create 8;
         pack_version = -1;
@@ -193,21 +243,37 @@ let phi_cost scale c =
 let vertex_features t vec =
   Tensor.init1 t.config.m (fun i -> phi_cost t.config.cost_scale (Vec.get vec i))
 
+(* Entries per generation.  A working set no larger than one generation
+   never misses once warm; this one holds the directed edges of all eight
+   PRO residuals at once (10 278; PRO8 alone: 2130).  The bound is the
+   memory: a daemon replica fills both generations with entries of dead
+   request graphs, about 32 MiB of message matrices at m = 13. *)
+let msg_generation = 12288
+
 (* Message matrix from u into v: [Graph.edge g v u] is already oriented
    with v's colors as rows and u's as columns, so [mv] maps u-space
    features into v-space.  Entries become soft compatibilities, scaled by
    1/m so message magnitudes stay bounded. *)
 let message_matrix t mat =
-  match Hashtbl.find_opt t.msg_cache (Mat.id mat) with
+  let c = t.msg_cache and id = Mat.id mat in
+  match Idtbl.find_opt c.young id with
   | Some cached -> cached
   | None ->
-      let m = t.config.m in
       let tensor =
-        Tensor.init2 m m (fun i j ->
-            phi_cost t.config.cost_scale (Mat.get mat i j) /. float_of_int m)
+        match Idtbl.find_opt c.old id with
+        | Some cached -> cached
+        | None ->
+            let m = t.config.m and scale = t.config.cost_scale in
+            Tensor.init2 m m (fun i j ->
+                phi_cost scale (Mat.get mat i j) /. float_of_int m)
       in
-      if Hashtbl.length t.msg_cache > 100_000 then Hashtbl.reset t.msg_cache;
-      Hashtbl.replace t.msg_cache (Mat.id mat) tensor;
+      if Idtbl.length c.young >= msg_generation then begin
+        let dropped = c.old in
+        Idtbl.reset dropped;
+        c.old <- c.young;
+        c.young <- dropped
+      end;
+      Idtbl.replace c.young id tensor;
       tensor
 
 (* --- Forward --------------------------------------------------------- *)
@@ -436,73 +502,190 @@ let residual_rows (blk : Layer.Residual.t) x =
   let h = linear_rows blk.Layer.Residual.fc2 h in
   Tensor.add x h
 
-(* Plain-tensor replica of the GCN + readout part of [forward]: one
-   3m-dimensional readout row for one state. *)
+(* --- GCN message pass over the flat CSR scratch ----------------------- *)
+
+let no_mat = Mat.zero ~rows:1 ~cols:1
+let no_msg = Float.Array.create 0
+
+(* Index the live vertices and size every CSR buffer for [g]: rows in
+   increasing vertex id, [off] from the degrees.  Growth is geometric,
+   so a replica settles on its largest graph and then allocates
+   nothing here. *)
+let csr_index t g =
+  let c = t.arena.csr and m = t.config.m in
+  let cap = Graph.capacity g in
+  if Array.length c.row_of < cap then begin
+    let n = max cap (2 * Array.length c.row_of) in
+    c.row_of <- Array.make n 0;
+    c.vert <- Array.make n 0;
+    c.off <- Array.make (n + 1) 0
+  end;
+  let rows = ref 0 in
+  for v = 0 to cap - 1 do
+    if Graph.is_alive g v then begin
+      let r = !rows in
+      c.row_of.(v) <- r;
+      c.vert.(r) <- v;
+      c.off.(r + 1) <- c.off.(r) + Graph.degree g v;
+      rows := r + 1
+    end
+  done;
+  c.rows <- !rows;
+  let edges = c.off.(!rows) in
+  if Array.length c.nbr < edges then begin
+    let n = max edges (2 * Array.length c.nbr) in
+    c.nbr <- Array.make n 0;
+    c.emat <- Array.make n no_mat;
+    c.msg <- Array.make n no_msg
+  end;
+  if fst (Tensor.dims2 c.h) < !rows then begin
+    let n = max !rows (2 * fst (Tensor.dims2 c.h)) in
+    c.h <- Tensor.zeros [| n; m |];
+    c.hs <- Tensor.zeros [| n; m |];
+    c.hm <- Tensor.zeros [| n; m |]
+  end
+
+(* Fill the indexed CSR: neighbour rows (increasing, as [Graph.neighbors]
+   lists them), the memoized message matrix of every directed edge, and
+   the input features of every live vertex as the rows of [h].  Allocates
+   only on a message-cache miss. *)
+let csr_fill t g =
+  let c = t.arena.csr and m = t.config.m in
+  let scale = t.config.cost_scale in
+  let hd = Tensor.data c.h in
+  for r = 0 to c.rows - 1 do
+    let v = Array.unsafe_get c.vert r in
+    let lo = Array.unsafe_get c.off r in
+    let hi = Graph.neighbors_into g v c.nbr c.emat lo in
+    for e = lo to hi - 1 do
+      Array.unsafe_set c.nbr e
+        (Array.unsafe_get c.row_of (Array.unsafe_get c.nbr e));
+      Array.unsafe_set c.msg e
+        (Tensor.data (message_matrix t (Array.unsafe_get c.emat e)))
+    done;
+    let cost = Graph.cost g v in
+    for i = 0 to m - 1 do
+      Float.Array.unsafe_set hd ((r * m) + i) (phi_cost scale (Vec.get cost i))
+    done
+  done
+[@@hot]
+
+(* Row r of [hm] ← the mean over r's neighbours u of M_ru · h_u, for the
+   first [rows] rows; rows without neighbours are zeroed.  Each M·h is
+   computed four output rows per pass over h_u, but every output still
+   sums its own products in ascending k from 0.0 — exactly [Tensor.mv] —
+   and is then added to the row's accumulator in neighbour order and
+   scaled by 1/deg, exactly [add_into] + [Tensor.scale]: bit-identical
+   to the scalar [forward]'s mean of [Ad.mv] messages. *)
+let message_pass ~m ~rows ~off ~nbr ~msg hd hmd =
+  for r = 0 to rows - 1 do
+    let orow = r * m in
+    Float.Array.fill hmd orow m 0.0;
+    let lo = Array.unsafe_get off r and hi = Array.unsafe_get off (r + 1) in
+    for e = lo to hi - 1 do
+      let md = Array.unsafe_get msg e in
+      let hu = Array.unsafe_get nbr e * m in
+      let i = ref 0 in
+      while !i + 4 <= m do
+        let i0 = !i in
+        let b0 = i0 * m in
+        let b1 = b0 + m in
+        let b2 = b1 + m in
+        let b3 = b2 + m in
+        let t0 = ref 0.0 and t1 = ref 0.0 and t2 = ref 0.0 and t3 = ref 0.0 in
+        for k = 0 to m - 1 do
+          let x = Float.Array.unsafe_get hd (hu + k) in
+          t0 := !t0 +. (Float.Array.unsafe_get md (b0 + k) *. x);
+          t1 := !t1 +. (Float.Array.unsafe_get md (b1 + k) *. x);
+          t2 := !t2 +. (Float.Array.unsafe_get md (b2 + k) *. x);
+          t3 := !t3 +. (Float.Array.unsafe_get md (b3 + k) *. x)
+        done;
+        let o = orow + i0 in
+        Float.Array.unsafe_set hmd o (Float.Array.unsafe_get hmd o +. !t0);
+        Float.Array.unsafe_set hmd (o + 1)
+          (Float.Array.unsafe_get hmd (o + 1) +. !t1);
+        Float.Array.unsafe_set hmd (o + 2)
+          (Float.Array.unsafe_get hmd (o + 2) +. !t2);
+        Float.Array.unsafe_set hmd (o + 3)
+          (Float.Array.unsafe_get hmd (o + 3) +. !t3);
+        i := i0 + 4
+      done;
+      while !i < m do
+        let b = !i * m in
+        let acc = ref 0.0 in
+        for k = 0 to m - 1 do
+          let x = Float.Array.unsafe_get hd (hu + k) in
+          acc := !acc +. (Float.Array.unsafe_get md (b + k) *. x)
+        done;
+        let o = orow + !i in
+        Float.Array.unsafe_set hmd o (Float.Array.unsafe_get hmd o +. !acc);
+        incr i
+      done
+    done;
+    if hi > lo then begin
+      let s = 1.0 /. float_of_int (hi - lo) in
+      for i = orow to orow + m - 1 do
+        Float.Array.unsafe_set hmd i (s *. Float.Array.unsafe_get hmd i)
+      done
+    end
+  done
+[@@hot]
+
+(* Vertices without neighbours take no message: h ← relu(self), which
+   the fused message GEMM (self + bias-only message) got wrong for them. *)
+let isolated_fixup ~m ~rows ~off hd hsd =
+  for r = 0 to rows - 1 do
+    if Array.unsafe_get off r = Array.unsafe_get off (r + 1) then
+      for i = r * m to (r * m) + m - 1 do
+        let v = Float.Array.unsafe_get hsd i in
+        Float.Array.unsafe_set hd i (if v > 0.0 then v else 0.0)
+      done
+  done
+[@@hot]
+
+(* The GCN + readout part of [forward] as plain-tensor arithmetic over
+   the CSR scratch: one 3m readout row for one state.  Per layer, one
+   packed GEMM for the self transforms, the message pass, and one
+   packed GEMM for the message transforms with the self row as residual
+   and relu fused — self + msg then relu, the scalar [forward]'s
+   [Ad.relu (Ad.add self msg)] term for term. *)
 let readout_row t g ~next =
   let m = t.config.m in
-  let verts = Graph.vertices g in
-  let h = Hashtbl.create (List.length verts) in
-  List.iter
-    (fun u -> Hashtbl.replace h u (vertex_features t (Graph.cost g u)))
-    verts;
+  let c = t.arena.csr in
+  csr_index t g;
+  csr_fill t g;
+  let rows = c.rows in
+  let hd = Tensor.data c.h and hsd = Tensor.data c.hs in
   Array.iter
-    (fun layer ->
-      (* self transform: all vertices in one GEMM (rows blitted straight
-         from the feature table, no intermediate row list) *)
-      let hmat = Tensor.zeros [| List.length verts; m |] in
-      List.iteri (fun i v -> Tensor.blit_row_into (Hashtbl.find h v) i hmat) verts;
-      let selfs = linear_rows layer.w_self hmat in
-      (* neighbor messages: the mean replicates Ad.mean_list (accumulate
-         in neighbor order, then scale), the transform is one GEMM over
-         the vertices that have any *)
-      let msgs =
-        List.filter_map
-          (fun v ->
-            match Graph.neighbors g v with
-            | [] -> None
-            | ns ->
-                let acc = Tensor.zeros [| m |] in
-                List.iter
-                  (fun u ->
-                    let mvu = Option.get (Graph.edge_ref g v u) in
-                    Tensor.add_into acc
-                      (Tensor.mv (message_matrix t mvu) (Hashtbl.find h u)))
-                  ns;
-                Some (v, Tensor.scale (1.0 /. float_of_int (List.length ns)) acc))
-          verts
-      in
-      let transformed = Hashtbl.create 16 in
-      (match msgs with
-      | [] -> ()
-      | _ ->
-          let tmat =
-            linear_rows layer.w_msg (Tensor.stack_rows (List.map snd msgs))
-          in
-          List.iteri
-            (fun i (v, _) -> Hashtbl.replace transformed v (Tensor.row tmat i))
-            msgs);
-      let h' = Hashtbl.create (List.length verts) in
-      List.iteri
-        (fun i v ->
-          let self = Tensor.row selfs i in
-          let combined =
-            match Hashtbl.find_opt transformed v with
-            | Some msg -> Tensor.add self msg
-            | None -> self
-          in
-          Hashtbl.replace h' v (relu_t combined))
-        verts;
-      Hashtbl.reset h;
-      List.iter (fun v -> Hashtbl.replace h v (Hashtbl.find h' v)) verts)
+    (fun { w_self; w_msg } ->
+      Tensor.matmul_packed_prefix_into ~rows
+        ~bias:w_self.Layer.Linear.b.Var.value ~residual:None ~relu:false c.hs
+        c.h (packed_of t w_self);
+      message_pass ~m ~rows ~off:c.off ~nbr:c.nbr ~msg:c.msg hd
+        (Tensor.data c.hm);
+      Tensor.matmul_packed_prefix_into ~rows
+        ~bias:w_msg.Layer.Linear.b.Var.value ~residual:(Some c.hs) ~relu:true
+        c.h c.hm (packed_of t w_msg);
+      isolated_fixup ~m ~rows ~off:c.off hd hsd)
     t.gcn;
-  let global =
-    let k = float_of_int (List.length verts) in
-    let acc = Tensor.zeros [| m |] in
-    List.iter (fun v -> Tensor.add_into acc (Hashtbl.find h v)) verts;
-    Tensor.scale (1.0 /. k) acc
-  in
-  Tensor.concat1
-    [ Hashtbl.find h next; global; vertex_features t (Graph.cost g next) ]
+  (* [next's embedding; mean embedding; next's features], the mean
+     summed in vertex order then scaled, as [Ad.mean_list] does *)
+  let row = Tensor.zeros [| 3 * m |] in
+  let rd = Tensor.data row in
+  let base = c.row_of.(next) * m in
+  let inv = 1.0 /. float_of_int rows in
+  let cost = Graph.cost g next in
+  for i = 0 to m - 1 do
+    Float.Array.set rd i (Float.Array.get hd (base + i));
+    let acc = ref 0.0 in
+    for r = 0 to rows - 1 do
+      acc := !acc +. Float.Array.get hd ((r * m) + i)
+    done;
+    Float.Array.set rd (m + i) (inv *. !acc);
+    Float.Array.set rd ((2 * m) + i)
+      (phi_cost t.config.cost_scale (Vec.get cost i))
+  done;
+  row
 
 (* A state's whole contribution to a batched forward, captured while its
    graph is live: the 3m readout row plus a private copy of the next

@@ -71,13 +71,14 @@ val predict : t -> Pbqp.Graph.t -> next:int -> float array * float
 val predict_batch :
   t -> (Pbqp.Graph.t * int) list -> (float array * float) array
 (** [predict_batch t [(g, next); ...]] is {!predict} applied to every
-    state, in order — but the per-vertex GCN transforms and the
-    trunk/heads run as batch GEMMs over row-stacked features, without
-    building an autodiff tape.  The arithmetic is replicated operation
-    for operation, so results are bit-identical to the scalar path (the
-    test suite asserts agreement to ≤1e-9; in practice the floats are
-    equal).  Duplicate states and states from different graphs may mix
-    in one batch.  [[]] maps to [[||]]. *)
+    state, in order — but each state's GCN runs as a flat CSR message
+    pass in the net's reusable arena (per-vertex transforms as packed
+    GEMMs over the live vertices) and the trunk/heads run as batch GEMMs
+    over the stacked readout rows, without building an autodiff tape.
+    The arithmetic is replicated operation for operation, so results are
+    bit-identical to the scalar path (the test suite asserts it bit for
+    bit on [prepare]/[predict_prepared]).  Duplicate states and states
+    from different graphs may mix in one batch.  [[]] maps to [[||]]. *)
 
 type prepared
 (** One state's contribution to a batched forward, captured while its
@@ -95,6 +96,8 @@ val prepare : ?quantized:bool -> t -> Pbqp.Graph.t -> next:int -> prepared
     back to float while no certificate is held.  Passing
     [~quantized:true] explicitly requests the int8 path — then
     {!predict_prepared} raises unless the certificate is current.
+    The GCN message pass runs in the net's arena (see {!predict_prepared}
+    for the ownership rule); the returned value owns its data.
     @raise Invalid_argument as {!predict}. *)
 
 val predict_prepared :

@@ -106,6 +106,36 @@ let iter_neighbors g u f =
   "hot-path raw-order iteration; every caller's per-neighbor work is \
    independent (no cross-neighbor accumulation), see Istate.push_node"]
 
+(* Raw-order collection, then an insertion sort by id: degrees are small
+   (the matrices behind each entry cost far more to consume than the
+   sort), and the sort allocates nothing. *)
+let neighbors_into g u ids mats pos =
+  check_vertex g u "neighbors_into";
+  let adj = g.adj.(u) in
+  let d = Hashtbl.length adj in
+  if pos < 0 || pos + d > Array.length ids || pos + d > Array.length mats then
+    invalid_arg "Graph.neighbors_into: arrays too short";
+  let k = ref pos in
+  Hashtbl.iter
+    (fun v muv ->
+      ids.(!k) <- v;
+      mats.(!k) <- muv;
+      incr k)
+    adj;
+  for i = pos + 1 to pos + d - 1 do
+    let v = ids.(i) and muv = mats.(i) in
+    let j = ref (i - 1) in
+    while !j >= pos && ids.(!j) > v do
+      ids.(!j + 1) <- ids.(!j);
+      mats.(!j + 1) <- mats.(!j);
+      decr j
+    done;
+    ids.(!j + 1) <- v;
+    mats.(!j + 1) <- muv
+  done;
+  pos + d
+[@@analyze.order_insensitive "collected set is sorted before use"]
+
 let degree g u =
   check_vertex g u "degree";
   Hashtbl.length g.adj.(u)

@@ -76,6 +76,14 @@ val iter_neighbors : t -> int -> (int -> Mat.t -> unit) -> unit
     graph's own — do not mutate.  [f] must not add or remove edges of [u]
     (it iterates the live adjacency table). *)
 
+val neighbors_into : t -> int -> int array -> Mat.t array -> int -> int
+(** [neighbors_into g u ids mats pos] writes the live neighbors of [u],
+    increasing, into [ids.(pos) ..] and their matrices (oriented [u]-rows,
+    the graph's own — do not mutate) into the same slots of [mats], and
+    returns [pos + degree g u].  The list-free counterpart of
+    {!neighbors} for callers that build flat adjacency arrays.
+    @raise Invalid_argument if [u] is dead or either array is too short. *)
+
 val degree : t -> int -> int
 
 val remove_vertex : t -> int -> unit

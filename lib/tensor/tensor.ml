@@ -335,37 +335,52 @@ let matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~lo ~hi =
   done
 [@@hot]
 
-let matmul_packed_into ?bias ?residual ?(relu = false) out a bp =
+(* Shared validation and dispatch of the two packed entry points: the
+   product runs over the first [rows] rows of [a], [out] and [residual],
+   each of which must have at least that many ([exact]: exactly that
+   many). *)
+let packed_prefix_into name ~exact ~rows ~bias ~residual ~relu out a bp =
+  let fits r = if exact then r = rows else r >= rows in
   let ra, ca = dims2 a in
-  if ca <> bp.pk then invalid_arg "Tensor.matmul_packed_into: inner dims differ";
+  if ca <> bp.pk then invalid_arg ("Tensor." ^ name ^ ": inner dims differ");
   let ro, co = dims2 out in
-  if ro <> ra || co <> bp.pn then
-    invalid_arg "Tensor.matmul_packed_into: output shape mismatch";
+  if rows < 0 || not (fits ra && fits ro) || co <> bp.pn then
+    invalid_arg ("Tensor." ^ name ^ ": output shape mismatch");
   if out.data == a.data then
-    invalid_arg "Tensor.matmul_packed_into: output aliases input";
+    invalid_arg ("Tensor." ^ name ^ ": output aliases input");
   let bias =
     match bias with
     | None -> None
     | Some b ->
         if dim1 b <> bp.pn then
-          invalid_arg "Tensor.matmul_packed_into: bias width mismatch";
+          invalid_arg ("Tensor." ^ name ^ ": bias width mismatch");
         Some b.data
   in
   let residual =
     match residual with
     | None -> None
     | Some r ->
-        if dims2 r <> (ra, bp.pn) then
-          invalid_arg "Tensor.matmul_packed_into: residual shape mismatch";
+        let rr, rc = dims2 r in
+        if not (fits rr) || rc <> bp.pn then
+          invalid_arg ("Tensor." ^ name ^ ": residual shape mismatch");
         Some r.data
   in
   let ad = a.data and od = out.data in
   match Atomic.get pool with
   | Some p
-    when Par.Pool.size p > 1 && ra > 1 && ra * ca * bp.pn >= par_threshold ->
-      Par.Pool.parallel_rows p ~rows:ra (fun ~lo ~hi ->
+    when Par.Pool.size p > 1 && rows > 1 && rows * ca * bp.pn >= par_threshold
+    ->
+      Par.Pool.parallel_rows p ~rows (fun ~lo ~hi ->
           matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~lo ~hi)
-  | _ -> matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~lo:0 ~hi:ra
+  | _ -> matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~lo:0 ~hi:rows
+
+let matmul_packed_into ?bias ?residual ?(relu = false) out a bp =
+  packed_prefix_into "matmul_packed_into" ~exact:true ~rows:(fst (dims2 a))
+    ~bias ~residual ~relu out a bp
+
+let matmul_packed_prefix_into ~rows ~bias ~residual ~relu out a bp =
+  packed_prefix_into "matmul_packed_prefix_into" ~exact:false ~rows
+    ~bias:(Some bias) ~residual ~relu out a bp
 
 (* {2 Int8 quantized serving path} *)
 

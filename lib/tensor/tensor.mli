@@ -149,6 +149,19 @@ val matmul_packed_into :
     installed pool for large products, bit-identical at every pool
     size. *)
 
+val matmul_packed_prefix_into :
+  rows:int -> bias:t -> residual:t option -> relu:bool -> t -> t -> packed ->
+  unit
+(** [matmul_packed_prefix_into ~rows ~bias ~residual ~relu out a bp] is
+    {!matmul_packed_into} over the first [rows] rows of [a], [out] and
+    [residual], which may each have more: rows past [rows] are neither
+    read nor written.  Lets a caller keep one capacity-sized buffer for
+    products whose row count changes call to call (the GCN message pass,
+    one row per live vertex).  Bit-identical, row for row, to
+    {!matmul_packed_into} on exact-shape operands.
+    @raise Invalid_argument if [rows] is negative or exceeds a buffer,
+    or as {!matmul_packed_into}. *)
+
 (** {1 Int8 quantized serving path}
 
     Inference-only: per-row symmetric int8 quantization (absmax / 127,

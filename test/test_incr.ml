@@ -358,6 +358,60 @@ let test_solver_rejects_incremental_rollouts () =
     (fun () ->
       ignore (Core.Solver.solve_feasible ~net ~rollouts:true ~incremental:true g))
 
+(* The entry points default to the trail state whenever rollouts are
+   off.  On a PRO residual with the batch atec settings (increasing
+   liberty, exact reduction, backtracking, k = 25) the default must
+   reproduce the persistent run: same solution, nodes and backtracks.
+   The net seed is one whose search on PRO1 needs backtracks to solve. *)
+let test_solver_trail_default () =
+  let machine = Ate.Machine.default in
+  let g =
+    (Ate.Pbqp_build.build machine
+       (Ate.Program.analyze_exn (Ate.Progen.pro ~machine 1)))
+      .Ate.Pbqp_build.graph
+  in
+  let net = tiny_net ~seed:8 ~m:(Graph.m g) () in
+  let solve ?incremental () =
+    Core.Solver.solve_feasible ~net ?incremental
+      ~mcts:{ Mcts.default_config with k = 25 }
+      ~order:Core.Order.Increasing_liberty ~backtracking:true
+      ~exact_reduce:true ~max_backtracks:400 g
+  in
+  let sol_p, st_p = solve ~incremental:false () in
+  let sol_d, st_d = solve () in
+  Alcotest.(check bool) "search backtracked" true (st_p.backtracks > 0);
+  Alcotest.(check int) "nodes" st_p.Core.Solver.nodes st_d.Core.Solver.nodes;
+  Alcotest.(check int) "backtracks" st_p.backtracks st_d.backtracks;
+  Alcotest.(check bool) "same solution" true
+    (match (sol_p, sol_d) with
+    | None, None -> true
+    | Some a, Some b -> Solution.equal a b
+    | _ -> false)
+
+(* Rollouts still need the persistent state: without [~incremental] the
+   default follows them there instead of raising. *)
+let test_solver_rollouts_default_persistent () =
+  let g =
+    Generate.erdos_renyi ~rng:(rng 8)
+      { Generate.default with n = 6; m = 3; p_edge = 0.5; p_inf = 0.0 }
+  in
+  let net = tiny_net ~m:3 () in
+  let mcts = { Mcts.default_config with k = 6 } in
+  let run ?incremental () =
+    Core.Solver.minimize ~net ~mcts ~rollouts:true ?incremental g
+  in
+  let r_d, st_d = run () in
+  let r_p, st_p = run ~incremental:false () in
+  Alcotest.(check bool) "stats = persistent" true (st_d = st_p);
+  Alcotest.(check bool) "result = persistent" true
+    (match (r_d, r_p) with
+    | None, None -> true
+    | Some (a, ca), Some (b, cb) -> Solution.equal a b && bits_eq ca cb
+    | _ -> false);
+  ignore
+    (Core.Solver.solve_feasible ~net ~mcts ~rollouts:true ~max_backtracks:20 g
+      : Solution.t option * Core.Solver.stats)
+
 (* ------------------------------------------------------------------ *)
 (* Whole-run invariance: {persistent, incremental} x {cache off, on} *)
 
@@ -459,6 +513,10 @@ let () =
           test_solver_equivalence;
           Alcotest.test_case "incremental rollouts rejected" `Quick
             test_solver_rejects_incremental_rollouts;
+          Alcotest.test_case "trail default = persistent (PRO1)" `Quick
+            test_solver_trail_default;
+          Alcotest.test_case "rollouts default to persistent" `Quick
+            test_solver_rollouts_default_persistent;
         ] );
       ( "training-run",
         [

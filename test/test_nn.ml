@@ -431,6 +431,130 @@ let test_pvnet_predict_batch_property =
       check_batch_matches_scalar net states;
       true)
 
+(* Bitwise, at the sizes the shipped nets see: [prepare] runs the GCN
+   over the CSR scratch with a blocked multi-row message kernel, so the
+   scalar [predict] must agree to the last bit for widths that are not a
+   multiple of the block (m = 9, 13 are the shipped checkpoints), graphs
+   up to ~200 vertices, isolated vertices, 0/inf and finite costs, and
+   states along a PRO residual.  States of different sizes are
+   interleaved so that one replica's reused buffers shrink and grow
+   between leaves. *)
+let check_prepared_bits ~msg net states =
+  let preps =
+    Array.of_list
+      (List.map (fun (g, next) -> Nn.Pvnet.prepare net g ~next) states)
+  in
+  let batched = Nn.Pvnet.predict_prepared net preps in
+  List.iteri
+    (fun i (g, next) ->
+      let p, v = Nn.Pvnet.predict net g ~next in
+      let single =
+        Nn.Pvnet.predict_prepared net [| Nn.Pvnet.prepare net g ~next |]
+      in
+      List.iter
+        (fun (how, (p', v')) ->
+          if not (Array.for_all2 bits_eq p p' && bits_eq v v') then
+            Alcotest.failf "%s: state %d (n=%d, next=%d): %s <> predict" msg i
+              (Graph.n_alive g) next how)
+        [ ("batched", batched.(i)); ("single", single.(0)) ])
+    states
+
+(* every vertex of small graphs, a spread of vertices of large ones *)
+let sample_states g =
+  let vs = Array.of_list (Graph.vertices g) in
+  let n = Array.length vs in
+  let k = min n 6 in
+  List.init k (fun i -> (g, vs.(i * n / k)))
+
+(* A fresh net has zero biases, under which a message-less vertex's
+   relu(self) and relu(self + bias) coincide: jitter every parameter so
+   the isolated-vertex path is observable. *)
+let jittered_net ~seed config =
+  let net = Nn.Pvnet.create ~rng:(rng seed) config in
+  let r = rng (seed + 1) in
+  List.iter
+    (fun (v : Nn.Var.t) ->
+      let d = Tensor.data v.Nn.Var.value in
+      Float.Array.iteri
+        (fun i x -> Float.Array.set d i (x +. Random.State.float r 0.2 -. 0.1))
+        d)
+    (Nn.Pvnet.params net);
+  Nn.Pvnet.bump_version net;
+  net
+
+let interleave lists =
+  let rec go acc ls =
+    match List.filter (fun l -> l <> []) ls with
+    | [] -> List.rev acc
+    | ls -> go (List.rev_append (List.map List.hd ls) acc) (List.map List.tl ls)
+  in
+  go [] lists
+
+let test_prepared_bitwise_real_sizes () =
+  List.iter
+    (fun m ->
+      let net = jittered_net ~seed:(100 + m) (Nn.Pvnet.default_config ~m) in
+      let graph ~seed ~n ~degree ~zero_inf =
+        Generate.erdos_renyi ~rng:(rng seed)
+          { Generate.default with
+            n;
+            m;
+            p_edge = Float.min 1.0 (degree /. float_of_int (max 1 (n - 1)));
+            p_inf = 0.2; zero_inf; min_liberty = 1 }
+      in
+      let graphs =
+        [
+          graph ~seed:1 ~n:1 ~degree:0.0 ~zero_inf:false;
+          graph ~seed:2 ~n:200 ~degree:12.0 ~zero_inf:true;
+          graph ~seed:3 ~n:9 ~degree:2.0 ~zero_inf:false;
+          graph ~seed:4 ~n:120 ~degree:12.0 ~zero_inf:false;
+          (* sparse: many isolated vertices next to small components *)
+          graph ~seed:5 ~n:60 ~degree:0.5 ~zero_inf:true;
+          graph ~seed:6 ~n:17 ~degree:6.0 ~zero_inf:true;
+        ]
+      in
+      let isolated g =
+        List.exists (fun v -> Graph.degree g v = 0) (Graph.vertices g)
+      in
+      if not (List.exists isolated graphs) then
+        Alcotest.failf "m=%d: no isolated vertex covered" m;
+      check_prepared_bits ~msg:(Printf.sprintf "random m=%d" m) net
+        (interleave (List.map sample_states graphs)))
+    [ 2; 9; 13 ]
+
+(* states a search visits on the PRO1 and PRO4 residuals (m = 13): the
+   root and every few moves down a legal path *)
+let test_prepared_bitwise_pro () =
+  let machine = Ate.Machine.default in
+  let residual i =
+    let g =
+      (Ate.Pbqp_build.build machine
+         (Ate.Program.analyze_exn (Ate.Progen.pro ~machine i)))
+        .Ate.Pbqp_build.graph
+    in
+    fst (Solvers.Scholz.reduce_exact g)
+  in
+  let path g =
+    let rec walk s depth acc =
+      match Core.State.next_vertex s with
+      | Some v when not (Core.State.is_dead_end s) -> (
+          let acc =
+            if depth mod 5 = 0 then (Core.State.graph s, v) :: acc else acc
+          in
+          let colors = List.init (Core.State.m s) Fun.id in
+          match List.find_opt (Core.State.legal s) colors with
+          | Some c -> walk (Core.State.apply s c) (depth + 1) acc
+          | None -> acc)
+      | _ -> acc
+    in
+    let order = Core.Order.compute Core.Order.Increasing_liberty g in
+    List.rev (walk (Core.State.of_graph ~order g) 0 [])
+  in
+  let paths = List.map (fun i -> path (residual i)) [ 1; 4 ] in
+  let m = Graph.m (fst (List.hd (List.hd paths))) in
+  let net = jittered_net ~seed:31 (Nn.Pvnet.default_config ~m) in
+  check_prepared_bits ~msg:"PRO residual paths" net (interleave paths)
+
 (* gradient check through the full network on a tiny graph *)
 let test_pvnet_full_gradcheck () =
   let net =
@@ -526,6 +650,10 @@ let () =
           Alcotest.test_case "predict_batch m mismatch" `Quick
             test_pvnet_predict_batch_m_mismatch;
           test_pvnet_predict_batch_property;
+          Alcotest.test_case "prepare = predict bitwise (m 2/9/13, n<=200)"
+            `Quick test_prepared_bitwise_real_sizes;
+          Alcotest.test_case "prepare = predict bitwise (PRO residuals)"
+            `Quick test_prepared_bitwise_pro;
           Alcotest.test_case "full network gradcheck" `Quick
             test_pvnet_full_gradcheck;
         ] );

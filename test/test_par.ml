@@ -89,21 +89,30 @@ let test_pool_reuse_many_regions () =
 let test_pool_nested_runs_inline () =
   with_pool ~domains:3 (fun pool ->
       (* a task that itself submits a region: must not deadlock, and the
-         inner region must see the outer worker's index *)
+         inner region must see the outer worker's index.  The (outer,
+         inner) worker pairs are recorded inside the tasks and checked
+         here on the submitting domain: Alcotest's reporting is not
+         domain-safe, so no check may run on a worker. *)
       let outer =
         Par.Pool.map pool (Array.init 6 (fun i -> i)) ~f:(fun ~worker i ->
             let inner =
               Par.Pool.map pool
                 (Array.init 4 (fun j -> j))
-                ~f:(fun ~worker:w j ->
-                  Alcotest.(check int) "nested task inherits worker" worker w;
-                  (i * 10) + j)
+                ~f:(fun ~worker:w j -> ((i * 10) + j, (worker, w)))
             in
-            Array.fold_left ( + ) 0 inner)
+            ( Array.fold_left (fun acc (x, _) -> acc + x) 0 inner,
+              Array.map snd inner ))
       in
+      Array.iter
+        (fun (_, pairs) ->
+          Array.iter
+            (fun (worker, w) ->
+              Alcotest.(check int) "nested task inherits worker" worker w)
+            pairs)
+        outer;
       Alcotest.(check (array int)) "nested results"
         (Array.init 6 (fun i -> (i * 40) + 6))
-        outer)
+        (Array.map fst outer))
 
 let test_pool_shutdown_idempotent () =
   let pool = Par.Pool.create ~domains:3 in

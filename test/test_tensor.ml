@@ -264,6 +264,46 @@ let test_fused_residual_aliasing () =
   Tensor.matmul_packed_into ~bias ~residual:out out a (Tensor.pack b);
   Alcotest.check t_bits "out == residual aliasing" expect out
 
+(* [matmul_packed_prefix_into] over the first [rows] rows of larger
+   buffers: those rows bitwise equal to the exact-shape fused kernel,
+   the rows past [rows] untouched (the GCN readout reuses capacity-sized
+   buffers across graphs of every size) *)
+let test_packed_prefix () =
+  let rng = rng 29 in
+  List.iter
+    (fun (cap, rows, ca, cb) ->
+      let a = random_matrix rng cap ca in
+      let b = random_matrix rng ca cb in
+      let bias = Tensor.row (random_matrix rng 1 cb) 0 in
+      let residual = random_matrix rng cap cb in
+      let bp = Tensor.pack b in
+      let top m = Tensor.init2 rows (snd (Tensor.dims2 m)) (Tensor.get2 m) in
+      List.iter
+        (fun (name, residual, relu) ->
+          let out = Tensor.init2 cap cb (fun _ _ -> Float.nan) in
+          Tensor.matmul_packed_prefix_into ~rows ~bias ~residual ~relu out a bp;
+          let expect = Tensor.init2 rows cb (fun _ _ -> Float.nan) in
+          Tensor.matmul_packed_into ~bias ?residual:(Option.map top residual)
+            ~relu expect (top a) bp;
+          Alcotest.check t_bits
+            (Printf.sprintf "%s rows %d of %d" name rows cap)
+            expect (top out);
+          for i = rows to cap - 1 do
+            for j = 0 to cb - 1 do
+              if not (Float.is_nan (Tensor.get2 out i j)) then
+                Alcotest.failf "%s: row %d past the prefix was written" name i
+            done
+          done)
+        [ ("bias", None, false); ("bias+residual+relu", Some residual, true) ])
+    [ (1, 1, 3, 5); (9, 4, 13, 13); (40, 17, 9, 9); (64, 64, 13, 13) ];
+  Alcotest.check_raises "rows past the buffer"
+    (Invalid_argument "Tensor.matmul_packed_prefix_into: output shape mismatch")
+    (fun () ->
+      Tensor.matmul_packed_prefix_into ~rows:3 ~bias:(Tensor.zeros [| 4 |])
+        ~residual:None ~relu:false (Tensor.zeros [| 2; 4 |])
+        (Tensor.zeros [| 3; 3 |])
+        (Tensor.pack (Tensor.zeros [| 3; 4 |])))
+
 let test_packed_errors () =
   let a = Tensor.zeros [| 2; 3 |] in
   let bp = Tensor.pack (Tensor.zeros [| 3; 4 |]) in
@@ -430,6 +470,8 @@ let () =
           Alcotest.test_case "out == residual aliasing" `Quick
             test_fused_residual_aliasing;
           Alcotest.test_case "packed errors" `Quick test_packed_errors;
+          Alcotest.test_case "prefix rows = exact shape" `Quick
+            test_packed_prefix;
         ] );
       ( "bridges",
         [
