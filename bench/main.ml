@@ -677,7 +677,7 @@ let batching () =
     List.filteri (fun i _ -> i < 16)
       (List.map (fun v -> (g, v)) (Pbqp.Graph.vertices g))
   in
-  let st = Core.State.of_graph g in
+  let st = Core.Istate.of_graph g in
   let episode ~batched ~batch () =
     let cfg =
       {
@@ -836,14 +836,13 @@ let par_bench () =
     js
 
 (* ------------------------------------------------------------------ *)
-(* Incremental-state & evaluation-cache benchmarks: the trail-based
-   Istate against per-move persistent copies — first bare apply/undo,
-   then whole k=12 self-play episodes (the ISSUE's headline claim is the
-   allocation drop there) — and an LRU-capacity sweep of the
-   transposition cache's hit rate on a repeated-position workload.
-   Every incremental/cached variant computes bit-identical results to
-   the persistent uncached baseline (the @incr test alias asserts it);
-   this group measures what that buys. *)
+(* Incremental-state & evaluation-cache benchmarks: bare apply chains on
+   the trail-based Istate against per-move persistent copies (the State
+   transition oracle), whole k=12 self-play episodes on the trail with
+   and without a transposition cache, and an LRU-capacity sweep of the
+   cache's hit rate on a repeated-position workload.  Cached and
+   uncached episodes are bit-identical (the @incr test alias asserts
+   it); this group measures what the cache buys. *)
 
 let incr_bench () =
   section "Incremental state & evaluation cache";
@@ -897,57 +896,36 @@ let incr_bench () =
          for _ = 1 to depth do
            Core.Istate.undo ist
          done));
-  (* Whole self-play episodes, k = 12, batched leaf evaluation (the
-     tensor inference path, as production self-play runs it — the scalar
-     path builds a per-leaf autodiff graph whose allocations would bury
-     the state machinery this group measures).  Headline metric: >= 30%
-     fewer allocations per episode with --incremental. *)
+  (* Whole self-play episodes on the trail, k = 12, batched leaf
+     evaluation (the tensor inference path, as production self-play runs
+     it), without and with a transposition cache: repeated runs of one
+     instance under fixed weights hit the cache (MCTS re-searches the
+     same positions move after move, run after run), so the per-leaf GCN
+     readout collapses to cache lookups and what remains is the state
+     machinery. *)
   let cfg =
     {
       Core.Episode.default_config with
       Core.Episode.mcts = { Mcts.default_config with k = 12; batch = 8 };
     }
   in
-  let episode ?cache ~incremental () =
-    let play =
-      if incremental then Core.Episode.play_incremental else Core.Episode.play
-    in
+  let episode ?cache () =
     ignore
-      (play ?cache ~rng:(rng 7) ~net ~mode:Core.Game.Feasibility cfg
-         (Core.State.of_graph g))
+      (Core.Episode.play ?cache ~rng:(rng 7) ~net ~mode:Core.Game.Feasibility
+         cfg (Core.Istate.of_graph g))
   in
-  let persistent = measure (episode ~incremental:false) in
-  show ~name:"episode k=12, persistent" persistent;
-  let incremental = measure (episode ~incremental:true) in
-  show ~name:"episode k=12, incremental" incremental;
-  (* The same episodes with a transposition cache: repeated runs of one
-     instance under fixed weights hit the cache (MCTS re-searches the
-     same positions move after move, run after run), so the per-leaf GCN
-     readout — identical in both modes and the dominant allocator above —
-     collapses to cache lookups and what remains is the state machinery
-     the trail eliminates.  This cached pair is the headline >= 30%
-     allocation-reduction comparison. *)
-  let cached_pair incremental =
-    let cache = Nn.Cache.local ~capacity:4096 in
-    let mm = measure (episode ~cache ~incremental) in
-    (mm, Nn.Cache.stats cache)
-  in
-  let p_cached, p_stats = cached_pair false in
-  show ~cache_stats:p_stats ~name:"episode k=12, persistent + cache 4096"
-    p_cached;
-  let i_cached, i_stats = cached_pair true in
-  show ~cache_stats:i_stats ~name:"episode k=12, incremental + cache 4096"
-    i_cached;
-  Printf.printf "  -> allocations: %.0f -> %.0f w/episode (%.0f%% fewer)\n%!"
-    p_cached.m_allocs i_cached.m_allocs
-    (100. *. (1. -. (i_cached.m_allocs /. p_cached.m_allocs)));
+  show ~name:"episode k=12, trail" (measure (episode ?cache:None));
+  let cache = Nn.Cache.local ~capacity:4096 in
+  let cached = measure (episode ~cache) in
+  show ~cache_stats:(Nn.Cache.stats cache) ~name:"episode k=12, trail + cache 4096"
+    cached;
   (* Hit-rate sweep over cache capacities: two identical episodes per
      data point (warm-up + measured traffic), counters reset between
      capacities. *)
   List.iter
     (fun capacity ->
       let cache = Nn.Cache.local ~capacity in
-      let run = episode ~cache ~incremental:true in
+      let run = episode ~cache in
       run ();
       let m = measure ~min_time:0.0 ~min_iters:2 run in
       show ~cache_stats:(Nn.Cache.stats cache)
@@ -1083,7 +1061,7 @@ let serve_bench () =
   show ~leaves:b ~name:"predict_prepared b=32, int8 quantized"
     (measure (fun () ->
          ignore (Nn.Pvnet.predict_prepared_quantized_unsafe net preps)));
-  (* Episode throughput: 8 fixed incremental self-play episodes per op,
+  (* Episode throughput: 8 fixed self-play episodes per op,
      farmed over the pool, per-worker batching vs the service. *)
   let episodes = 8 in
   let graphs =
@@ -1100,9 +1078,9 @@ let serve_bench () =
   let run pool replicas serve () =
     ignore
       (Par.Pool.map pool (Array.init episodes Fun.id) ~f:(fun ~worker i ->
-           Core.Episode.play_incremental ?serve ~rng:(rng (70 + i))
+           Core.Episode.play ?serve ~rng:(rng (70 + i))
              ~net:replicas.(worker) ~mode:Core.Game.Feasibility cfg
-             (Core.State.of_graph graphs.(i))))
+             (Core.Istate.of_graph graphs.(i))))
   in
   List.iter
     (fun j ->

@@ -45,7 +45,7 @@ let spawn_actor ~manifest_path pids ~manifest ~actor =
   (child_stdout_r, child_stdin_w)
 
 let run m iterations episodes k_train n_mean p_edge p_inf zero_inf planted
-    ate batch batch_leaves incremental eval_cache serve_batch serve_wait_us
+    ate batch batch_leaves eval_cache serve_batch serve_wait_us
     cache_stripes quantize_serve replay domains check checkpoint
     pretrain_labels actors actor actor_id manifest stale_decay dist_pipeline
     replay_shards seed out =
@@ -73,7 +73,6 @@ let run m iterations episodes k_train n_mean p_edge p_inf zero_inf planted
       planted;
       batch_size = batch;
       batch_leaves;
-      incremental;
       eval_cache;
       serve_batch;
       serve_wait_us;
@@ -174,13 +173,6 @@ let () =
          & info [ "batch-leaves" ]
              ~doc:"MCTS leaves per batched network evaluation (1 = exact \
                    scalar search; >1 uses virtual-loss waves)")
-  in
-  let incremental =
-    Arg.(value & flag
-         & info [ "incremental" ]
-             ~doc:"run episodes on the trail-based incremental state \
-                   (O(deg) apply/undo, no per-move graph copies); \
-                   bit-identical results")
   in
   let eval_cache =
     Arg.(value & opt int 0
@@ -301,7 +293,7 @@ let () =
       Term.(
         const run $ m $ iterations $ episodes $ k_train $ n_mean $ p_edge
         $ p_inf $ zero_inf $ planted $ ate $ batch $ batch_leaves
-        $ incremental $ eval_cache $ serve_batch $ serve_wait_us
+        $ eval_cache $ serve_batch $ serve_wait_us
         $ cache_stripes $ quantize_serve $ replay $ domains $ check
         $ checkpoint $ pretrain_labels $ actors $ actor $ actor_id $ manifest
         $ stale_decay $ dist_pipeline $ replay_shards $ seed $ out)

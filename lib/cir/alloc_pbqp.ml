@@ -92,7 +92,7 @@ let solve_rl ~net ?(mcts = Mcts.default_config) live =
   in
   (* Anytime behavior: the search's own greedy completion of the root is
      an incumbent solution; never return anything worse than it. *)
-  let incumbent = Core.Rollout.greedy_solution (Core.State.of_graph t.graph) in
+  let incumbent = Core.Rollout.greedy_solution (Core.Istate.of_graph t.graph) in
   let rl =
     match
       Core.Solver.minimize ~net ~mcts ~reference:scholz_cost

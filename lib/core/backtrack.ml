@@ -5,12 +5,12 @@ type config = {
   enabled : bool;
   replan : bool;
   max_backtracks : int;
-  rollout : (State.t -> float) option;
+  rollouts : bool;
 }
 
 let default_config =
   { mcts = Mcts.default_config; enabled = true; replan = true;
-    max_backtracks = 100_000; rollout = None }
+    max_backtracks = 100_000; rollouts = false }
 
 type result = {
   solution : Solution.t option;
@@ -24,16 +24,6 @@ type result = {
    position, in which preference order the rest should be taken. *)
 type level = { mutable untried : int list; mutable tried : int list }
 
-(* State-representation adapter: the driver below runs over persistent
-   states and incremental cursors alike (legality/terminality already
-   live in the game record; these are the solver-only queries). *)
-type 'a ops = {
-  is_complete : 'a -> bool;
-  is_dead_end : 'a -> bool;
-  base_cost : 'a -> Cost.t;
-  assignment : 'a -> Solution.t;
-}
-
 let rank_actions legal st (p : float array) ~excluding =
   let legal_actions =
     List.filter
@@ -43,16 +33,21 @@ let rank_actions legal st (p : float array) ~excluding =
   (* Highest policy mass first; ties on the smaller color. *)
   List.stable_sort (fun a b -> Float.compare p.(b) p.(a)) legal_actions
 
-let solve_with ~game ~ops config state =
-  let tree = Mcts.create config.mcts game state in
+let solve ?cache ?serve ~net ~mode config ist =
+  let game =
+    Game.make ~rollouts:config.rollouts ?cache ?serve ~net ~mode
+      ~m:(Istate.m ist) ()
+  in
+  let root = Istate.Cursor.root ist in
+  let tree = Mcts.create config.mcts game root in
   let legal = game.Mcts.legal in
   let levels : (int, level) Hashtbl.t = Hashtbl.create 32 in
   let backtracks = ref 0 in
   let budget_exhausted = ref false in
   let success st =
     {
-      solution = Some (ops.assignment st);
-      cost = ops.base_cost st;
+      solution = Some (Istate.Cursor.assignment st);
+      cost = Istate.Cursor.base_cost st;
       nodes = Mcts.nodes_created tree;
       backtracks = !backtracks;
       budget_exhausted = false;
@@ -79,9 +74,10 @@ let solve_with ~game ~ops config state =
   in
   let rec step () =
     let st = Mcts.root_state tree in
-    if ops.is_complete st then
-      if Cost.is_finite (ops.base_cost st) then success st else backtrack ()
-    else if ops.is_dead_end st then backtrack ()
+    if Istate.Cursor.is_complete st then
+      if Cost.is_finite (Istate.Cursor.base_cost st) then success st
+      else backtrack ()
+    else if Istate.Cursor.is_dead_end st then backtrack ()
     else begin
       let depth = Mcts.depth tree in
       let l = level_at st depth in
@@ -122,35 +118,4 @@ let solve_with ~game ~ops config state =
   in
   (* Dead-on-arrival instances (some vertex starts all-∞) fail without
      search. *)
-  if ops.is_dead_end state then failure () else step ()
-
-let state_ops =
-  {
-    is_complete = State.is_complete;
-    is_dead_end = State.is_dead_end;
-    base_cost = State.base_cost;
-    assignment = State.assignment;
-  }
-
-let cursor_ops =
-  {
-    is_complete = Istate.Cursor.is_complete;
-    is_dead_end = Istate.Cursor.is_dead_end;
-    base_cost = Istate.Cursor.base_cost;
-    assignment = Istate.Cursor.assignment;
-  }
-
-let solve ?cache ?serve ~net ~mode config state =
-  let m = State.m state in
-  let game =
-    Game.make ?rollout:config.rollout ?cache ?serve ~net ~mode ~m ()
-  in
-  solve_with ~game ~ops:state_ops config state
-
-let solve_incremental ?cache ?serve ~net ~mode config state =
-  if config.rollout <> None then
-    invalid_arg "Backtrack.solve_incremental: rollouts are unsupported";
-  let m = State.m state in
-  let ist = Istate.of_state state in
-  let game = Game.make_incremental ?cache ?serve ~net ~mode ~m () in
-  solve_with ~game ~ops:cursor_ops config (Istate.Cursor.root ist)
+  if Istate.Cursor.is_dead_end root then failure () else step ()

@@ -10,7 +10,11 @@
 
     [replan = false] is the §V-B ablation: on a dead end just take the
     next-highest-probability color from the original ranking without
-    extending the tree. *)
+    extending the tree.
+
+    The search runs on a trail state ({!Istate}): MCTS holds cursors into
+    one shared mutable graph and walks it with O(deg) push/pop, so no
+    tree node copies the graph. *)
 
 open Pbqp
 
@@ -19,12 +23,13 @@ type config = {
   enabled : bool;  (** [false] = the paper's variant (a): fail on dead end *)
   replan : bool;
   max_backtracks : int;
-  rollout : (State.t -> float) option;
-      (** optional leaf roll-out blending (see {!Rollout}) *)
+  rollouts : bool;
+      (** blend greedy roll-outs into leaf values (see {!Game.make}) *)
 }
 
 val default_config : config
-(** backtracking on, replanning on, [max_backtracks = 100_000]. *)
+(** backtracking on, replanning on, [max_backtracks = 100_000], no
+    roll-outs. *)
 
 type result = {
   solution : Solution.t option;
@@ -37,18 +42,8 @@ type result = {
 val solve :
   ?cache:Nn.Cache.t ->
   ?serve:Nn.Infer.t ->
-  net:Nn.Pvnet.t -> mode:Game.mode -> config -> State.t -> result
-(** [cache] and [serve] are forwarded to {!Game.make} — backtracking
-    revisits tree ancestors, so repeated leaf evaluations short-circuit,
-    and wave evaluations can coalesce across pool workers. *)
-
-val solve_incremental :
-  ?cache:Nn.Cache.t ->
-  ?serve:Nn.Infer.t ->
-  net:Nn.Pvnet.t -> mode:Game.mode -> config -> State.t -> result
-(** {!solve} over a trail state ({!Istate}): the fresh input state seeds
-    one shared mutable graph and MCTS walks it with O(deg) push/pop
-    instead of per-move graph copies.  Results (solution, cost, node and
-    backtrack counts) are bit-identical to {!solve}.  [config.rollout]
-    is unsupported here.
-    @raise Invalid_argument if [config.rollout] is set. *)
+  net:Nn.Pvnet.t -> mode:Game.mode -> config -> Istate.t -> result
+(** Color the trail state from its root position.  [cache] and [serve]
+    are forwarded to {!Game.make} — backtracking revisits tree ancestors,
+    so repeated leaf evaluations short-circuit, and wave evaluations can
+    coalesce across pool workers. *)

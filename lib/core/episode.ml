@@ -35,19 +35,13 @@ let argmax (p : float array) =
   Array.iteri (fun i pi -> if pi > p.(!best) then best := i) p;
   !best
 
-(* State-representation adapter: the one loop below drives both the
-   persistent State game and the incremental cursor game. *)
-type 'a driver = {
-  game : 'a Mcts.game;
-  next_vertex : 'a -> int option;
-  sample_graph : 'a -> Pbqp.Graph.t;
-      (* snapshot for a training tuple; must outlive the episode *)
-  finish : 'a -> Pbqp.Cost.t * Pbqp.Solution.t option;
-}
-
-let play_driver ?(collect = false) ~rng driver config state =
-  let game = driver.game in
-  let tree = Mcts.create config.mcts game state in
+(* The loop runs on a trail state: MCTS holds cursors into one shared
+   mutable graph, so each simulated move is an O(deg) push/pop and each
+   collected sample is a private snapshot of the root's graph. *)
+let play ?(collect = false) ?(batched = true) ?cache ?serve ~rng ~net ~mode
+    config ist =
+  let game = Game.make ~batched ?cache ?serve ~net ~mode ~m:(Istate.m ist) () in
+  let tree = Mcts.create config.mcts game (Istate.Cursor.root ist) in
   let samples = ref [] in
   let move = ref 0 in
   let rec loop () =
@@ -60,11 +54,11 @@ let play_driver ?(collect = false) ~rng driver config state =
       Mcts.run tree;
       let p = Mcts.policy tree in
       (if collect then
-         match driver.next_vertex st with
+         match Istate.Cursor.next_vertex st with
          | Some next ->
              samples :=
                {
-                 Nn.Pvnet.graph = driver.sample_graph st;
+                 Nn.Pvnet.graph = Istate.Cursor.graph_snapshot st;
                  next;
                  policy = Array.copy p;
                  value = 0.0;
@@ -81,53 +75,14 @@ let play_driver ?(collect = false) ~rng driver config state =
     end
   in
   loop ();
-  let cost, solution = driver.finish (Mcts.root_state tree) in
-  ( { solution; cost; nodes = Mcts.nodes_created tree },
-    List.rev !samples )
-
-let finish_state st =
-  let cost = Game.final_cost st in
+  let final = Mcts.root_state tree in
+  let cost = Game.final_cost final in
   let solution =
-    if State.is_complete st && Pbqp.Cost.is_finite cost then
-      Some (State.assignment st)
+    if Istate.Cursor.is_complete final && Pbqp.Cost.is_finite cost then
+      Some (Istate.Cursor.assignment final)
     else None
   in
-  (cost, solution)
-
-let play ?collect ?(batched = true) ?cache ?serve ~rng ~net ~mode config state
-    =
-  let m = State.m state in
-  play_driver ?collect ~rng
-    {
-      game = Game.make ~batched ?cache ?serve ~net ~mode ~m ();
-      next_vertex = State.next_vertex;
-      sample_graph = State.graph;
-      finish = finish_state;
-    }
-    config state
-
-let finish_cursor c =
-  let cost = Game.cursor_final_cost c in
-  let solution =
-    if Istate.Cursor.is_complete c && Pbqp.Cost.is_finite cost then
-      Some (Istate.Cursor.assignment c)
-    else None
-  in
-  (cost, solution)
-
-let play_incremental ?collect ?(batched = true) ?cache ?serve ~rng ~net ~mode
-    config state =
-  let m = State.m state in
-  let ist = Istate.of_state state in
-  play_driver ?collect ~rng
-    {
-      game = Game.make_incremental ~batched ?cache ?serve ~net ~mode ~m ();
-      next_vertex = Istate.Cursor.next_vertex;
-      sample_graph = Istate.Cursor.graph_snapshot;
-      finish = finish_cursor;
-    }
-    config
-    (Istate.Cursor.root ist)
+  ({ solution; cost; nodes = Mcts.nodes_created tree }, List.rev !samples)
 
 let set_values v samples =
   List.map (fun s -> { s with Nn.Pvnet.value = v }) samples

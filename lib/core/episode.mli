@@ -37,32 +37,17 @@ val play :
   net:Nn.Pvnet.t ->
   mode:Game.mode ->
   config ->
-  State.t ->
+  Istate.t ->
   outcome * Nn.Pvnet.sample list
-(** [batched] (default [true]), [cache] and [serve] are forwarded to
-    {!Game.make}: [~batched:false] forces scalar per-leaf network
-    evaluation — the pre-batching baseline used by the equivalence tests
-    and benchmarks — [cache] short-circuits repeated leaf evaluations,
-    and [serve] coalesces wave evaluations across pool workers.  Search
-    results are bit-identical in every combination. *)
-
-val play_incremental :
-  ?collect:bool ->
-  ?batched:bool ->
-  ?cache:Nn.Cache.t ->
-  ?serve:Nn.Infer.t ->
-  rng:Random.State.t ->
-  net:Nn.Pvnet.t ->
-  mode:Game.mode ->
-  config ->
-  State.t ->
-  outcome * Nn.Pvnet.sample list
-(** {!play} over a trail state ({!Istate}) instead of persistent copies:
-    the given fresh state (no colored vertices — see {!Istate.of_state})
-    seeds one shared mutable graph, MCTS holds cursors into it, and each
-    simulated move costs O(deg) push/pop instead of an O(V+E) graph
-    copy.  Outcomes, node counts and collected samples (snapshotted per
-    move) are bit-identical to {!play} on the same inputs. *)
+(** Play from the trail state's root position.  MCTS holds cursors into
+    its one shared mutable graph, so each simulated move costs O(deg)
+    push/pop instead of a graph copy; collected samples are snapshotted
+    per move.  [batched] (default [true]), [cache] and [serve] are
+    forwarded to {!Game.make}: [~batched:false] forces scalar per-leaf
+    network evaluation — the pre-batching baseline used by the
+    equivalence tests and benchmarks — [cache] short-circuits repeated
+    leaf evaluations, and [serve] coalesces wave evaluations across pool
+    workers.  Search results are bit-identical in every combination. *)
 
 val set_values : float -> Nn.Pvnet.sample list -> Nn.Pvnet.sample list
 (** Stamp the final reward on every tuple of the episode (§II-C: "all

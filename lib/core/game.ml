@@ -16,7 +16,8 @@ let reward mode cost =
           else if d < -1e-9 then -1.0
           else 0.0)
 
-let final_cost st = if State.is_complete st then State.base_cost st else Cost.inf
+let final_cost c =
+  if Istate.Cursor.is_complete c then Istate.Cursor.base_cost c else Cost.inf
 
 (* The transposition cache holds the network's raw (priors, value) keyed
    by (state hash, next vertex) and stamped with the weights version; a
@@ -45,87 +46,25 @@ let run_batch serve net preps =
   | Some srv -> Nn.Infer.submit srv ~net preps
   | None -> Nn.Pvnet.predict_prepared net preps
 
-let make ?rollout ?(batched = true) ?cache ?serve ~net ~mode ~m () =
-  let blend st v =
-    match rollout with Some f -> 0.5 *. (v +. f st) | None -> v
+let make ?(rollouts = false) ?(batched = true) ?cache ?serve ~net ~mode ~m ()
+    =
+  (* [blend_at c] takes the leaf's roll-out now — seeking the trail to
+     [c], completing greedily and undoing back — and returns the blend to
+     apply to the network value once it is known. *)
+  let blend_at c =
+    if rollouts then begin
+      Istate.Cursor.sync c;
+      let r = reward mode (Rollout.greedy_cost (Istate.Cursor.istate c)) in
+      fun v -> 0.5 *. (v +. r)
+    end
+    else Fun.id
   in
-  (* One network forward for a whole wave of leaves: states that still
-     have a vertex to color go through [Pvnet.predict_batch] together
-     (bit-identical to per-state [predict]) — minus the cache hits, which
-     skip the forward entirely; the rest — complete games and dead ends
-     that slipped past [is_terminal] — get the same defensive terminal
-     reward the scalar path uses. *)
-  let batched_evaluate states =
-    let states = Array.of_list states in
-    let out = Array.make (Array.length states) ([||], 0.0) in
-    let version = Nn.Pvnet.version net in
-    let misses = ref [] in
-    Array.iteri
-      (fun i st ->
-        match State.next_vertex st with
-        | Some next -> (
-            let key = (State.hash st, next) in
-            let hit =
-              match cache with
-              | Some cache -> Nn.Cache.find cache ~version key
-              | None -> None
-            in
-            match hit with
-            | Some (priors, v) -> out.(i) <- (priors, blend st v)
-            | None -> misses := (i, st, next, key) :: !misses)
-        | None -> out.(i) <- (Array.make m 0.0, reward mode (final_cost st)))
-      states;
-    let misses = List.rev !misses in
-    (match misses with
-    | [] -> ()
-    | _ ->
-        let preds =
-          run_batch serve net
-            (Array.of_list
-               (List.map
-                  (fun (_, st, next, _) ->
-                    Nn.Pvnet.prepare net (State.graph st) ~next)
-                  misses))
-        in
-        List.iteri
-          (fun j (i, st, _, key) ->
-            let ((priors, v) as r) = preds.(j) in
-            (match cache with
-            | Some cache -> Nn.Cache.store cache ~version key r
-            | None -> ());
-            out.(i) <- (priors, blend st v))
-          misses);
-    out
-  in
-  {
-    Mcts.num_actions = m;
-    is_terminal = State.is_terminal;
-    terminal_value = (fun st -> reward mode (final_cost st));
-    legal = State.legal;
-    apply = State.apply;
-    evaluate =
-      (fun st ->
-        match State.next_vertex st with
-        | Some next ->
-            let priors, v =
-              cached cache net (State.hash st, next) (fun () ->
-                  Nn.Pvnet.predict net (State.graph st) ~next)
-            in
-            (priors, blend st v)
-        | None -> (Array.make m 0.0, reward mode (final_cost st)));
-    batched_evaluate = (if batched then Some batched_evaluate else None);
-  }
-
-(* --- Incremental variant --------------------------------------------- *)
-
-let cursor_final_cost c =
-  if Istate.Cursor.is_complete c then Istate.Cursor.base_cost c else Cost.inf
-
-let make_incremental ?(batched = true) ?cache ?serve ~net ~mode ~m () =
   (* Leaves of a wave live on one shared trail graph, so each is seeked
-     and captured as a [Pvnet.prepared] in turn; the trunk GEMMs then run
-     over the whole batch at once.  Roll-out blending is a persistent-
-     state extension and is not offered here. *)
+     and captured as a [Pvnet.prepared] in turn (its roll-out taken while
+     the trail is there); the trunk GEMMs then run over the whole batch
+     at once — minus the cache hits, which skip the forward entirely.
+     Complete games and dead ends that slipped past [is_terminal] get the
+     same defensive terminal reward the scalar path uses. *)
   let batched_evaluate cursors =
     let cursors = Array.of_list cursors in
     let out = Array.make (Array.length cursors) ([||], 0.0) in
@@ -142,12 +81,11 @@ let make_incremental ?(batched = true) ?cache ?serve ~net ~mode ~m () =
               | None -> None
             in
             match hit with
-            | Some r -> out.(i) <- r
+            | Some (priors, v) -> out.(i) <- (priors, blend_at cur v)
             | None ->
                 let p = Nn.Pvnet.prepare net (Istate.Cursor.graph cur) ~next in
-                misses := (i, key, p) :: !misses)
-        | None ->
-            out.(i) <- (Array.make m 0.0, reward mode (cursor_final_cost cur)))
+                misses := (i, key, p, blend_at cur) :: !misses)
+        | None -> out.(i) <- (Array.make m 0.0, reward mode (final_cost cur)))
       cursors;
     let misses = List.rev !misses in
     (match misses with
@@ -155,31 +93,33 @@ let make_incremental ?(batched = true) ?cache ?serve ~net ~mode ~m () =
     | _ ->
         let preds =
           run_batch serve net
-            (Array.of_list (List.map (fun (_, _, p) -> p) misses))
+            (Array.of_list (List.map (fun (_, _, p, _) -> p) misses))
         in
         List.iteri
-          (fun j (i, key, _) ->
-            let r = preds.(j) in
+          (fun j (i, key, _, mix) ->
+            let ((priors, v) as r) = preds.(j) in
             (match cache with
             | Some cache -> Nn.Cache.store cache ~version key r
             | None -> ());
-            out.(i) <- r)
+            out.(i) <- (priors, mix v))
           misses);
     out
   in
   {
     Mcts.num_actions = m;
     is_terminal = Istate.Cursor.is_terminal;
-    terminal_value = (fun c -> reward mode (cursor_final_cost c));
+    terminal_value = (fun c -> reward mode (final_cost c));
     legal = Istate.Cursor.legal;
     apply = Istate.Cursor.apply;
     evaluate =
       (fun c ->
         match Istate.Cursor.next_vertex c with
         | Some next ->
-            cached cache net
-              (Istate.Cursor.hash c, next)
-              (fun () -> Nn.Pvnet.predict net (Istate.Cursor.graph c) ~next)
-        | None -> (Array.make m 0.0, reward mode (cursor_final_cost c)));
+            let priors, v =
+              cached cache net (Istate.Cursor.hash c, next) (fun () ->
+                  Nn.Pvnet.predict net (Istate.Cursor.graph c) ~next)
+            in
+            (priors, blend_at c v)
+        | None -> (Array.make m 0.0, reward mode (final_cost c)));
     batched_evaluate = (if batched then Some batched_evaluate else None);
   }

@@ -19,37 +19,7 @@ val reward : mode -> Cost.t -> float
 (** Terminal reward for a final cost ([inf] = failed/dead end). *)
 
 val make :
-  ?rollout:(State.t -> float) ->
-  ?batched:bool ->
-  ?cache:Nn.Cache.t ->
-  ?serve:Nn.Infer.t ->
-  net:Nn.Pvnet.t ->
-  mode:mode ->
-  m:int ->
-  unit ->
-  State.t Mcts.game
-(** The game record MCTS searches: legality and transitions from
-    {!State}, leaf evaluation from the network.  When [rollout] is given,
-    leaf values are the mean of the network's estimate and the roll-out
-    value (see {!Rollout}) — an opt-in extension beyond the paper.
-    [batched] (default [true]) fills the game's [batched_evaluate] with
-    {!Nn.Pvnet.predict_batch}, so searches evaluate leaf waves in one
-    batched forward; results are bit-identical to the scalar path.  Pass
-    [~batched:false] to force the pre-batching scalar evaluation (the
-    baseline the equivalence tests and benchmarks compare against).
-
-    [cache] consults an {!Nn.Cache} (single-owner or striped-shared)
-    before every network forward — scalar and batched — keyed by
-    [(State.hash, next vertex)] and versioned by {!Nn.Pvnet.version};
-    hits skip the forward (and drop out of a wave's batch), misses are
-    stored.  Search results are bit-identical with or without it.
-
-    [serve] routes each wave's cache misses through the cross-worker
-    {!Nn.Infer} service instead of a direct [predict_prepared] — same
-    bits, coalesced GEMMs (the scalar [evaluate] path stays direct; it
-    only runs when waves are off). *)
-
-val make_incremental :
+  ?rollouts:bool ->
   ?batched:bool ->
   ?cache:Nn.Cache.t ->
   ?serve:Nn.Infer.t ->
@@ -58,16 +28,38 @@ val make_incremental :
   m:int ->
   unit ->
   Istate.Cursor.t Mcts.game
-(** {!make} over incremental cursors (see {!Istate}): transitions are
-    pure O(1) cursor extensions, every query seeks the shared trail
-    state, and a batched wave captures each leaf as an
-    {!Nn.Pvnet.prepared} before the common trunk GEMMs.  All cursors in
-    one search must come from a single {!Istate.t} (MCTS guarantees this
-    by construction: children come from [apply]).  No [rollout] — that
-    extension stays on the persistent path.  Searches are node-for-node
-    identical to {!make} on the equivalent persistent states. *)
+(** The game record MCTS searches, over trail cursors (see {!Istate}):
+    legality from the cursor's position, transitions as pure O(1)
+    cursor extensions, leaf evaluation from the network.  Every query
+    seeks the shared trail state; all cursors in one search must come
+    from a single {!Istate.t} (MCTS guarantees this by construction:
+    children come from [apply]).
 
-val final_cost : State.t -> Cost.t
+    [rollouts] (default [false]) makes leaf values the mean of the
+    network's estimate and the reward of a greedy completion of the leaf
+    (see {!Rollout}, run on the trail and undone) — an opt-in extension
+    beyond the paper, applied to scalar evaluations, wave cache hits and
+    wave misses alike.
+
+    [batched] (default [true]) fills the game's [batched_evaluate]: each
+    leaf of a wave is seeked and captured as an {!Nn.Pvnet.prepared},
+    then the trunk GEMMs run over the whole batch at once; results are
+    bit-identical to the scalar path.  Pass [~batched:false] to force
+    scalar per-leaf evaluation (the baseline the equivalence tests and
+    benchmarks compare against).
+
+    [cache] consults an {!Nn.Cache} (single-owner or striped-shared)
+    before every network forward — scalar and batched — keyed by
+    [(Istate.Cursor.hash, next vertex)] and versioned by
+    {!Nn.Pvnet.version}; hits skip the forward (and drop out of a wave's
+    batch), misses are stored.  The cache holds the raw network output;
+    the roll-out blend is applied after lookup.  Search results are
+    bit-identical with or without it.
+
+    [serve] routes each wave's cache misses through the cross-worker
+    {!Nn.Infer} service instead of a direct [predict_prepared] — same
+    bits, coalesced GEMMs (the scalar [evaluate] path stays direct; it
+    only runs when waves are off). *)
+
+val final_cost : Istate.Cursor.t -> Cost.t
 (** [base_cost] if complete, [inf] otherwise. *)
-
-val cursor_final_cost : Istate.Cursor.t -> Cost.t

@@ -17,9 +17,9 @@
     the trail to that position (pop to the lowest common ancestor, replay
     the suffix).  MCTS stores cursors in its nodes and its root-to-leaf
     access pattern makes seeking O(1) amortized trail moves per query.
-    The persistent {!State} remains the oracle: states reached by the
-    same moves are structurally bit-equal, as the differential tests
-    assert. *)
+    This is the only state MCTS searches over.  The persistent {!State}
+    remains the oracle: states reached by the same moves are structurally
+    bit-equal, as the differential tests assert. *)
 
 open Pbqp
 

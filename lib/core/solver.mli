@@ -35,7 +35,6 @@ val solve_feasible :
   ?max_backtracks:int ->
   ?exact_reduce:bool ->
   ?rollouts:bool ->
-  ?incremental:bool ->
   ?eval_cache:int ->
   ?cache:Nn.Cache.t ->
   ?serve:Nn.Infer.t ->
@@ -46,12 +45,10 @@ val solve_feasible :
     (§IV-E); default [mcts.k]: 50.  [rng] is only needed for
     [~order:Random].
 
-    [incremental] (default [not rollouts]) runs the search on the
-    trail-based {!Istate} — O(deg) apply/undo instead of a graph copy per
-    tree node, with bit-identical results.  [~incremental:false] runs it
-    on the persistent {!State}, which [rollouts] still requires: with
-    [~rollouts:true] the default is the persistent state, and an explicit
-    [~incremental:true] raises [Invalid_argument].  A positive
+    The search runs on the trail-based {!Istate}: O(deg) apply/undo
+    instead of a graph copy per tree node.  [rollouts] (default false)
+    blends greedy roll-out values into leaf evaluation (see {!Rollout}).
+    A positive
     [eval_cache] gives the solve an LRU transposition cache of that many
     network evaluations (see {!Nn.Evalcache}), also result-preserving.
 
@@ -76,14 +73,13 @@ val minimize :
   ?shaping:float ->
   ?exact_reduce:bool ->
   ?rollouts:bool ->
-  ?incremental:bool ->
   ?eval_cache:int ->
   ?cache:Nn.Cache.t ->
   ?serve:Nn.Infer.t ->
   ?rng:Random.State.t ->
   Graph.t ->
   (Solution.t * Cost.t) option * stats
-(** Minimize the cost sum.  [incremental]/[eval_cache]/[cache]/[serve] as in
+(** Minimize the cost sum.  [eval_cache]/[cache]/[serve] as in
     {!solve_feasible}.  [reference] anchors the search's terminal
     values (defaults to the Scholz–Eckstein cost of the graph);
     [shaping] (default 5.0) smooths the comparison reward.  [rollouts]

@@ -7,8 +7,10 @@
     of the final assignment on the original graph equals the accumulated
     [base_cost] when the game completes.
 
-    States are persistent (transitions copy the graph), as the MCTS tree
-    requires. *)
+    States are persistent (transitions copy the graph).  Search runs on
+    the trail state ({!Istate}), which performs the same float operations
+    in place; this module is the transition oracle it is checked against,
+    and the walk behind exact-label samples ({!Labels}). *)
 
 open Pbqp
 

@@ -24,7 +24,6 @@ type config = {
   checkpoint : string option;
   check : bool;
   batch_leaves : int;
-  incremental : bool;
   eval_cache : int;
   serve_batch : int;
   serve_wait_us : int;
@@ -60,7 +59,6 @@ let default_config ~m =
     checkpoint = None;
     check = false;
     batch_leaves = 1;
-    incremental = false;
     eval_cache = 0;
     serve_batch = 0;
     serve_wait_us = 200;
@@ -103,15 +101,14 @@ let search_mode config g =
 let play_once ?(collect = false) ?cache ?serve ~rng ~net ~temperature_moves
     config g =
   let mode = search_mode config g in
-  let state = State.of_graph g in
+  let ist = Istate.of_graph g in
   (* AlphaZero-style: the training run explores with Dirichlet root noise;
      inference runs (temperature 0) play clean *)
   let root_noise = if temperature_moves > 0 then Some (0.25, 0.5) else None in
   let mcts = { config.mcts with Mcts.batch = max 1 config.batch_leaves } in
-  let play = if config.incremental then Episode.play_incremental else Episode.play in
-  play ~collect ?cache ?serve ~rng ~net ~mode
+  Episode.play ~collect ?cache ?serve ~rng ~net ~mode
     { Episode.mcts; temperature_moves; root_noise }
-    state
+    ist
 
 (* With [config.check]: certify an episode's claim against the original
    graph — the solution must be admissible and its recomputed cost must

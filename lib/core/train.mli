@@ -79,12 +79,6 @@ type config = {
           (overrides [mcts.batch]).  1 (the default) reproduces the
           scalar search exactly; larger values trade some search
           sequentiality for evaluation throughput (see DESIGN.md). *)
-  incremental : bool;
-      (** run self-play and arena episodes on the trail-based
-          incremental state ([Istate]) instead of persistent per-move
-          graph copies — O(deg) apply/undo, far fewer allocations, and
-          runs bit-identical to the persistent path (the [@incr] test
-          alias locks this down).  Default [false]. *)
   eval_cache : int;
       (** total capacity of the shared per-net-role evaluation cache
           ([Nn.Cache]: a striped [Nn.Stripedcache] when [domains > 1],

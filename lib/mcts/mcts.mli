@@ -7,7 +7,10 @@
     with {!retreat} is what the paper's backtracking driver relies on.
 
     The search is generic over the game through a record of functions;
-    states must be persistent values. *)
+    states must be immutable identities: [apply] returns a new value and
+    never changes the one it was given.  Cursors into a shared trail (the
+    PBQP game's states) qualify; the mutable structure behind them may
+    move, as long as every query on a state answers for that state. *)
 
 type 'a game = {
   num_actions : int;  (** actions are [0 .. num_actions-1] *)

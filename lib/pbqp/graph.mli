@@ -3,8 +3,8 @@
     A PBQP problem instance [G(V, E, C^V, C^E)] over [m] colors: every
     vertex carries an [m]-entry cost vector, every edge an [m × m] cost
     matrix.  The structure is mutable — graph reductions and RL transitions
-    delete vertices and fold costs in place — and {!copy} gives the
-    persistent snapshots that search trees need.
+    delete vertices and fold costs in place — and {!copy} gives
+    persistent snapshots (training samples, the persistent game state).
 
     Vertices are identified by dense integer ids [0 .. capacity-1]; deleted
     vertices stay allocated but dead.  Each undirected edge is stored in

@@ -39,10 +39,11 @@ echo "== dune build @par =="
 dune build @par
 
 echo "== dune build @incr =="
-# incremental-state/evaluation-cache equivalence suite: trail apply/undo
-# and cursor seeks vs the persistent State oracle (bitwise), Evalcache
-# LRU/version semantics, and episode/solver/training equivalence across
-# {persistent, incremental} x {cache off, on}
+# incremental-state/evaluation-cache equivalence suite: trail apply/undo,
+# cursor seeks and roll-outs vs the persistent State oracle (bitwise),
+# Evalcache LRU/version semantics, episodes and solves vs the persistent
+# reference drivers with the cache off and on, and training runs across
+# {cache off, on} x domains
 dune build @incr
 
 echo "== dune build @exact =="
@@ -73,7 +74,7 @@ echo "== dune build @dist =="
 # (--actors 1 = in-process bitwise; multi-actor runs bit-reproducible)
 dune build @dist
 
-echo "== multi-domain smoke (train -j 2 --incremental --eval-cache --check) =="
+echo "== multi-domain smoke (train -j 2 --eval-cache --check) =="
 # a tiny end-to-end training run on the domain pool with per-episode
 # solution certification on, exercising pool self-play on the trail
 # state with the shared striped evaluation cache + the data-parallel
@@ -81,14 +82,14 @@ echo "== multi-domain smoke (train -j 2 --incremental --eval-cache --check) =="
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 dune exec bin/train.exe -- -i 1 -e 4 -j 2 -k 8 --n-mean 8 --check \
-  --incremental --eval-cache 512 --batch 8 -o "$smoke_dir/smoke.ckpt"
+  --eval-cache 512 --batch 8 -o "$smoke_dir/smoke.ckpt"
 test -f "$smoke_dir/smoke.ckpt"
 
 echo "== service smoke (train -j 2 --serve-batch 16) =="
 # the same tiny run with the cross-worker inference service coalescing
 # leaf evaluations across both workers (still under the checker)
 dune exec bin/train.exe -- -i 1 -e 4 -j 2 -k 8 --n-mean 8 --check \
-  --incremental --eval-cache 512 --serve-batch 16 --batch 8 \
+  --eval-cache 512 --serve-batch 16 --batch 8 \
   -o "$smoke_dir/serve.ckpt"
 test -f "$smoke_dir/serve.ckpt"
 

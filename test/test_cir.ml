@@ -275,6 +275,32 @@ let test_pbqp_rl_end_to_end () =
     | Some c -> Pbqp.Cost.is_finite c
     | None -> false)
 
+(* The PBQP-RL allocator searches on the trail: the anytime incumbent is
+   a trail roll-out and MCTS blends trail roll-outs into its leaf values.
+   The persistent oracle (graph copies at every move) must reach the same
+   allocation and the same cost bits for every function. *)
+let test_pbqp_rl_matches_oracle () =
+  let net =
+    Nn.Pvnet.create ~rng:(rng 4)
+      { (Nn.Pvnet.default_config ~m:Cir.Alloc_pbqp.num_colors) with
+        trunk_width = 8; trunk_blocks = 1; gcn_layers = 1 }
+  in
+  let mcts = { Mcts.default_config with k = 8 } in
+  List.iter
+    (fun name ->
+      let ir = Cir.Lower.compile (Cir.Programs.find name) in
+      List.iter
+        (fun (f : Cir.Ir.func) ->
+          let live = Cir.Liveness.analyze f in
+          let alloc, c = Cir.Alloc_pbqp.solve_rl ~net ~mcts live in
+          let alloc', c' = Oracle.solve_rl ~net ~mcts live in
+          let msg = Printf.sprintf "%s/%s" name f.Cir.Ir.name in
+          Alcotest.(check bool) (msg ^ ": allocation") true (alloc = alloc');
+          Alcotest.(check int64) (msg ^ ": cost bits")
+            (Int64.bits_of_float c') (Int64.bits_of_float c))
+        ir.Cir.Ir.funcs)
+    [ "Bubblesort"; "Queens"; "Quicksort"; "Knapsack" ]
+
 (* ------------------------------------------------------------------ *)
 (* Rewrite / simulator details *)
 
@@ -500,6 +526,8 @@ let () =
           Alcotest.test_case "scholz allocator" `Quick
             test_pbqp_scholz_allocator_reasonable;
           Alcotest.test_case "rl end to end" `Quick test_pbqp_rl_end_to_end;
+          Alcotest.test_case "rl = persistent oracle" `Quick
+            test_pbqp_rl_matches_oracle;
         ] );
       ( "opt",
         [

@@ -182,7 +182,7 @@ let test_episode_completes_fig2 () =
       ~mode:(Core.Game.Minimize { reference = 24.0; shaping = 5.0 })
       { Core.Episode.mcts = { Mcts.default_config with k = 30 };
         temperature_moves = 0; root_noise = None }
-      (Core.State.of_graph g)
+      (Core.Istate.of_graph g)
   in
   (match outcome.Core.Episode.solution with
   | Some sol ->
@@ -211,7 +211,7 @@ let test_episode_with_enough_search_is_optimal () =
       ~mode:(Core.Game.Minimize { reference = 24.0; shaping = 5.0 })
       { Core.Episode.mcts = { Mcts.default_config with k = 200 };
         temperature_moves = 0; root_noise = None }
-      (Core.State.of_graph g)
+      (Core.Istate.of_graph g)
   in
   Alcotest.check cost "optimal" 11.0 outcome.Core.Episode.cost
 
@@ -241,7 +241,7 @@ let test_backtrack_solves_planted () =
       Core.Backtrack.solve ~net ~mode:Core.Game.Feasibility
         { Core.Backtrack.default_config with
           mcts = { Mcts.default_config with k = 16 } }
-        (Core.State.of_graph ~order g)
+        (Core.Istate.of_graph ~order g)
     in
     match result.Core.Backtrack.solution with
     | Some sol ->
@@ -266,7 +266,7 @@ let test_backtrack_disabled_fails_on_dead_end () =
       { Core.Backtrack.default_config with
         enabled;
         mcts = { Mcts.default_config with k = 4 } }
-      (Core.State.of_graph g)
+      (Core.Istate.of_graph g)
   in
   let with_bt = run ~enabled:true in
   Alcotest.(check bool) "backtracking solves it" true
@@ -288,7 +288,7 @@ let test_backtrack_infeasible_terminates () =
     Core.Backtrack.solve ~net ~mode:Core.Game.Feasibility
       { Core.Backtrack.default_config with
         mcts = { Mcts.default_config with k = 8 } }
-      (Core.State.of_graph g)
+      (Core.Istate.of_graph g)
   in
   Alcotest.(check bool) "no solution" true (result.Core.Backtrack.solution = None);
   Alcotest.(check bool) "exhausted search, not budget" false
@@ -302,7 +302,7 @@ let test_backtrack_budget () =
       { Core.Backtrack.default_config with
         max_backtracks = 0;
         mcts = { Mcts.default_config with k = 4 } }
-      (Core.State.of_graph g)
+      (Core.Istate.of_graph g)
   in
   (* with zero backtracks allowed either it one-shots the instance or it
      reports budget exhaustion *)
@@ -317,7 +317,7 @@ let test_backtrack_dead_on_arrival () =
   let net = tiny_net ~m:2 () in
   let result =
     Core.Backtrack.solve ~net ~mode:Core.Game.Feasibility
-      Core.Backtrack.default_config (Core.State.of_graph g)
+      Core.Backtrack.default_config (Core.Istate.of_graph g)
   in
   Alcotest.(check bool) "fails immediately" true
     (result.Core.Backtrack.solution = None)
@@ -327,11 +327,13 @@ let test_backtrack_dead_on_arrival () =
 
 let test_rollout_greedy () =
   let g = Generate.fig2 () in
-  let st = Core.State.of_graph g in
-  let c = Core.Rollout.greedy_cost st in
+  let ist = Core.Istate.of_graph g in
+  let c = Core.Rollout.greedy_cost ist in
   Alcotest.(check bool) "finite completion" true (Cost.is_finite c);
-  (match Core.Rollout.greedy_solution st with
+  Alcotest.(check int) "trail restored" 0 (Core.Istate.depth ist);
+  (match Core.Rollout.greedy_solution ist with
   | Some (sol, c') ->
+      Alcotest.check cost_exact "same cost as greedy_cost" c c';
       Alcotest.check cost "solution cost matches" c' (Solution.cost g sol)
   | None -> Alcotest.fail "fig2 completes greedily");
   (* greedy at least matches the optimum bound from below *)
@@ -342,13 +344,12 @@ let test_rollout_dead_end () =
   Graph.set_cost g 0 (Vec.of_array [| 0.0; Cost.inf |]);
   Graph.set_cost g 1 (Vec.of_array [| 0.0; Cost.inf |]);
   Graph.add_edge g 0 1 (Mat.interference 2);
-  let st = Core.State.of_graph g in
+  let ist = Core.Istate.of_graph g in
   Alcotest.check cost_exact "dead end is inf" Cost.inf
-    (Core.Rollout.greedy_cost st);
+    (Core.Rollout.greedy_cost ist);
   Alcotest.(check bool) "no solution" true
-    (Core.Rollout.greedy_solution st = None);
-  Alcotest.(check (float 1e-9)) "feasibility reward -1" (-1.0)
-    (Core.Rollout.value ~mode:Core.Game.Feasibility st)
+    (Core.Rollout.greedy_solution ist = None);
+  Alcotest.(check int) "trail restored" 0 (Core.Istate.depth ist)
 
 (* ------------------------------------------------------------------ *)
 (* Replay *)

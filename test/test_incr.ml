@@ -1,9 +1,10 @@
 (* Differential tests for the incremental (trail) state and the
    evaluation cache: random apply/undo interleavings and cursor walks
    against the persistent State oracle (structurally bit-equal at every
-   depth), LRU/version semantics of Nn.Evalcache, and bit-identical
-   episodes, solves and whole training runs across
-   {persistent, incremental} x {cache off, on}. *)
+   depth), trail roll-outs against persistent greedy completions,
+   LRU/version semantics of Nn.Evalcache, episodes and solves against the
+   persistent reference drivers (test/oracle) with the cache off and on,
+   and whole training runs across {cache off, on} x domains. *)
 
 open Pbqp
 open Testutil
@@ -150,6 +151,58 @@ let test_istate_validations () =
       Core.Istate.apply ist (-1))
 
 (* ------------------------------------------------------------------ *)
+(* Trail roll-outs vs the persistent greedy completion *)
+
+(* From random prefixes — dead ends included, since random play on
+   graphs with infinite entries reaches them — the trail roll-out must
+   reach the persistent greedy cost and solution bit for bit, and leave
+   the trail exactly where it found it. *)
+let test_rollout_matches_oracle =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+  @@ QCheck.Test.make ~count:150
+       ~name:"trail roll-out = persistent greedy (bitwise, restored)"
+       (arb_graph_spec ~nmax:10 ~mmax:4 ~p_inf:0.3 ())
+  @@ fun spec ->
+  let g = build_graph spec in
+  let st0 = Core.State.of_graph g in
+  let ist = Core.Istate.of_state st0 in
+  let r = rng (spec.seed + 3) in
+  let prefix = Random.State.int r (Graph.n_alive g + 1) in
+  let rec walk st cur k =
+    if k = 0 || Core.State.is_complete st then (st, cur)
+    else
+      match random_legal r st with
+      | None -> (st, cur)
+      | Some c ->
+          walk (Core.State.apply st c) (Core.Istate.Cursor.apply cur c)
+            (k - 1)
+  in
+  let st, leaf = walk st0 (Core.Istate.Cursor.root ist) prefix in
+  let snap = Core.Istate.Cursor.graph_snapshot leaf in
+  let depth = Core.Istate.depth ist and hash = Core.Istate.hash ist in
+  let restored what =
+    if Core.Istate.depth ist <> depth then
+      Alcotest.failf "%s: depth %d, expected %d" what
+        (Core.Istate.depth ist) depth;
+    if Core.Istate.hash ist <> hash then
+      Alcotest.failf "%s: hash moved" what;
+    if not (Graph.equal snap (Core.Istate.graph ist)) then
+      Alcotest.failf "%s: graph not restored" what
+  in
+  let c = Core.Rollout.greedy_cost ist in
+  restored "greedy_cost";
+  if not (bits_eq c (Oracle.Rollout.greedy_cost st)) then
+    Alcotest.failf "costs differ at depth %d" depth;
+  (match
+     (Core.Rollout.greedy_solution ist, Oracle.Rollout.greedy_solution st)
+   with
+  | None, None -> ()
+  | Some (a, ca), Some (b, cb) when Solution.equal a b && bits_eq ca cb -> ()
+  | _ -> Alcotest.failf "greedy solutions differ at depth %d" depth);
+  restored "greedy_solution";
+  true
+
+(* ------------------------------------------------------------------ *)
 (* Evaluation cache: LRU + version semantics *)
 
 let entry priors value = (Array.of_list priors, value)
@@ -253,24 +306,24 @@ let samples_identical sa sb =
          && bits_eq a.value b.value)
        sa sb
 
-let check_episode_pair ~msg ?cache_a ?cache_b ~batched g net =
-  let play incremental cache =
-    let st = Core.State.of_graph g in
-    let batch = if batched then 4 else 1 in
-    let cfg =
-      {
-        Core.Episode.default_config with
-        Core.Episode.mcts = { Mcts.default_config with k = 8; batch };
-      }
-    in
-    let f =
-      if incremental then Core.Episode.play_incremental else Core.Episode.play
-    in
-    f ~collect:true ~batched ?cache ~rng:(rng 7) ~net
-      ~mode:Core.Game.Feasibility cfg st
+(* The library episode (trail, batched or scalar, cache on or off)
+   against the persistent reference episode. *)
+let check_episode_pair ~msg ?cache ~batched g net =
+  let batch = if batched then 4 else 1 in
+  let cfg =
+    {
+      Core.Episode.default_config with
+      Core.Episode.mcts = { Mcts.default_config with k = 8; batch };
+    }
   in
-  let oa, sa = play false cache_a in
-  let ob, sb = play true cache_b in
+  let oa, sa =
+    Oracle.Episode.play ~collect:true ~rng:(rng 7) ~net
+      ~mode:Core.Game.Feasibility cfg (Core.State.of_graph g)
+  in
+  let ob, sb =
+    Core.Episode.play ~collect:true ~batched ?cache ~rng:(rng 7) ~net
+      ~mode:Core.Game.Feasibility cfg (Core.Istate.of_graph g)
+  in
   if not (bits_eq oa.Core.Episode.cost ob.Core.Episode.cost) then
     Alcotest.failf "%s: costs differ" msg;
   if oa.Core.Episode.nodes <> ob.Core.Episode.nodes then
@@ -282,7 +335,7 @@ let check_episode_pair ~msg ?cache_a ?cache_b ~batched g net =
   if not (samples_identical sa sb) then Alcotest.failf "%s: samples differ" msg
 
 let test_episode_equivalence =
-  qtest ~count:20 "play_incremental = play (scalar, batched, cached)"
+  qtest ~count:20 "play = persistent oracle (scalar, batched, cached)"
     (arb_graph_spec ~nmax:8 ~mmax:4 ())
     (fun spec ->
       let g = build_graph spec in
@@ -291,16 +344,24 @@ let test_episode_equivalence =
       check_episode_pair ~msg:"batched" ~batched:true g net;
       let ec = Nn.Evalcache.create ~capacity:512 in
       let cache = Nn.Cache.Local ec in
-      check_episode_pair ~msg:"cache on incremental side" ~cache_b:cache
-        ~batched:true g net;
+      check_episode_pair ~msg:"cache" ~cache ~batched:true g net;
       (* second run with the now-warm cache: hits must not change play *)
-      check_episode_pair ~msg:"warm cache" ~cache_b:cache ~batched:true g net;
+      check_episode_pair ~msg:"warm cache" ~cache ~batched:true g net;
       if Nn.Evalcache.hits ec = 0 then
         Alcotest.fail "warm cache saw no hits";
-      let cache_p = Nn.Cache.local ~capacity:512 in
-      check_episode_pair ~msg:"cache on persistent side" ~cache_a:cache_p
-        ~batched:true g net;
       true)
+
+let same_solution a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> Solution.equal a b
+  | _ -> false
+
+let same_min a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (a, ca), Some (b, cb) -> Solution.equal a b && bits_eq ca cb
+  | _ -> false
 
 let test_solver_equivalence =
   qtest ~count:15 "solve_feasible/minimize: incremental + cache = persistent"
@@ -309,60 +370,35 @@ let test_solver_equivalence =
       let g = build_graph spec in
       let net = tiny_net ~m:spec.m () in
       let mcts = { Mcts.default_config with k = 6 } in
-      let feas ~incremental ~eval_cache =
-        Core.Solver.solve_feasible ~net ~mcts ~incremental ~eval_cache
-          ~max_backtracks:200 g
+      let sol0, st0 =
+        Oracle.Solver.solve_feasible ~net ~mcts ~max_backtracks:200 g
       in
-      let sol0, st0 = feas ~incremental:false ~eval_cache:0 in
       List.iter
-        (fun (incremental, eval_cache) ->
-          let sol, st = feas ~incremental ~eval_cache in
+        (fun eval_cache ->
+          let sol, st =
+            Core.Solver.solve_feasible ~net ~mcts ~eval_cache
+              ~max_backtracks:200 g
+          in
           if st <> st0 then
-            Alcotest.failf "feasible stats differ (incr=%b cache=%d)"
-              incremental eval_cache;
-          match (sol0, sol) with
-          | None, None -> ()
-          | Some a, Some b when Solution.equal a b -> ()
-          | _ ->
-              Alcotest.failf "feasible solutions differ (incr=%b cache=%d)"
-                incremental eval_cache)
-        [ (true, 0); (false, 256); (true, 256) ];
-      let mini ~incremental ~eval_cache =
-        Core.Solver.minimize ~net ~mcts ~incremental ~eval_cache g
-      in
-      let min0, mst0 = mini ~incremental:false ~eval_cache:0 in
+            Alcotest.failf "feasible stats differ (cache=%d)" eval_cache;
+          if not (same_solution sol0 sol) then
+            Alcotest.failf "feasible solutions differ (cache=%d)" eval_cache)
+        [ 0; 256 ];
+      let min0, mst0 = Oracle.Solver.minimize ~net ~mcts g in
       List.iter
-        (fun (incremental, eval_cache) ->
-          let mn, mst = mini ~incremental ~eval_cache in
+        (fun eval_cache ->
+          let mn, mst = Core.Solver.minimize ~net ~mcts ~eval_cache g in
           if mst <> mst0 then
-            Alcotest.failf "minimize stats differ (incr=%b cache=%d)"
-              incremental eval_cache;
-          match (min0, mn) with
-          | None, None -> ()
-          | Some (a, ca), Some (b, cb)
-            when Solution.equal a b && bits_eq ca cb -> ()
-          | _ ->
-              Alcotest.failf "minimize results differ (incr=%b cache=%d)"
-                incremental eval_cache)
-        [ (true, 0); (false, 256); (true, 256) ];
+            Alcotest.failf "minimize stats differ (cache=%d)" eval_cache;
+          if not (same_min min0 mn) then
+            Alcotest.failf "minimize results differ (cache=%d)" eval_cache)
+        [ 0; 256 ];
       true)
 
-let test_solver_rejects_incremental_rollouts () =
-  let g =
-    Generate.erdos_renyi ~rng:(rng 8)
-      { Generate.default with n = 4; m = 3; p_edge = 0.5; p_inf = 0.0 }
-  in
-  let net = tiny_net ~m:3 () in
-  Alcotest.check_raises "rollouts are persistent-only"
-    (Invalid_argument "Solver.solve_feasible: rollouts are unsupported incrementally")
-    (fun () ->
-      ignore (Core.Solver.solve_feasible ~net ~rollouts:true ~incremental:true g))
-
-(* The entry points default to the trail state whenever rollouts are
-   off.  On a PRO residual with the batch atec settings (increasing
-   liberty, exact reduction, backtracking, k = 25) the default must
-   reproduce the persistent run: same solution, nodes and backtracks.
-   The net seed is one whose search on PRO1 needs backtracks to solve. *)
+(* On a PRO residual with the batch atec settings (increasing liberty,
+   exact reduction, backtracking, k = 25) the trail search must reproduce
+   the persistent reference: same solution, nodes and backtracks.  The
+   net seed is one whose search on PRO1 needs backtracks to solve. *)
 let test_solver_trail_default () =
   let machine = Ate.Machine.default in
   let g =
@@ -371,49 +407,74 @@ let test_solver_trail_default () =
       .Ate.Pbqp_build.graph
   in
   let net = tiny_net ~seed:8 ~m:(Graph.m g) () in
-  let solve ?incremental () =
-    Core.Solver.solve_feasible ~net ?incremental
-      ~mcts:{ Mcts.default_config with k = 25 }
-      ~order:Core.Order.Increasing_liberty ~backtracking:true
+  let mcts = { Mcts.default_config with k = 25 } in
+  let order = Core.Order.Increasing_liberty in
+  let sol_p, st_p =
+    Oracle.Solver.solve_feasible ~net ~mcts ~order ~exact_reduce:true
+      ~max_backtracks:400 g
+  in
+  let sol_d, st_d =
+    Core.Solver.solve_feasible ~net ~mcts ~order ~backtracking:true
       ~exact_reduce:true ~max_backtracks:400 g
   in
-  let sol_p, st_p = solve ~incremental:false () in
-  let sol_d, st_d = solve () in
   Alcotest.(check bool) "search backtracked" true (st_p.backtracks > 0);
   Alcotest.(check int) "nodes" st_p.Core.Solver.nodes st_d.Core.Solver.nodes;
   Alcotest.(check int) "backtracks" st_p.backtracks st_d.backtracks;
-  Alcotest.(check bool) "same solution" true
-    (match (sol_p, sol_d) with
-    | None, None -> true
-    | Some a, Some b -> Solution.equal a b
-    | _ -> false)
+  Alcotest.(check bool) "same solution" true (same_solution sol_p sol_d)
 
-(* Rollouts still need the persistent state: without [~incremental] the
-   default follows them there instead of raising. *)
-let test_solver_rollouts_default_persistent () =
+(* MiniC allocation runs [minimize ~rollouts:true ~exact_reduce:true]:
+   roll-outs on the trail must leave the search exactly as the persistent
+   reference runs it — same solution, cost bits, nodes and backtracks —
+   on the residual graphs of real programs.  Waves of 4 leaves take each
+   leaf's roll-out while the shared trail sits on it, then one batched
+   forward; the reference evaluates the same leaves one by one. *)
+let test_solver_rollouts_minic () =
+  let net = tiny_net ~m:Cir.Alloc_pbqp.num_colors () in
+  let searched = ref 0 in
+  List.iter
+    (fun (name, batch) ->
+      let mcts = { Mcts.default_config with k = 8; batch } in
+      let ir = Cir.Lower.compile (Cir.Programs.find name) in
+      List.iter
+        (fun (f : Cir.Ir.func) ->
+          let g = (Cir.Alloc_pbqp.build (Cir.Liveness.analyze f)).graph in
+          let residual, _ = Solvers.Scholz.reduce_exact g in
+          if Graph.n_alive residual > 0 then incr searched;
+          let msg = Printf.sprintf "%s/%s batch %d" name f.Cir.Ir.name batch in
+          let r_p, st_p =
+            Oracle.Solver.minimize ~net ~mcts ~exact_reduce:true ~rollouts:true g
+          in
+          let r_d, st_d =
+            Core.Solver.minimize ~net ~mcts ~exact_reduce:true ~rollouts:true g
+          in
+          Alcotest.(check int) (msg ^ ": nodes") st_p.Core.Solver.nodes
+            st_d.Core.Solver.nodes;
+          Alcotest.(check int) (msg ^ ": backtracks") st_p.backtracks
+            st_d.backtracks;
+          Alcotest.(check bool) (msg ^ ": solution and cost bits") true
+            (same_min r_p r_d))
+        ir.Cir.Ir.funcs)
+    [ ("Queens", 1); ("Quicksort", 1); ("Knapsack", 1); ("Queens", 4);
+      ("Knapsack", 4) ];
+  Alcotest.(check bool) "some residual was searched" true (!searched > 0);
+  (* feasibility mode blends roll-outs the same way *)
   let g =
     Generate.erdos_renyi ~rng:(rng 8)
-      { Generate.default with n = 6; m = 3; p_edge = 0.5; p_inf = 0.0 }
+      { Generate.default with n = 6; m = 3; p_edge = 0.5; p_inf = 0.2 }
   in
   let net = tiny_net ~m:3 () in
-  let mcts = { Mcts.default_config with k = 6 } in
-  let run ?incremental () =
-    Core.Solver.minimize ~net ~mcts ~rollouts:true ?incremental g
+  let mcts = { Mcts.default_config with k = 8; batch = 4 } in
+  let sol_p, st_p =
+    Oracle.Solver.solve_feasible ~net ~mcts ~rollouts:true ~max_backtracks:20 g
   in
-  let r_d, st_d = run () in
-  let r_p, st_p = run ~incremental:false () in
-  Alcotest.(check bool) "stats = persistent" true (st_d = st_p);
-  Alcotest.(check bool) "result = persistent" true
-    (match (r_d, r_p) with
-    | None, None -> true
-    | Some (a, ca), Some (b, cb) -> Solution.equal a b && bits_eq ca cb
-    | _ -> false);
-  ignore
-    (Core.Solver.solve_feasible ~net ~mcts ~rollouts:true ~max_backtracks:20 g
-      : Solution.t option * Core.Solver.stats)
+  let sol_d, st_d =
+    Core.Solver.solve_feasible ~net ~mcts ~rollouts:true ~max_backtracks:20 g
+  in
+  Alcotest.(check bool) "feasibility stats" true (st_p = st_d);
+  Alcotest.(check bool) "feasibility solution" true (same_solution sol_p sol_d)
 
 (* ------------------------------------------------------------------ *)
-(* Whole-run invariance: {persistent, incremental} x {cache off, on} *)
+(* Whole-run invariance: {cache off, on} x domains *)
 
 let params_identical a b =
   List.for_all2
@@ -427,12 +488,12 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let test_training_invariant_under_incremental_and_cache () =
+let test_training_invariant_under_cache () =
   let m = 3 in
   let dir = Filename.temp_file "incrrun" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let run ~label ~incremental ~eval_cache ~domains =
+  let run ~label ~eval_cache ~domains =
     let prefix = Filename.concat dir label in
     let cfg =
       {
@@ -440,7 +501,6 @@ let test_training_invariant_under_incremental_and_cache () =
         iterations = 2;
         episodes_per_iteration = 3;
         domains;
-        incremental;
         eval_cache;
         mcts = { Mcts.default_config with k = 6 };
         net =
@@ -465,23 +525,18 @@ let test_training_invariant_under_incremental_and_cache () =
       Sys.rmdir dir)
     (fun () ->
       let net0, replay0 =
-        run ~label:"base" ~incremental:false ~eval_cache:0 ~domains:1
+        run ~label:"base" ~eval_cache:0 ~domains:1
       in
       List.iter
-        (fun (label, incremental, eval_cache, domains) ->
-          let net, replay = run ~label ~incremental ~eval_cache ~domains in
+        (fun (label, eval_cache, domains) ->
+          let net, replay = run ~label ~eval_cache ~domains in
           Alcotest.(check string)
             (label ^ ": replay identical, byte for byte")
             replay0 replay;
           Alcotest.(check bool)
             (label ^ ": final net identical, bit for bit")
             true (params_identical net0 net))
-        [
-          ("incr", true, 0, 1);
-          ("cache", false, 512, 1);
-          ("incr-cache", true, 512, 1);
-          ("incr-cache-j2", true, 512, 2);
-        ])
+        [ ("cache", 512, 1); ("j2", 0, 2); ("cache-j2", 512, 2) ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -496,6 +551,7 @@ let () =
             test_snapshot_outlives_motion;
           Alcotest.test_case "validations" `Quick test_istate_validations;
         ] );
+      ( "rollout", [ test_rollout_matches_oracle ] );
       ( "evalcache",
         [
           Alcotest.test_case "roundtrip + copies" `Quick test_cache_roundtrip;
@@ -511,17 +567,15 @@ let () =
       ( "solver",
         [
           test_solver_equivalence;
-          Alcotest.test_case "incremental rollouts rejected" `Quick
-            test_solver_rejects_incremental_rollouts;
           Alcotest.test_case "trail default = persistent (PRO1)" `Quick
             test_solver_trail_default;
-          Alcotest.test_case "rollouts default to persistent" `Quick
-            test_solver_rollouts_default_persistent;
+          Alcotest.test_case "rollouts on MiniC graphs = persistent" `Quick
+            test_solver_rollouts_minic;
         ] );
       ( "training-run",
         [
           Alcotest.test_case
-            "{persistent,incremental} x {cache off,on} x domains" `Slow
-            test_training_invariant_under_incremental_and_cache;
+            "{cache off,on} x domains" `Slow
+            test_training_invariant_under_cache;
         ] );
     ]

@@ -244,14 +244,14 @@ let test_wave_net_batch1_identical () =
       { Pbqp.Generate.default with n = 8; m; p_edge = 0.4; p_inf = 0.3;
         zero_inf = true; cost_max = 10.0 }
   in
-  let st = Core.State.of_graph g in
+  let root () = Core.Istate.Cursor.root (Core.Istate.of_graph g) in
   let scalar =
     Core.Game.make ~batched:false ~net ~mode:Core.Game.Feasibility ~m ()
   in
   let batched = Core.Game.make ~net ~mode:Core.Game.Feasibility ~m () in
   let cfg = { Mcts.default_config with k = 60; check = true } in
-  let ts = Mcts.create cfg scalar st in
-  let tb = Mcts.create cfg batched st in
+  let ts = Mcts.create cfg scalar (root ()) in
+  let tb = Mcts.create cfg batched (root ()) in
   Mcts.run ts;
   Mcts.run tb;
   Alcotest.(check (array int)) "visits" (Mcts.visit_counts ts)

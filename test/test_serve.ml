@@ -243,13 +243,9 @@ let episode_cfg =
     Core.Episode.mcts = { Mcts.default_config with k = 8; batch = 4 };
   }
 
-let play_episode ?cache ?serve ~incremental ~net i g =
-  let st = Core.State.of_graph g in
-  let f =
-    if incremental then Core.Episode.play_incremental else Core.Episode.play
-  in
-  f ~collect:true ?cache ?serve ~rng:(rng (100 + i)) ~net
-    ~mode:Core.Game.Feasibility episode_cfg st
+let play_episode ?cache ?serve ~net i g =
+  Core.Episode.play ~collect:true ?cache ?serve ~rng:(rng (100 + i)) ~net
+    ~mode:Core.Game.Feasibility episode_cfg (Core.Istate.of_graph g)
 
 let check_episode_runs ~msg reference outcomes =
   List.iteri
@@ -274,45 +270,35 @@ let test_episodes_bitwise_under_service () =
   let graphs =
     Array.init episodes (fun i -> random_graph ~seed:(40 + i) ~n:7 ~m)
   in
+  let reference = Array.mapi (fun i g -> play_episode ~net:base i g) graphs in
   List.iter
-    (fun incremental ->
-      let reference =
-        Array.mapi
-          (fun i g -> play_episode ~incremental ~net:base i g)
-          graphs
-      in
+    (fun domains ->
       List.iter
-        (fun domains ->
-          List.iter
-            (fun cached ->
-              with_pool ~domains (fun pool ->
-                  let nw = Par.Pool.size pool in
-                  let replicas =
-                    Array.init nw (fun w ->
-                        if w = 0 then base else Nn.Pvnet.clone base)
-                  in
-                  let serve =
-                    Nn.Infer.create ~max_batch:8 ~wait_us:200 ~workers:nw ()
-                  in
-                  let cache =
-                    if cached then
-                      Some (Nn.Cache.striped ~stripes:4 ~capacity:4096)
-                    else None
-                  in
-                  let outcomes =
-                    Par.Pool.map pool (Array.init episodes Fun.id)
-                      ~f:(fun ~worker i ->
-                        play_episode ?cache ~serve ~incremental
-                          ~net:replicas.(worker) i graphs.(i))
-                  in
-                  check_episode_runs
-                    ~msg:
-                      (Printf.sprintf "incr=%b j=%d cache=%b" incremental
-                         domains cached)
-                    reference outcomes))
-            [ false; true ])
-        [ 1; 2; 4 ])
-    [ false; true ]
+        (fun cached ->
+          with_pool ~domains (fun pool ->
+              let nw = Par.Pool.size pool in
+              let replicas =
+                Array.init nw (fun w ->
+                    if w = 0 then base else Nn.Pvnet.clone base)
+              in
+              let serve =
+                Nn.Infer.create ~max_batch:8 ~wait_us:200 ~workers:nw ()
+              in
+              let cache =
+                if cached then Some (Nn.Cache.striped ~stripes:4 ~capacity:4096)
+                else None
+              in
+              let outcomes =
+                Par.Pool.map pool (Array.init episodes Fun.id)
+                  ~f:(fun ~worker i ->
+                    play_episode ?cache ~serve ~net:replicas.(worker) i
+                      graphs.(i))
+              in
+              check_episode_runs
+                ~msg:(Printf.sprintf "j=%d cache=%b" domains cached)
+                reference outcomes))
+        [ false; true ])
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Striped cache under concurrent domains *)
@@ -411,7 +397,6 @@ let test_training_invariant_under_service () =
         iterations = 2;
         episodes_per_iteration = 3;
         domains;
-        incremental = true;
         eval_cache = 512;
         cache_stripes = 4;
         serve_batch;
