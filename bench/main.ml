@@ -608,8 +608,11 @@ let micro () =
           (Staged.stage (fun () -> ignore (Pbqp.Graph.copy g30)));
         Test.make ~name:"State.apply"
           (Staged.stage (fun () -> ignore (Core.State.apply state 0)));
-        Test.make ~name:"Pvnet.predict (n=30)"
-          (Staged.stage (fun () -> ignore (Nn.Pvnet.predict net g30 ~next:0)));
+        Test.make ~name:"Pvnet 1-row prepare+predict_prepared (n=30)"
+          (Staged.stage (fun () ->
+               ignore
+                 (Nn.Pvnet.predict_prepared net
+                    [| Nn.Pvnet.prepare net g30 ~next:0 |])));
         Test.make ~name:"Scholz.solve (n=30)"
           (Staged.stage (fun () -> ignore (Solvers.Scholz.solve g30)));
         Test.make ~name:"MiniC compile (Sieve)"
@@ -648,8 +651,8 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 (* Batched-evaluation microbenchmarks: the tiled GEMM against the naive
-   kernel, one batched pvnet forward against N scalar ones, and a whole
-   self-play episode with and without batched leaf evaluation.  Uses a
+   kernel, one 16-row arena forward against 16 single-row ones, and a
+   whole self-play episode with waves of 1 and of 8 leaves.  Uses a
    fresh (untrained) net — these measure inference mechanics, not play
    quality — so the section runs in seconds. *)
 
@@ -678,7 +681,7 @@ let batching () =
       (List.map (fun v -> (g, v)) (Pbqp.Graph.vertices g))
   in
   let st = Core.Istate.of_graph g in
-  let episode ~batched ~batch () =
+  let episode ~batch () =
     let cfg =
       {
         Core.Episode.default_config with
@@ -686,7 +689,7 @@ let batching () =
       }
     in
     ignore
-      (Core.Episode.play ~batched ~rng:(rng 7) ~net
+      (Core.Episode.play ~rng:(rng 7) ~net
          ~mode:Core.Game.Feasibility cfg st)
   in
   let tests =
@@ -702,17 +705,26 @@ let batching () =
           (Staged.stage (fun () -> ignore (Tensor.matmul a192 b192)));
         Test.make ~name:"matmul_into (tiled, no alloc) 192x192"
           (Staged.stage (fun () -> Tensor.matmul_into out192 a192 b192));
-        Test.make ~name:"16 x Pvnet.predict (n=30)"
+        Test.make ~name:"16 x 1-row prepare+predict_prepared (n=30)"
           (Staged.stage (fun () ->
                List.iter
-                 (fun (g, next) -> ignore (Nn.Pvnet.predict net g ~next))
+                 (fun (g, next) ->
+                   ignore
+                     (Nn.Pvnet.predict_prepared net
+                        [| Nn.Pvnet.prepare net g ~next |]))
                  states));
-        Test.make ~name:"Pvnet.predict_batch of 16 (n=30)"
-          (Staged.stage (fun () -> ignore (Nn.Pvnet.predict_batch net states)));
-        Test.make ~name:"episode, scalar eval (k=16)"
-          (Staged.stage (episode ~batched:false ~batch:1));
+        Test.make ~name:"16-row prepare+predict_prepared (n=30)"
+          (Staged.stage (fun () ->
+               ignore
+                 (Nn.Pvnet.predict_prepared net
+                    (Array.of_list
+                       (List.map
+                          (fun (g, next) -> Nn.Pvnet.prepare net g ~next)
+                          states)))));
+        Test.make ~name:"episode, batch_leaves=1 (k=16)"
+          (Staged.stage (episode ~batch:1));
         Test.make ~name:"episode, batch_leaves=8 (k=16)"
-          (Staged.stage (episode ~batched:true ~batch:8));
+          (Staged.stage (episode ~batch:8));
       ]
   in
   let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) () in
@@ -934,8 +946,8 @@ let incr_bench () =
     [ 64; 256; 1024; 4096 ]
 
 (* ------------------------------------------------------------------ *)
-(* Inference-service benchmarks: the zero-allocation scratch-arena
-   forward against the allocating baseline, then self-play episode
+(* Inference-service benchmarks: the zero-allocation arena forward,
+   then self-play episode
    throughput with per-worker batching vs the cross-worker coalescing
    service at 1/2/4/8 domains, normalized to ns per network leaf
    evaluation (counted by Pvnet.eval_count, summed over replicas).
@@ -947,13 +959,13 @@ let incr_bench () =
 (* ------------------------------------------------------------------ *)
 (* The GEMM ladder at the serve forward's shapes: the boxed
    [float array array] reference the flat tensor core replaced (and the
-   hot-boxed-matrix lint now rejects), the flat tiled kernels, the
-   packed fused-epilogue kernel, and the int8 quantized kernel.  All
-   float kernels compute the same ascending-k zero-skip sums, so the
-   rows differ only in storage layout and fusion, not arithmetic. *)
+   hot-boxed-matrix lint now rejects), the flat tiled kernels and the
+   packed fused-epilogue kernel.  All kernels compute the same
+   ascending-k zero-skip sums, so the rows differ only in storage layout
+   and fusion, not arithmetic. *)
 
 let gemm_bench () =
-  section "GEMM ladder: boxed reference vs flat tiled vs packed vs int8";
+  section "GEMM ladder: boxed reference vs flat tiled vs packed";
   let show ~name m =
     record ~group:"gemm" ~name ~iters:m.m_iters ~ns_per_op:m.m_ns
       ~allocs_per_op:m.m_allocs ~minor_words_per_op:m.m_minor
@@ -994,8 +1006,6 @@ let gemm_bench () =
   let bt = Tensor.transpose w in
   let out = Tensor.zeros [| b; n |] in
   let packed = Tensor.pack_transposed w in
-  let qw = Tensor.Q.quantize_rows w in
-  let qscr = Tensor.Q.scratch ~rows:b ~cols:k in
   show
     ~name:(Printf.sprintf "boxed float array array %dx%dx%d" b k n)
     (measure boxed);
@@ -1009,10 +1019,7 @@ let gemm_bench () =
     (measure (fun () -> Tensor.matmul_packed_into out a packed));
   show ~name:"matmul_packed_into (fused bias+relu)"
     (measure (fun () ->
-         Tensor.matmul_packed_into ~bias ~relu:true out a packed));
-  show ~name:"Q.matmul_qt_into (int8, fused bias+relu)"
-    (measure (fun () ->
-         Tensor.Q.matmul_qt_into ~bias ~relu:true ~scratch:qscr out a qw))
+         Tensor.matmul_packed_into ~bias ~relu:true out a packed))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1036,10 +1043,8 @@ let serve_bench () =
   in
   let m = 13 in
   let net = Nn.Pvnet.create ~rng:(rng 1) (Nn.Pvnet.default_config ~m) in
-  (* Scratch-arena ablation: one coalesced 32-leaf forward, allocating
-     vs arena-backed.  Runs on the main domain, so the minor-word
-     counters are exact — this is the headline fewer-GC-words-per-leaf
-     comparison. *)
+  (* One coalesced 32-leaf arena forward.  Runs on the main domain, so
+     the minor-word counter is exact. *)
   let gbig =
     Pbqp.Generate.erdos_renyi ~rng:(rng 2)
       { Pbqp.Generate.default with n = 40; m; p_edge = 0.15 }
@@ -1051,16 +1056,8 @@ let serve_bench () =
          (List.filteri (fun i _ -> i < 32) (Pbqp.Graph.vertices gbig)))
   in
   let b = float_of_int (Array.length preps) in
-  show ~leaves:b ~name:"predict_prepared b=32, allocating"
-    (measure (fun () ->
-         ignore (Nn.Pvnet.predict_prepared ~scratch:false net preps)));
   show ~leaves:b ~name:"predict_prepared b=32, scratch arena"
     (measure (fun () -> ignore (Nn.Pvnet.predict_prepared net preps)));
-  (* the int8 serving path, via the ungated entry point the
-     certification harness itself measures *)
-  show ~leaves:b ~name:"predict_prepared b=32, int8 quantized"
-    (measure (fun () ->
-         ignore (Nn.Pvnet.predict_prepared_quantized_unsafe net preps)));
   (* Episode throughput: 8 fixed self-play episodes per op,
      farmed over the pool, per-worker batching vs the service. *)
   let episodes = 8 in

@@ -46,7 +46,7 @@ let spawn_actor ~manifest_path pids ~manifest ~actor =
 
 let run m iterations episodes k_train n_mean p_edge p_inf zero_inf planted
     ate batch batch_leaves eval_cache serve_batch serve_wait_us
-    cache_stripes quantize_serve replay domains check checkpoint
+    cache_stripes replay domains check checkpoint
     pretrain_labels actors actor actor_id manifest stale_decay dist_pipeline
     replay_shards seed out =
   let instance_generator =
@@ -77,7 +77,6 @@ let run m iterations episodes k_train n_mean p_edge p_inf zero_inf planted
       serve_batch;
       serve_wait_us;
       cache_stripes;
-      quantize_serve;
       replay_capacity = replay;
       domains;
       check;
@@ -201,14 +200,6 @@ let () =
              ~doc:"mutex-guarded shards of the shared evaluation cache \
                    (rounded up to a power of two)")
   in
-  let quantize_serve =
-    Arg.(value & flag
-         & info [ "quantize-serve" ]
-             ~doc:"serve MCTS leaf evaluations through the int8 quantized \
-                   path whenever the Check.Quantcert accuracy harness has \
-                   certified the current weights (recertified after every \
-                   optimizer step; uncertified versions fall back to float)")
-  in
   let replay =
     Arg.(value & opt int 20_000 & info [ "replay" ] ~doc:"paper: 200000")
   in
@@ -294,7 +285,7 @@ let () =
         const run $ m $ iterations $ episodes $ k_train $ n_mean $ p_edge
         $ p_inf $ zero_inf $ planted $ ate $ batch $ batch_leaves
         $ eval_cache $ serve_batch $ serve_wait_us
-        $ cache_stripes $ quantize_serve $ replay $ domains $ check
+        $ cache_stripes $ replay $ domains $ check
         $ checkpoint $ pretrain_labels $ actors $ actor $ actor_id $ manifest
         $ stale_decay $ dist_pipeline $ replay_shards $ seed $ out)
   in

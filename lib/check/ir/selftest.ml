@@ -324,7 +324,7 @@ let trail_battery ~rng =
 
 (* --- entry point -------------------------------------------------------- *)
 
-(* --- flat tensor kernels + int8 certification ------------------------- *)
+(* --- flat tensor kernels ----------------------------------------------- *)
 
 let tensor_battery ~rng =
   let bits_eq a b =
@@ -386,42 +386,10 @@ let tensor_battery ~rng =
     Float.Array.set fa 0 1234.5;
     bits_eq t back && Tensor.get1 back 0 <> 1234.5
   in
-  (* int8 quantized GEMM stays within the serving accuracy envelope *)
-  let quant_ok =
-    let b, k, n = (8, 32, 12) in
-    let x = random_matrix b k and w = random_matrix n k in
-    let qw = Tensor.Q.quantize_rows w in
-    let out = Tensor.zeros [| b; n |] in
-    Tensor.Q.matmul_qt_into ~scratch:(Tensor.Q.scratch ~rows:b ~cols:k) out x
-      qw;
-    let exact = Tensor.matmul_naive x (Tensor.transpose w) in
-    let worst = ref 0.0 in
-    for i = 0 to b - 1 do
-      for j = 0 to n - 1 do
-        let d = Float.abs (Tensor.get2 out i j -. Tensor.get2 exact i j) in
-        if d > !worst then worst := d
-      done
-    done;
-    !worst <= 0.05
-  in
-  (* the certification harness passes clean weights and rejects the
-     corrupted int8 payload *)
-  let net =
-    Nn.Pvnet.create ~rng
-      { (Nn.Pvnet.default_config ~m:4) with
-        Nn.Pvnet.trunk_width = 8; trunk_blocks = 1; gcn_layers = 1 }
-  in
-  let clean_report = Check.Quantcert.certify net in
-  Nn.Pvnet.corrupt_quantized_for_test net;
-  let dirty_report = Check.Quantcert.run net in
   [
     case "tensor-packed-bitwise" packed_ok "packed GEMM diverged from naive";
     case "tensor-fused-epilogue" fused_ok "fused epilogue diverged";
     case "tensor-floatarray-bridge" bridge_ok "bridge aliased or diverged";
-    case "tensor-int8-envelope" quant_ok "quantized GEMM out of envelope";
-    clean "quantcert-clean-weights" clean_report.Check.Quantcert.findings;
-    rejected "quantcert-corrupted-weights"
-      dirty_report.Check.Quantcert.findings;
   ]
 
 let run ?(graphs = 60) ?(seed = 42) () =

@@ -38,9 +38,8 @@ let argmax (p : float array) =
 (* The loop runs on a trail state: MCTS holds cursors into one shared
    mutable graph, so each simulated move is an O(deg) push/pop and each
    collected sample is a private snapshot of the root's graph. *)
-let play ?(collect = false) ?(batched = true) ?cache ?serve ~rng ~net ~mode
-    config ist =
-  let game = Game.make ~batched ?cache ?serve ~net ~mode ~m:(Istate.m ist) () in
+let play ?(collect = false) ?cache ?serve ~rng ~net ~mode config ist =
+  let game = Game.make ?cache ?serve ~net ~mode ~m:(Istate.m ist) () in
   let tree = Mcts.create config.mcts game (Istate.Cursor.root ist) in
   let samples = ref [] in
   let move = ref 0 in

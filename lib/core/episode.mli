@@ -30,7 +30,6 @@ type outcome = {
 
 val play :
   ?collect:bool ->
-  ?batched:bool ->
   ?cache:Nn.Cache.t ->
   ?serve:Nn.Infer.t ->
   rng:Random.State.t ->
@@ -42,12 +41,11 @@ val play :
 (** Play from the trail state's root position.  MCTS holds cursors into
     its one shared mutable graph, so each simulated move costs O(deg)
     push/pop instead of a graph copy; collected samples are snapshotted
-    per move.  [batched] (default [true]), [cache] and [serve] are
-    forwarded to {!Game.make}: [~batched:false] forces scalar per-leaf
-    network evaluation — the pre-batching baseline used by the
-    equivalence tests and benchmarks — [cache] short-circuits repeated
-    leaf evaluations, and [serve] coalesces wave evaluations across pool
-    workers.  Search results are bit-identical in every combination. *)
+    per move.  [cache] and [serve] are forwarded to {!Game.make}: every
+    leaf is evaluated in a wave (a lone root expansion is a wave of
+    one), [cache] short-circuits repeated leaf evaluations, and [serve]
+    coalesces wave evaluations across pool workers.  Search results are
+    bit-identical in every combination. *)
 
 val set_values : float -> Nn.Pvnet.sample list -> Nn.Pvnet.sample list
 (** Stamp the final reward on every tuple of the episode (§II-C: "all

@@ -19,23 +19,6 @@ let reward mode cost =
 let final_cost c =
   if Istate.Cursor.is_complete c then Istate.Cursor.base_cost c else Cost.inf
 
-(* The transposition cache holds the network's raw (priors, value) keyed
-   by (state hash, next vertex) and stamped with the weights version; a
-   roll-out blend is applied after lookup (it depends on the state, not
-   the weights).  Keys only repeat for bitwise-identical states, so
-   search results with and without a cache are bit-identical. *)
-let cached cache net key compute =
-  match cache with
-  | None -> compute ()
-  | Some cache -> (
-      let version = Nn.Pvnet.version net in
-      match Nn.Cache.find cache ~version key with
-      | Some r -> r
-      | None ->
-          let r = compute () in
-          Nn.Cache.store cache ~version key r;
-          r)
-
 (* A wave's cache misses in one coalesced forward: through the
    cross-worker inference service when one is installed, directly on the
    caller's replica otherwise.  [Infer.submit] is bitwise identical to
@@ -46,8 +29,7 @@ let run_batch serve net preps =
   | Some srv -> Nn.Infer.submit srv ~net preps
   | None -> Nn.Pvnet.predict_prepared net preps
 
-let make ?(rollouts = false) ?(batched = true) ?cache ?serve ~net ~mode ~m ()
-    =
+let make ?(rollouts = false) ?cache ?serve ~net ~mode ~m () =
   (* [blend_at c] takes the leaf's roll-out now — seeking the trail to
      [c], completing greedily and undoing back — and returns the blend to
      apply to the network value once it is known. *)
@@ -63,8 +45,13 @@ let make ?(rollouts = false) ?(batched = true) ?cache ?serve ~net ~mode ~m ()
      and captured as a [Pvnet.prepared] in turn (its roll-out taken while
      the trail is there); the trunk GEMMs then run over the whole batch
      at once — minus the cache hits, which skip the forward entirely.
-     Complete games and dead ends that slipped past [is_terminal] get the
-     same defensive terminal reward the scalar path uses. *)
+     The transposition cache holds the network's raw (priors, value)
+     keyed by (state hash, next vertex) and stamped with the weights
+     version; the roll-out blend is applied after lookup (it depends on
+     the state, not the weights).  Keys only repeat for bitwise-identical
+     states, so search results with and without a cache are
+     bit-identical.  Complete games and dead ends that slipped past
+     [is_terminal] get the defensive terminal reward. *)
   let batched_evaluate cursors =
     let cursors = Array.of_list cursors in
     let out = Array.make (Array.length cursors) ([||], 0.0) in
@@ -111,15 +98,6 @@ let make ?(rollouts = false) ?(batched = true) ?cache ?serve ~net ~mode ~m ()
     terminal_value = (fun c -> reward mode (final_cost c));
     legal = Istate.Cursor.legal;
     apply = Istate.Cursor.apply;
-    evaluate =
-      (fun c ->
-        match Istate.Cursor.next_vertex c with
-        | Some next ->
-            let priors, v =
-              cached cache net (Istate.Cursor.hash c, next) (fun () ->
-                  Nn.Pvnet.predict net (Istate.Cursor.graph c) ~next)
-            in
-            (priors, blend_at c v)
-        | None -> (Array.make m 0.0, reward mode (final_cost c)));
-    batched_evaluate = (if batched then Some batched_evaluate else None);
+    evaluate = (fun c -> (batched_evaluate [ c ]).(0));
+    batched_evaluate = Some batched_evaluate;
   }

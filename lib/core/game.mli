@@ -20,7 +20,6 @@ val reward : mode -> Cost.t -> float
 
 val make :
   ?rollouts:bool ->
-  ?batched:bool ->
   ?cache:Nn.Cache.t ->
   ?serve:Nn.Infer.t ->
   net:Nn.Pvnet.t ->
@@ -38,18 +37,16 @@ val make :
     [rollouts] (default [false]) makes leaf values the mean of the
     network's estimate and the reward of a greedy completion of the leaf
     (see {!Rollout}, run on the trail and undone) — an opt-in extension
-    beyond the paper, applied to scalar evaluations, wave cache hits and
-    wave misses alike.
+    beyond the paper, applied to wave cache hits and misses alike.
 
-    [batched] (default [true]) fills the game's [batched_evaluate]: each
-    leaf of a wave is seeked and captured as an {!Nn.Pvnet.prepared},
-    then the trunk GEMMs run over the whole batch at once; results are
-    bit-identical to the scalar path.  Pass [~batched:false] to force
-    scalar per-leaf evaluation (the baseline the equivalence tests and
-    benchmarks compare against).
+    Leaves are evaluated in waves by [batched_evaluate]: each leaf is
+    seeked and captured as an {!Nn.Pvnet.prepared}, then the trunk GEMMs
+    run over the whole batch at once.  The scalar [evaluate] (MCTS calls
+    it to expand a root outside a wave, e.g. before root noise) is a
+    wave of one, so every leaf runs the same forward.
 
     [cache] consults an {!Nn.Cache} (single-owner or striped-shared)
-    before every network forward — scalar and batched — keyed by
+    before every network forward, keyed by
     [(Istate.Cursor.hash, next vertex)] and versioned by
     {!Nn.Pvnet.version}; hits skip the forward (and drop out of a wave's
     batch), misses are stored.  The cache holds the raw network output;
@@ -58,8 +55,7 @@ val make :
 
     [serve] routes each wave's cache misses through the cross-worker
     {!Nn.Infer} service instead of a direct [predict_prepared] — same
-    bits, coalesced GEMMs (the scalar [evaluate] path stays direct; it
-    only runs when waves are off). *)
+    bits, coalesced GEMMs. *)
 
 val final_cost : Istate.Cursor.t -> Cost.t
 (** [base_cost] if complete, [inf] otherwise. *)

@@ -29,7 +29,6 @@ type config = {
   serve_wait_us : int;
   cache_stripes : int;
   pretrain_labels : string option;
-  quantize_serve : bool;
 }
 
 let default_config ~m =
@@ -64,7 +63,6 @@ let default_config ~m =
     serve_wait_us = 200;
     cache_stripes = 8;
     pretrain_labels = None;
-    quantize_serve = false;
   }
 
 type progress = {
@@ -267,22 +265,6 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
     | None -> (Random.State.bits rng, 0)
   in
   let episodes_collected = ref resume_episodes in
-  (* Int8 quantized serving: switch both nets into quantized mode and
-     certify the initial weights before any replica is cloned — the
-     certificate travels with every subsequent [sync]/[copy_into].
-     Certification is version-stamped, so each optimizer step revokes it
-     and [recertify] below re-earns it (or the net silently serves
-     float for that version when the harness rejects the weights). *)
-  let recertify net =
-    if config.quantize_serve && not (Nn.Pvnet.quantized_certified net) then
-      ignore (Check.Quantcert.certify net : Check.Quantcert.report)
-  in
-  if config.quantize_serve then begin
-    Nn.Pvnet.set_quantized_serve best true;
-    Nn.Pvnet.set_quantized_serve current true;
-    recertify best;
-    recertify current
-  end;
   let opt = Nn.Adam.create config.adam in
   (* Only the current net is ever trained, so its params key the moments. *)
   (match (resume, config.checkpoint) with
@@ -515,9 +497,6 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
           :: !losses
     done;
     if !losses <> [] then incr current_version;
-    (* the step above revoked the candidate's int8 certificate; re-earn
-       it before the arena (whose replica refresh copies it along) *)
-    recertify current;
     let mean_loss =
       match !losses with
       | [] -> 0.0

@@ -110,16 +110,6 @@ type config = {
           decisions (RL4ReAl-style supervised warm-up).  Fresh runs only
           — ignored when resuming from a checkpoint.  [None] (the
           default) disables seeding. *)
-  quantize_serve : bool;
-      (** serve MCTS leaf evaluations through the int8 quantized path
-          ([Nn.Pvnet]) whenever a current [Check.Quantcert] certificate
-          is held: both nets are certified at startup and the candidate
-          is recertified after every optimizer step (weight mutation
-          revokes the version-stamped certificate); when certification
-          fails, that version silently serves float.  Replicas inherit
-          certificates with the weights.  Default [false] — the int8
-          path is an approximation, so runs are {e not} bit-identical
-          to float serving. *)
 }
 
 val default_config : m:int -> config

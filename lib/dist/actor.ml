@@ -15,25 +15,10 @@ let run ~config ~manifest ~actor ~in_fd ~out_fd =
   in
   let best = ref None and current = ref None in
   let generation = ref 0 in
-  (* Mirror the learner's quantized-serving discipline: certification is
-     deterministic in the weights, so when the learner serves int8 for a
-     given parameter set, so does the actor (and episode tuples stay
-     bitwise-equal to the in-process run). *)
   let install slot snap =
     match !slot with
-    | None ->
-        let net = Nn.Pvnet.snapshot_of_string snap in
-        if config.Core.Train.quantize_serve then begin
-          Nn.Pvnet.set_quantized_serve net true;
-          ignore (Check.Quantcert.certify net : Check.Quantcert.report)
-        end;
-        slot := Some net
-    | Some net ->
-        Nn.Pvnet.load_snapshot net snap;
-        if
-          config.Core.Train.quantize_serve
-          && not (Nn.Pvnet.quantized_certified net)
-        then ignore (Check.Quantcert.certify net : Check.Quantcert.report)
+    | None -> slot := Some (Nn.Pvnet.snapshot_of_string snap)
+    | Some net -> Nn.Pvnet.load_snapshot net snap
   in
   let net_of slot =
     match !slot with

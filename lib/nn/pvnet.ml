@@ -54,13 +54,6 @@ type arena = {
       (* param name ↦ packed transposed weight panels (the B operand of
          the fused GEMM), valid for [pack_version] *)
   mutable pack_version : int;
-  qpacks : (string, Tensor.Q.qmat) Hashtbl.t;
-      (* param name ↦ per-row int8 quantized weights for the serving
-         path, valid for [qpack_version] *)
-  mutable qpack_version : int;
-  qscr : (int, Tensor.Q.scratch) Hashtbl.t;
-      (* batch rows ↦ activation-quantization scratch, built lazily on
-         first quantized use of a batch size *)
 }
 
 module Idtbl = Hashtbl.Make (struct
@@ -86,23 +79,16 @@ type t = {
   config : config;
   msg_cache : msg_cache;
   arena : arena;
-      (* per-replica like msg_cache: the batched forward reuses these
-         buffers call over call, so steady-state inference allocates only
-         the per-sample result arrays *)
+      (* per-replica like msg_cache: the forward reuses these buffers
+         call over call, so steady-state inference allocates only the
+         per-sample result arrays *)
   mutable version : int;
       (* weights-identity stamp for the evaluation cache: every weight
          mutation (an optimizer step, a load) installs a globally fresh
          stamp, and [sync] copies the stamp with the weights — so equal
          stamps imply bitwise-equal weights, across replicas included *)
   mutable evals : int;
-      (* lifetime count of leaf evaluations served by this replica
-         (scalar predicts count 1, batched predicts count their rows) *)
-  mutable quant_serve : bool;
-      (* serve batched inference through the int8 path when certified *)
-  mutable quant_certified : int;
-      (* weights version the int8 path was certified for (-1: none);
-         [sync] copies it — equal versions imply bitwise-equal weights,
-         so a certificate transfers with the weights *)
+      (* lifetime count of leaf evaluations served by this replica *)
   gcn : gcn_layer array;
   trunk_in : Layer.Linear.t;
   trunk : Layer.Residual.t array;
@@ -142,14 +128,9 @@ let create ~rng config =
         bufs = Hashtbl.create 8;
         packs = Hashtbl.create 8;
         pack_version = -1;
-        qpacks = Hashtbl.create 8;
-        qpack_version = -1;
-        qscr = Hashtbl.create 4;
       };
     version = next_version ();
     evals = 0;
-    quant_serve = false;
-    quant_certified = -1;
     gcn =
       Array.init config.gcn_layers (fun l ->
           let name k = Printf.sprintf "gcn%d.%s" l k in
@@ -198,18 +179,6 @@ let bump_version t = t.version <- next_version ()
 let eval_count t = t.evals
 let reset_eval_count t = t.evals <- 0
 
-(* --- Quantized-serving mode ------------------------------------------ *)
-
-let set_quantized_serve t on = t.quant_serve <- on
-let quantized_serve t = t.quant_serve
-let quantized_certified t = t.quant_certified = t.version
-
-(* Called by the certification harness (Check.Quantcert) after the int8
-   outputs passed the accuracy bounds for the current weights.  Any
-   weight mutation bumps [version], invalidating the certificate. *)
-let mark_quantized_certified t = t.quant_certified <- t.version
-let clear_quantized_certificate t = t.quant_certified <- -1
-
 let sync ~src ~dst =
   if src.config <> dst.config then invalid_arg "Pvnet.sync: config mismatch";
   List.iter2
@@ -218,9 +187,7 @@ let sync ~src ~dst =
       Float.Array.blit (Tensor.data a.Var.value) 0 (Tensor.data b.Var.value) 0
         (Tensor.numel a.Var.value))
     (params src) (params dst);
-  dst.version <- src.version;
-  dst.quant_serve <- src.quant_serve;
-  dst.quant_certified <- src.quant_certified
+  dst.version <- src.version
 
 let clone t =
   let t' = create ~rng:(Random.State.make [| 0 |]) t.config in
@@ -348,39 +315,18 @@ let predict t g ~next =
   in
   (priors, Tensor.get1 (Ad.value value) 0)
 
-(* --- Batched inference ------------------------------------------------ *)
+(* --- Arena inference --------------------------------------------------- *)
 
-(* The batched path re-implements the forward pass with plain tensors (no
-   tape) and runs the per-vertex GCN transforms and the trunk/heads as
-   batch GEMMs over row-stacked feature vectors.  Every operation
-   reproduces the scalar pipeline's float arithmetic exactly: [matmul]
-   accumulates each output row in the same ascending order as [Tensor.mv]
-   (with operands commuted, which IEEE multiplication doesn't notice),
-   and activations / LayerNorm are applied per row with the same
-   expressions as their [Ad] counterparts.  [predict_batch] is therefore
-   bit-identical to mapping [predict]; the equivalence property suite in
-   test_nn locks this down. *)
-
-let relu_t x = Tensor.map (fun v -> if v > 0.0 then v else 0.0) x
-
-(* y ← y + 1b, per row *)
-let add_bias_rows (lin : Layer.Linear.t) y =
-  let r, c = Tensor.dims2 y in
-  let yd = Tensor.data y and bd = Tensor.data lin.Layer.Linear.b.Var.value in
-  for i = 0 to r - 1 do
-    let base = i * c in
-    for j = 0 to c - 1 do
-      Float.Array.unsafe_set yd (base + j)
-        (Float.Array.unsafe_get yd (base + j) +. Float.Array.unsafe_get bd j)
-    done
-  done
-[@@hot]
-
-(* rows(x) ↦ rows(x) Wᵀ + b, one GEMM for the whole stack *)
-let linear_rows (lin : Layer.Linear.t) x =
-  let y = Tensor.matmul x (Tensor.transpose lin.Layer.Linear.w.Var.value) in
-  add_bias_rows lin y;
-  y
+(* The serving forward re-implements [forward] with plain tensors (no
+   tape) in the replica's arena: the per-vertex GCN transforms and the
+   trunk/heads run as packed GEMMs over row-stacked feature vectors.
+   Every operation reproduces the tape's float arithmetic exactly: each
+   GEMM output cell accumulates in the same ascending order as
+   [Tensor.mv] (with operands commuted, which IEEE multiplication
+   doesn't notice), and activations / LayerNorm are applied per row with
+   the same expressions as their [Ad] counterparts.  [prepare] +
+   [predict_prepared] is therefore bit-identical to [predict]; the
+   equivalence property suite in test_nn locks this down. *)
 
 (* Packed Wᵀ memoized per weights version: packing is pure data movement
    (panel cell (k, j) is exactly w.(j).(k)), so cached packs cannot
@@ -400,63 +346,18 @@ let packed_of t (lin : Layer.Linear.t) =
       Hashtbl.replace a.packs name p;
       p
 
-(* Per-row int8 weights memoized per weights version, same lifecycle as
-   the packed panels.  Inference-only: nothing downstream of a qpack
-   feeds gradients. *)
-let qpack_of t (lin : Layer.Linear.t) =
-  let a = t.arena in
-  if a.qpack_version <> t.version then begin
-    Hashtbl.reset a.qpacks;
-    a.qpack_version <- t.version
-  end;
-  let name = lin.Layer.Linear.w.Var.name in
-  match Hashtbl.find_opt a.qpacks name with
-  | Some q -> q
-  | None ->
-      let q = Tensor.Q.quantize_rows lin.Layer.Linear.w.Var.value in
-      Hashtbl.replace a.qpacks name q;
-      q
-
-let quant_scratch t b =
-  let a = t.arena in
-  match Hashtbl.find_opt a.qscr b with
-  | Some s -> s
-  | None ->
-      if Hashtbl.length a.qscr > 64 then Hashtbl.reset a.qscr;
-      let cols = max (3 * t.config.m) t.config.trunk_width in
-      let s = Tensor.Q.scratch ~rows:b ~cols in
-      Hashtbl.replace a.qscr b s;
-      s
-
-(* [linear_rows] into a caller-owned buffer, with the epilogue (bias,
-   optional residual add, optional relu) fused into the packed GEMM —
-   one pass over memory, each output cell written once.  Bit-identical
-   to [matmul_into] + [add_bias_rows] (+ separate residual/relu passes):
+(* rows(x) ↦ rows(x) Wᵀ + b into a caller-owned buffer, with the
+   epilogue (bias, optional residual add, optional relu) fused into the
+   packed GEMM — one pass over memory, each output cell written once.
+   Bit-identical to [matmul] + bias (+ separate residual/relu passes):
    same float operations, same order. *)
 let linear_rows_into ?residual ?relu t (lin : Layer.Linear.t) x out =
   Tensor.matmul_packed_into ~bias:lin.Layer.Linear.b.Var.value ?residual ?relu
     out x (packed_of t lin)
 [@@hot]
 
-(* quantized counterpart of [linear_rows_into]: int8×int8→int GEMM over
-   the memoized per-row-quantized weights with dynamic activation
-   quantization, float rescale and the same fused epilogue *)
-let linear_rows_quant_into ?residual ?relu t ~scratch:qs (lin : Layer.Linear.t)
-    x out =
-  Tensor.Q.matmul_qt_into ~bias:lin.Layer.Linear.b.Var.value ?residual ?relu
-    ~scratch:qs out x (qpack_of t lin)
-[@@hot]
-
-(* Test hook: tamper the memoized int8 policy-head weights in place.
-   The qpack's version stamp still matches, so the corruption survives
-   until the next weight mutation — a subsequent certification pass sees
-   a real int8-vs-float divergence and must reject the path. *)
-let corrupt_quantized_for_test t =
-  Tensor.Q.corrupt_for_test (qpack_of t t.policy_head)
-
 (* per-row LayerNorm mirroring Ad.layernorm's arithmetic term for term;
-   the [_into] form overwrites every cell of [out], so dirty scratch
-   buffers are fine *)
+   overwrites every cell of [out], so dirty scratch buffers are fine *)
 let layernorm_rows_into (ln : Layer.Layernorm.t) x out =
   let eps = 1e-5 in
   let r, c = Tensor.dims2 x in
@@ -489,18 +390,6 @@ let layernorm_rows_into (ln : Layer.Layernorm.t) x out =
     done
   done
 [@@hot]
-
-let layernorm_rows (ln : Layer.Layernorm.t) x =
-  let r, c = Tensor.dims2 x in
-  let out = Tensor.zeros [| r; c |] in
-  layernorm_rows_into ln x out;
-  out
-
-let residual_rows (blk : Layer.Residual.t) x =
-  let h = layernorm_rows blk.Layer.Residual.ln x in
-  let h = relu_t (linear_rows blk.Layer.Residual.fc1 h) in
-  let h = linear_rows blk.Layer.Residual.fc2 h in
-  Tensor.add x h
 
 (* --- GCN message pass over the flat CSR scratch ----------------------- *)
 
@@ -692,19 +581,13 @@ let readout_row t g ~next =
    vertex's cost vector (the post-trunk mask).  Incremental search states
    share one mutating graph, so a batch materializes each leaf in turn as
    a [prepared] and only then runs the trunk GEMMs. *)
-type prepared = { p_row : Tensor.t; p_mask : Vec.t; p_quant : bool }
+type prepared = { p_row : Tensor.t; p_mask : Vec.t }
 
-let prepare ?quantized t g ~next =
+let prepare t g ~next =
   if Graph.m g <> t.config.m then invalid_arg "Pvnet.prepare: m mismatch";
   if not (Graph.is_alive g next) then
     invalid_arg "Pvnet.prepare: next vertex not alive";
-  let p_quant =
-    match quantized with
-    | Some q -> q
-    | None -> t.quant_serve && t.quant_certified = t.version
-  in
-  { p_row = readout_row t g ~next; p_mask = Vec.copy (Graph.cost g next);
-    p_quant }
+  { p_row = readout_row t g ~next; p_mask = Vec.copy (Graph.cost g next) }
 
 (* Scratch buffers for a batch of [b] rows, reused call over call.  The
    64-size-class bound exists only to keep pathological callers from
@@ -730,22 +613,12 @@ let buffers t b =
       Hashtbl.replace a.bufs b bu;
       bu
 
-(* The coalesced trunk/heads forward.  With [scratch] (the default) the
-   whole pass runs in the replica's arena: rows are blitted into a
-   reusable stack, every GEMM runs the packed fused kernel into a
-   preallocated buffer (bias/residual/relu folded into the epilogue),
-   and the packed weight panels are memoized per weights version — in
-   steady state nothing is allocated but the per-sample result arrays.
-   Every fused step computes the same IEEE expressions in the same order
-   as the allocating path ([matmul] + bias + relu/residual as separate
-   passes), so the two paths are bit-identical; [~scratch:false] keeps
-   the allocating path alive as the benchmark baseline and the
-   equivalence-test oracle. *)
-(* The float scratch forward: rows already blitted into [bu.sx0]; every
+(* The trunk/heads forward: rows already blitted into [bu.sx0]; every
    GEMM runs the packed fused kernel (bias, residual add and relu folded
-   into the epilogue), so each layer makes one pass over memory and the
-   whole trunk allocates nothing. *)
-let scratch_forward t bu =
+   into the epilogue) into a preallocated buffer, with the packed weight
+   panels memoized per weights version, so each layer makes one pass
+   over memory and the whole trunk allocates nothing. *)
+let trunk_forward t bu =
   linear_rows_into ~relu:true t t.trunk_in bu.sx0 bu.sx;
   Array.iter
     (fun (blk : Layer.Residual.t) ->
@@ -758,24 +631,6 @@ let scratch_forward t bu =
   layernorm_rows_into t.trunk_ln bu.sx bu.sb1;
   linear_rows_into t t.policy_head bu.sb1 bu.slogits;
   linear_rows_into t t.value_head bu.sb1 bu.svalues
-
-(* The int8 serving forward: same structure, every linear routed through
-   the quantized GEMM.  LayerNorm, the residual carries and the heads'
-   tanh/softmax stay float. *)
-let quant_forward t bu n =
-  let qs = quant_scratch t n in
-  linear_rows_quant_into ~relu:true t ~scratch:qs t.trunk_in bu.sx0 bu.sx;
-  Array.iter
-    (fun (blk : Layer.Residual.t) ->
-      layernorm_rows_into blk.Layer.Residual.ln bu.sx bu.sb1;
-      linear_rows_quant_into ~relu:true t ~scratch:qs blk.Layer.Residual.fc1
-        bu.sb1 bu.sb2;
-      linear_rows_quant_into ~residual:bu.sx t ~scratch:qs
-        blk.Layer.Residual.fc2 bu.sb2 bu.sx)
-    t.trunk;
-  layernorm_rows_into t.trunk_ln bu.sx bu.sb1;
-  linear_rows_quant_into t ~scratch:qs t.policy_head bu.sb1 bu.slogits;
-  linear_rows_quant_into t ~scratch:qs t.value_head bu.sb1 bu.svalues
 
 (* Per-row mask + softmax straight out of the logits buffer into the
    result array, no intermediate tensors.  Reproduces [Ad.softmax] over
@@ -822,67 +677,16 @@ let mask_results t preps logits values =
       (priors, Float.tanh (Float.Array.unsafe_get vd i)))
     preps
 
-let run_quant t preps =
-  let n = Array.length preps in
-  let bu = buffers t n in
-  Array.iteri (fun i p -> Tensor.blit_row_into p.p_row i bu.sx0) preps;
-  quant_forward t bu n;
-  mask_results t preps bu.slogits bu.svalues
-
-let predict_prepared_quantized_unsafe t preps =
-  match preps with
-  | [||] -> [||]
-  | _ ->
-      t.evals <- t.evals + Array.length preps;
-      run_quant t preps
-
-let predict_prepared ?(scratch = true) t preps =
+let predict_prepared t preps =
   match preps with
   | [||] -> [||]
   | _ ->
       let n = Array.length preps in
       t.evals <- t.evals + n;
-      let quantized = preps.(0).p_quant in
-      Array.iter
-        (fun p ->
-          if p.p_quant <> quantized then
-            invalid_arg "Pvnet.predict_prepared: mixed quantized batch")
-        preps;
-      if quantized then begin
-        (* the certification gate: int8 serving requires a certificate
-           for the exact current weights (Check.Quantcert issues it) *)
-        if t.quant_certified <> t.version then
-          invalid_arg
-            "Pvnet.predict_prepared: quantized path not certified for \
-             current weights";
-        run_quant t preps
-      end
-      else if scratch then begin
-        let bu = buffers t n in
-        Array.iteri (fun i p -> Tensor.blit_row_into p.p_row i bu.sx0) preps;
-        scratch_forward t bu;
-        mask_results t preps bu.slogits bu.svalues
-      end
-      else begin
-        let rows = Array.to_list (Array.map (fun p -> p.p_row) preps) in
-        let x = relu_t (linear_rows t.trunk_in (Tensor.stack_rows rows)) in
-        let x = Array.fold_left (fun x blk -> residual_rows blk x) x t.trunk in
-        let x = layernorm_rows t.trunk_ln x in
-        mask_results t preps (linear_rows t.policy_head x)
-          (linear_rows t.value_head x)
-      end
-
-let predict_batch t states =
-  match states with
-  | [] -> [||]
-  | _ ->
-      List.iter
-        (fun (g, _) ->
-          if Graph.m g <> t.config.m then
-            invalid_arg "Pvnet.predict_batch: m mismatch")
-        states;
-      predict_prepared t
-        (Array.of_list (List.map (fun (g, next) -> prepare t g ~next) states))
+      let bu = buffers t n in
+      Array.iteri (fun i p -> Tensor.blit_row_into p.p_row i bu.sx0) preps;
+      trunk_forward t bu;
+      mask_results t preps bu.slogits bu.svalues
 
 (* --- Training -------------------------------------------------------- *)
 
@@ -1028,71 +832,107 @@ let save t path =
           output_char oc '\n')
         (params t))
 
+(* Header and shape parsing shared by both loaders: a malformed token
+   raises [Invalid_argument] through [fail], never [Failure]. *)
+let parse_config ~fail = function
+  | [ m; gl; tw; tb; cs ] -> (
+      match
+        ( int_of_string_opt m,
+          int_of_string_opt gl,
+          int_of_string_opt tw,
+          int_of_string_opt tb,
+          float_of_string_opt cs )
+      with
+      | Some m, Some gcn_layers, Some trunk_width, Some trunk_blocks,
+        Some cost_scale ->
+          { m; gcn_layers; trunk_width; trunk_blocks; cost_scale }
+      | _ -> fail "malformed header")
+  | _ -> fail "malformed header"
+
+let parse_shape ~fail s =
+  String.split_on_char 'x' s
+  |> List.map (fun d ->
+         match int_of_string_opt d with
+         | Some d -> d
+         | None -> fail "malformed shape")
+  |> Array.of_list
+
+(* Both loaders stage every parameter before writing any: [stage] checks
+   one entry against the net (known name, first occurrence, same shape)
+   and keeps its values; [commit] requires every parameter exactly once,
+   and only then overwrites the weights and installs a fresh stamp.  A
+   rejected input therefore leaves the net's weights and version
+   untouched, so the version-keyed eval cache and packed panels never
+   see a half-loaded net. *)
+let staged ~who t =
+  let fail msg = invalid_arg (who ^ ": " ^ msg) in
+  let vars = params t in
+  let staged = Hashtbl.create 32 in
+  let stage name shape values =
+    match List.find_opt (fun (v : Var.t) -> v.Var.name = name) vars with
+    | None -> fail ("unknown param " ^ name)
+    | Some _ when Hashtbl.mem staged name -> fail ("duplicate param " ^ name)
+    | Some v ->
+        if shape <> Tensor.shape v.Var.value then
+          fail ("shape mismatch for " ^ name);
+        Hashtbl.replace staged name (values (Tensor.numel v.Var.value))
+  in
+  let commit () =
+    if Hashtbl.length staged <> List.length vars then fail "missing parameters";
+    List.iter
+      (fun (v : Var.t) ->
+        let d = Hashtbl.find staged v.Var.name in
+        Float.Array.blit d 0 (Tensor.data v.Var.value) 0 (Float.Array.length d))
+      vars;
+    bump_version t
+  in
+  (stage, commit)
+
 let load path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
+      let fail msg = invalid_arg ("Pvnet.load: " ^ msg) in
       let line () =
         match In_channel.input_line ic with
         | Some l -> l
-        | None -> invalid_arg "Pvnet.load: truncated file"
+        | None -> fail "truncated file"
       in
-      let header = String.split_on_char ' ' (line ()) in
       let t =
-        match header with
-        | [ "pvnet"; m; gl; tw; tb; cs ] ->
-            let config =
-              {
-                m = int_of_string m;
-                gcn_layers = int_of_string gl;
-                trunk_width = int_of_string tw;
-                trunk_blocks = int_of_string tb;
-                cost_scale = float_of_string cs;
-              }
-            in
-            create ~rng:(Random.State.make [| 0 |]) config
-        | _ -> invalid_arg "Pvnet.load: bad header"
+        match String.split_on_char ' ' (line ()) with
+        | "pvnet" :: fields ->
+            create ~rng:(Random.State.make [| 0 |]) (parse_config ~fail fields)
+        | _ -> fail "bad header"
       in
-      let by_name = Hashtbl.create 32 in
-      List.iter (fun (v : Var.t) -> Hashtbl.replace by_name v.Var.name v) (params t);
-      (try
-         while true do
-           match In_channel.input_line ic with
-           | None -> raise Exit
-           | Some l when String.trim l = "" -> ()
-           | Some l -> (
-               match String.split_on_char ' ' l with
-               | [ "param"; name; shape_s ] -> (
-                   let values = line () in
-                   match Hashtbl.find_opt by_name name with
-                   | None ->
-                       invalid_arg
-                         (Printf.sprintf "Pvnet.load: unknown param %s" name)
-                   | Some var ->
-                       let shape =
-                         String.split_on_char 'x' shape_s
-                         |> List.map int_of_string |> Array.of_list
-                       in
-                       if shape <> Tensor.shape var.Var.value then
-                         invalid_arg
-                           (Printf.sprintf "Pvnet.load: shape mismatch for %s"
-                              name);
-                       let d = Tensor.data var.Var.value in
-                       let toks =
-                         String.split_on_char ' ' values
-                         |> List.filter (fun s -> s <> "")
-                       in
-                       if List.length toks <> Float.Array.length d then
-                         invalid_arg
-                           (Printf.sprintf "Pvnet.load: value count for %s" name);
-                       List.iteri
-                         (fun i s -> Float.Array.set d i (float_of_string s))
-                         toks)
-               | _ -> invalid_arg "Pvnet.load: malformed line")
-         done
-       with Exit -> ());
-      bump_version t;
+      let stage, commit = staged ~who:"Pvnet.load" t in
+      let rec entries () =
+        match In_channel.input_line ic with
+        | None -> ()
+        | Some l when String.trim l = "" -> entries ()
+        | Some l -> (
+            match String.split_on_char ' ' l with
+            | [ "param"; name; shape_s ] ->
+                let values = line () in
+                stage name (parse_shape ~fail shape_s) (fun n ->
+                    let toks =
+                      String.split_on_char ' ' values
+                      |> List.filter (fun s -> s <> "")
+                    in
+                    if List.length toks <> n then
+                      fail ("value count for " ^ name);
+                    Float.Array.of_list
+                      (List.map
+                         (fun s ->
+                           match float_of_string_opt s with
+                           | Some x -> x
+                           | None -> fail ("malformed value for " ^ name))
+                         toks));
+                entries ()
+            | _ -> fail "malformed line")
+      in
+      entries ();
+      commit ();
       t)
 
 (* --- Compact binary snapshots (parameter broadcast) ------------------- *)
@@ -1134,31 +974,17 @@ let snapshot t =
 let snapshot_header s =
   let fail msg = invalid_arg ("Pvnet.load_snapshot: " ^ msg) in
   let nl = try String.index s '\n' with Not_found -> fail "truncated header" in
-  let config =
-    match String.split_on_char ' ' (String.sub s 0 nl) with
-    | [ "pvnet-bin1"; m; gl; tw; tb; cs ] -> (
-        try
-          {
-            m = int_of_string m;
-            gcn_layers = int_of_string gl;
-            trunk_width = int_of_string tw;
-            trunk_blocks = int_of_string tb;
-            cost_scale = float_of_string cs;
-          }
-        with _ -> fail "malformed header")
-    | _ -> fail "bad magic (expected pvnet-bin1)"
-  in
-  (config, nl + 1)
+  match String.split_on_char ' ' (String.sub s 0 nl) with
+  | "pvnet-bin1" :: fields -> (parse_config ~fail fields, nl + 1)
+  | _ -> fail "bad magic (expected pvnet-bin1)"
 
 let load_snapshot t s =
   let fail msg = invalid_arg ("Pvnet.load_snapshot: " ^ msg) in
   let config, start = snapshot_header s in
   if config <> t.config then fail "config mismatch";
-  let by_name = Hashtbl.create 32 in
-  List.iter (fun (v : Var.t) -> Hashtbl.replace by_name v.Var.name v) (params t);
+  let stage, commit = staged ~who:"Pvnet.load_snapshot" t in
   let len = String.length s in
   let pos = ref start in
-  let seen = ref 0 in
   while !pos < len do
     let nl =
       try String.index_from s !pos '\n' with Not_found -> fail "truncated entry"
@@ -1172,37 +998,19 @@ let load_snapshot t s =
           | Some n when n >= 0 -> n
           | _ -> fail "malformed numel"
         in
-        let var =
-          match Hashtbl.find_opt by_name name with
-          | Some v -> v
-          | None -> fail (Printf.sprintf "unknown param %s" name)
-        in
-        let shape =
-          try
-            String.split_on_char 'x' shape_s
-            |> List.map int_of_string |> Array.of_list
-          with _ -> fail "malformed shape"
-        in
-        if shape <> Tensor.shape var.Var.value then
-          fail (Printf.sprintf "shape mismatch for %s" name);
-        let d = Tensor.data var.Var.value in
-        if numel <> Float.Array.length d then
-          fail (Printf.sprintf "numel mismatch for %s" name);
-        if !pos + (8 * numel) + 1 > len then fail "truncated values";
-        let raw = Bytes.unsafe_of_string s in
-        for i = 0 to numel - 1 do
-          Float.Array.set d i
-            (Int64.float_of_bits (Bytes.get_int64_le raw (!pos + (8 * i))))
-        done;
-        pos := !pos + (8 * numel);
-        if s.[!pos] <> '\n' then fail "missing entry terminator";
-        incr pos;
-        incr seen
+        stage name (parse_shape ~fail shape_s) (fun n ->
+            if numel <> n then fail ("numel mismatch for " ^ name);
+            let stop = !pos + (8 * numel) in
+            if stop + 1 > len then fail "truncated values";
+            if s.[stop] <> '\n' then fail "missing entry terminator";
+            let base = !pos in
+            pos := stop + 1;
+            Float.Array.init numel (fun i ->
+                Int64.float_of_bits (String.get_int64_le s (base + (8 * i)))))
     | [ "" ] -> () (* tolerate a trailing blank line *)
     | _ -> fail "malformed entry line"
   done;
-  if !seen <> List.length (params t) then fail "missing parameters";
-  bump_version t
+  commit ()
 
 let snapshot_of_string s =
   let config, _ = snapshot_header s in

@@ -59,113 +59,58 @@ val bump_version : t -> unit
 (** Install a globally fresh stamp — for callers that mutate parameters
     directly (the training functions call this themselves). *)
 
-(** {1 Inference} *)
+(** {1 Inference}
+
+    One inference forward serves every leaf evaluation: {!prepare} per
+    state, then {!predict_prepared} over the batch, in the net's arena.
+    {!predict} is the autodiff-tape forward that training differentiates,
+    kept as the reference the tests compare the arena forward against. *)
 
 val predict : t -> Pbqp.Graph.t -> next:int -> float array * float
-(** [(priors, value)] for coloring vertex [next] of a reduced-graph state.
-    Priors are a distribution over the [m] colors with zero mass on
-    colors whose vertex cost is ∞ (all-zero if the vertex is a dead end).
+(** [(priors, value)] for coloring vertex [next] of a reduced-graph state,
+    computed on the autodiff tape — the reference forward ([loss] runs
+    the same tape) that the test suite and [test/oracle] compare
+    {!prepare} + {!predict_prepared} against, bit for bit.  Priors are a
+    distribution over the [m] colors with zero mass on colors whose
+    vertex cost is ∞ (all-zero if the vertex is a dead end).
     @raise Invalid_argument if the graph's [m] differs from the net's or
     [next] is not a live vertex. *)
-
-val predict_batch :
-  t -> (Pbqp.Graph.t * int) list -> (float array * float) array
-(** [predict_batch t [(g, next); ...]] is {!predict} applied to every
-    state, in order — but each state's GCN runs as a flat CSR message
-    pass in the net's reusable arena (per-vertex transforms as packed
-    GEMMs over the live vertices) and the trunk/heads run as batch GEMMs
-    over the stacked readout rows, without building an autodiff tape.
-    The arithmetic is replicated operation for operation, so results are
-    bit-identical to the scalar path (the test suite asserts it bit for
-    bit on [prepare]/[predict_prepared]).  Duplicate states and states
-    from different graphs may mix in one batch.  [[]] maps to [[||]]. *)
 
 type prepared
 (** One state's contribution to a batched forward, captured while its
     graph was live: the GCN readout row and a private copy of the next
     vertex's cost vector (the output mask). *)
 
-val prepare : ?quantized:bool -> t -> Pbqp.Graph.t -> next:int -> prepared
-(** The per-state stage of {!predict_batch}.  Safe to call on a graph
-    that is subsequently mutated (the incremental-search pattern: seek
-    the shared trail graph to each leaf, prepare, move on).
+val prepare : t -> Pbqp.Graph.t -> next:int -> prepared
+(** The per-state stage: the GCN runs as a flat CSR message pass in the
+    net's arena (per-vertex transforms as packed GEMMs over the live
+    vertices), without building an autodiff tape.  Safe to call on a
+    graph that is subsequently mutated (the incremental-search pattern:
+    seek the shared trail graph to each leaf, prepare, move on); the
+    returned value owns its data.
+    @raise Invalid_argument with ["Pvnet.prepare: m mismatch"] if the
+    graph's [m] differs from the net's, or if [next] is not a live
+    vertex. *)
 
-    [quantized] selects the int8 serving path for this state's batch; it
-    defaults to [quantized_serve t && quantized_certified t], so
-    ordinary callers follow the net's serving mode and silently fall
-    back to float while no certificate is held.  Passing
-    [~quantized:true] explicitly requests the int8 path — then
-    {!predict_prepared} raises unless the certificate is current.
-    The GCN message pass runs in the net's arena (see {!predict_prepared}
-    for the ownership rule); the returned value owns its data.
-    @raise Invalid_argument as {!predict}. *)
-
-val predict_prepared :
-  ?scratch:bool -> t -> prepared array -> (float array * float) array
-(** The batched trunk/heads stage: [predict_batch] is literally [prepare]
-    per state followed by this, so mixing the two APIs is bit-identical.
-
-    With [scratch] (default [true]) the pass runs in the net's reusable
-    scratch arena — rows blitted into a persistent stack, GEMMs via
-    [matmul_into] into preallocated buffers, activations in place,
-    transposed weights memoized per {!version} — allocating nothing in
-    steady state beyond the result arrays.  Every output row of the
-    batched GEMMs and the per-row LayerNorms depends only on its own
-    input row, and the in-place steps compute the same IEEE expressions
-    in the same order as the allocating path, so results are bit-exact
-    for every batch composition and for both [scratch] settings
-    ([~scratch:false] preserves the allocating path as a baseline).
+val predict_prepared : t -> prepared array -> (float array * float) array
+(** The batched trunk/heads stage: one [(priors, value)] per prepared
+    state, in order, as {!predict} would return it — bit for bit.  The
+    pass runs in the net's arena: rows blitted into a persistent stack,
+    every GEMM through the packed fused kernel into preallocated buffers,
+    packed weight panels memoized per {!version}, so nothing is allocated
+    in steady state beyond the result arrays.  Every output row depends
+    only on its own input row, so results are the same for every batch
+    composition; duplicate states and states from different graphs may
+    mix in one batch.  [[||]] maps to [[||]].
 
     Not thread-safe (the arena, like the message cache, belongs to the
     replica's owning worker) — but safe for {!Infer}'s floating server
     to run on a submitter's replica, because the owner blocks for the
     result while its ticket is in flight. *)
 
-(** {1 Quantized serving (int8), behind the certification gate}
-
-    Inference-only int8 serving: per-row int8 weight quantization
-    memoized per {!version}, an int8×int8→int GEMM with float rescale
-    and the same fused epilogues as the float path (LayerNorm, softmax
-    and tanh stay float).  The path is {e gated}: batched inference only
-    runs it while a certificate issued by [Check.Quantcert] matches the
-    current weights version; any weight mutation (optimizer step, load)
-    invalidates the certificate. *)
-
-val set_quantized_serve : t -> bool -> unit
-(** Ask batched inference to serve through the int8 path whenever a
-    current certificate is held ({!prepare}'s default consults this). *)
-
-val quantized_serve : t -> bool
-
-val quantized_certified : t -> bool
-(** Whether the held certificate matches the current weights version.
-    {!sync} copies the certificate with the weights (equal versions
-    imply bitwise-equal weights, so it transfers to replicas). *)
-
-val mark_quantized_certified : t -> unit
-(** Install a certificate for the current weights version.  Reserved for
-    the certification harness ([Check.Quantcert]) — do not call after
-    eyeballing; the harness checks policy argmax agreement and value
-    error bounds on seeded graphs first. *)
-
-val clear_quantized_certificate : t -> unit
-
-val predict_prepared_quantized_unsafe :
-  t -> prepared array -> (float array * float) array
-(** The int8 forward {e without} the certification gate, regardless of
-    how the batch was prepared — the entry point the certification
-    harness (and benchmarks) use to measure the path before a
-    certificate exists.  Never call from serving code. *)
-
-val corrupt_quantized_for_test : t -> unit
-(** Test hook: tamper the memoized int8 policy-head weights in place
-    (the memo's version stamp still matches, so the corruption persists
-    until the next weight mutation).  Exists to prove the certification
-    gate rejects corrupted quantized weights. *)
-
 val eval_count : t -> int
 (** Lifetime number of leaf evaluations this net (replica) has served:
-    {!predict} counts 1, the batched paths count their rows. *)
+    one per {!predict} call, one per row of {!predict_prepared}. *)
 
 val reset_eval_count : t -> unit
 
@@ -214,7 +159,10 @@ val train_batch_parallel :
 
 val save : t -> string -> unit
 val load : string -> t
-(** @raise Invalid_argument on malformed or mismatched checkpoint files. *)
+(** Read a text checkpoint written by {!save}.  Every parameter must
+    appear exactly once.
+    @raise Invalid_argument on a malformed token, a missing, unknown or
+    duplicated parameter, or a shape or value-count mismatch. *)
 
 (** {1 Binary snapshots (parameter broadcast)}
 
@@ -229,8 +177,12 @@ val snapshot : t -> string
 val load_snapshot : t -> string -> unit
 (** Overwrite [t]'s parameters from a snapshot and install a fresh
     {!version} stamp.  [load_snapshot t (snapshot src)] makes [t]'s
-    parameters bitwise-equal to [src]'s.
-    @raise Invalid_argument on malformed snapshots or config mismatch. *)
+    parameters bitwise-equal to [src]'s.  The whole snapshot is
+    validated before anything is written — every parameter exactly once
+    — so a rejected snapshot leaves [t]'s weights and {!version}
+    untouched.
+    @raise Invalid_argument on malformed or truncated snapshots, a
+    missing, unknown or duplicated parameter, or config mismatch. *)
 
 val snapshot_of_string : string -> t
 (** A fresh net built from a snapshot (actor-side first receive). *)

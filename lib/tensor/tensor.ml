@@ -2,15 +2,11 @@
 
    Storage is a single [floatarray] per tensor (unboxed float64, flat
    row-major) — rank-2 element (i, j) lives at [i * cols + j].  The hot
-   GEMM kernels additionally use two Bigarray-backed side structures:
-
-   - [packed]: the B operand repacked into contiguous width-4 column
-     panels (float64 Bigarray) so the inner loop streams one cache line
-     per panel step and the pack cost is amortized across a whole batch
-     (the packed weights are memoized per network version upstream);
-   - [Q.qmat]: per-row int8 quantized weights (int8 Bigarray) for the
-     inference-only quantized serving path, with float rescale in the
-     epilogue.
+   GEMM kernels additionally use one Bigarray-backed side structure,
+   [packed]: the B operand repacked into contiguous width-4 column
+   panels (float64 Bigarray) so the inner loop streams one cache line
+   per panel step and the pack cost is amortized across a whole batch
+   (the packed weights are memoized per network version upstream).
 
    Bit-identity discipline: every float kernel accumulates each output
    cell in globally ascending-k order and skips exact-zero A
@@ -381,228 +377,6 @@ let matmul_packed_into ?bias ?residual ?(relu = false) out a bp =
 let matmul_packed_prefix_into ~rows ~bias ~residual ~relu out a bp =
   packed_prefix_into "matmul_packed_prefix_into" ~exact:false ~rows
     ~bias:(Some bias) ~residual ~relu out a bp
-
-(* {2 Int8 quantized serving path} *)
-
-module Q = struct
-  type i8 = (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  (* Per-row symmetric int8 quantization: row [r] of the original matrix
-     is [scale.(r) * q.(r, k)] with [q] clamped to [-127, 127] (round
-     half away from zero).  [qmat] is inference-only — it never feeds
-     gradients — and is memoized per network version upstream. *)
-  type qmat = { qrows : int; qcols : int; q : i8; scales : floatarray }
-
-  let rows m = m.qrows
-  let cols m = m.qcols
-
-  (* [@inline always]: a non-inlined call would box both float arguments
-     at every quantized cell — the activation-quant loop must stay
-     allocation-free. *)
-  let[@inline always] quantize_value ~inv x =
-    let r = Float.round (x *. inv) in
-    let r = if r > 127.0 then 127.0 else if r < -127.0 then -127.0 else r in
-    int_of_float r
-
-  let quantize_rows m =
-    let r, c = dims2 m in
-    let md = m.data in
-    let q = Bigarray.Array1.create Bigarray.Int8_signed Bigarray.C_layout (r * c) in
-    let scales = F.make r 0.0 in
-    for i = 0 to r - 1 do
-      let base = i * c in
-      let absmax = ref 0.0 in
-      for k = 0 to c - 1 do
-        let a = Float.abs (F.unsafe_get md (base + k)) in
-        if a > !absmax then absmax := a
-      done;
-      let scale = if !absmax = 0.0 then 1.0 else !absmax /. 127.0 in
-      let inv = 1.0 /. scale in
-      F.unsafe_set scales i scale;
-      for k = 0 to c - 1 do
-        Bigarray.Array1.unsafe_set q (base + k)
-          (quantize_value ~inv (F.unsafe_get md (base + k)))
-      done
-    done;
-    { qrows = r; qcols = c; q; scales }
-
-  (* Reusable activation-quantization buffers: [qx] holds the int8
-     activations (row-major, up to [rows * cols]), [xscales] the per-row
-     scales.  Sized once per batch shape and reused across layers so the
-     quantized forward allocates nothing per call. *)
-  type scratch = { cap_rows : int; cap : int; qx : i8; xscales : floatarray }
-
-  let scratch ~rows ~cols =
-    if rows <= 0 || cols <= 0 then invalid_arg "Tensor.Q.scratch: bad dims";
-    { cap_rows = rows;
-      cap = rows * cols;
-      qx = Bigarray.Array1.create Bigarray.Int8_signed Bigarray.C_layout (rows * cols);
-      xscales = F.make rows 0.0 }
-
-  (* int8×int8→int GEMM against quantized weights, with the float
-     rescale (and the same fused bias/residual/relu epilogue as the
-     float kernel) applied per output cell: activations are quantized
-     per row on the fly into [scratch], the accumulator is a native int
-     (63-bit — no overflow for any realistic K: |acc| <= K * 127²), and
-     [out.(i, j) = acc * (xscale_i * wscale_j) (+ bias_j) ...]. *)
-  (* [qx]'s type must be ground here: a polymorphic kind/layout would
-     compile every element access to the generic (C-call) bigarray read
-     instead of a direct int8 load. *)
-  let matmul_qt_rows od ~(qx : i8) ~xscales ~qw ~ca ~bias ~residual ~relu ~lo
-      ~hi =
-    let pn = qw.qrows and wq = qw.q and wscales = qw.scales in
-    (* Width-8 output blocks, like the float packed kernel: one pass over
-       the activation row feeds 8 integer accumulators, amortizing the
-       per-k activation load and zero-skip (relu layers quantize to many
-       exact zeros).  Integer accumulation is exact, so the blocking and
-       the skip cannot change any output bit; the tail columns below run
-       the plain per-column loop. *)
-    let full = pn - (pn mod 8) in
-    for i = lo to hi - 1 do
-      let xrow = i * ca in
-      let orow = i * pn in
-      let sx = F.unsafe_get xscales i in
-      let j0 = ref 0 in
-      while !j0 < full do
-        let w0 = !j0 * ca in
-        let w1 = w0 + ca and w2 = w0 + (2 * ca) and w3 = w0 + (3 * ca) in
-        let w4 = w0 + (4 * ca) and w5 = w0 + (5 * ca) in
-        let w6 = w0 + (6 * ca) and w7 = w0 + (7 * ca) in
-        let c0 = ref 0 and c1 = ref 0 and c2 = ref 0 and c3 = ref 0 in
-        let c4 = ref 0 and c5 = ref 0 and c6 = ref 0 and c7 = ref 0 in
-        for k = 0 to ca - 1 do
-          let xv = Bigarray.Array1.unsafe_get qx (xrow + k) in
-          if xv <> 0 then begin
-            c0 := !c0 + (xv * Bigarray.Array1.unsafe_get wq (w0 + k));
-            c1 := !c1 + (xv * Bigarray.Array1.unsafe_get wq (w1 + k));
-            c2 := !c2 + (xv * Bigarray.Array1.unsafe_get wq (w2 + k));
-            c3 := !c3 + (xv * Bigarray.Array1.unsafe_get wq (w3 + k));
-            c4 := !c4 + (xv * Bigarray.Array1.unsafe_get wq (w4 + k));
-            c5 := !c5 + (xv * Bigarray.Array1.unsafe_get wq (w5 + k));
-            c6 := !c6 + (xv * Bigarray.Array1.unsafe_get wq (w6 + k));
-            c7 := !c7 + (xv * Bigarray.Array1.unsafe_get wq (w7 + k))
-          end
-        done;
-        for jj = 0 to 7 do
-          let j = !j0 + jj in
-          let acc =
-            match jj with
-            | 0 -> !c0
-            | 1 -> !c1
-            | 2 -> !c2
-            | 3 -> !c3
-            | 4 -> !c4
-            | 5 -> !c5
-            | 6 -> !c6
-            | _ -> !c7
-          in
-          let v = float_of_int acc *. (sx *. F.unsafe_get wscales j) in
-          let v =
-            match bias with Some bd -> v +. F.unsafe_get bd j | None -> v
-          in
-          let v =
-            match residual with
-            | Some rd -> F.unsafe_get rd (orow + j) +. v
-            | None -> v
-          in
-          let v = if relu then (if v > 0.0 then v else 0.0) else v in
-          F.unsafe_set od (orow + j) v
-        done;
-        j0 := !j0 + 8
-      done;
-      for j = full to pn - 1 do
-        let wrow = j * ca in
-        let acc = ref 0 in
-        for k = 0 to ca - 1 do
-          acc :=
-            !acc
-            + (Bigarray.Array1.unsafe_get qx (xrow + k)
-              * Bigarray.Array1.unsafe_get wq (wrow + k))
-        done;
-        let v = float_of_int !acc *. (sx *. F.unsafe_get wscales j) in
-        let v =
-          match bias with Some bd -> v +. F.unsafe_get bd j | None -> v
-        in
-        let v =
-          match residual with
-          | Some rd -> F.unsafe_get rd (orow + j) +. v
-          | None -> v
-        in
-        let v = if relu then (if v > 0.0 then v else 0.0) else v in
-        F.unsafe_set od (orow + j) v
-      done
-    done
-  [@@hot]
-
-  let matmul_qt_into ?bias ?residual ?(relu = false) ~scratch:s out x qw =
-    let ra, ca = dims2 x in
-    if ca <> qw.qcols then invalid_arg "Tensor.Q.matmul_qt_into: inner dims differ";
-    let ro, co = dims2 out in
-    if ro <> ra || co <> qw.qrows then
-      invalid_arg "Tensor.Q.matmul_qt_into: output shape mismatch";
-    if out.data == x.data then
-      invalid_arg "Tensor.Q.matmul_qt_into: output aliases input";
-    if ra > s.cap_rows || ra * ca > s.cap then
-      invalid_arg "Tensor.Q.matmul_qt_into: scratch too small";
-    let bias =
-      match bias with
-      | None -> None
-      | Some b ->
-          if dim1 b <> qw.qrows then
-            invalid_arg "Tensor.Q.matmul_qt_into: bias width mismatch";
-          Some b.data
-    in
-    let residual =
-      match residual with
-      | None -> None
-      | Some r ->
-          if dims2 r <> (ra, qw.qrows) then
-            invalid_arg "Tensor.Q.matmul_qt_into: residual shape mismatch";
-          Some r.data
-    in
-    let xd = x.data and od = out.data in
-    let qx = s.qx and xscales = s.xscales in
-    (* dynamic per-row activation quantization into the scratch *)
-    for i = 0 to ra - 1 do
-      let base = i * ca in
-      let absmax = ref 0.0 in
-      for k = 0 to ca - 1 do
-        let a = Float.abs (F.unsafe_get xd (base + k)) in
-        if a > !absmax then absmax := a
-      done;
-      let scale = if !absmax = 0.0 then 1.0 else !absmax /. 127.0 in
-      let inv = 1.0 /. scale in
-      F.unsafe_set xscales i scale;
-      for k = 0 to ca - 1 do
-        Bigarray.Array1.unsafe_set qx (base + k)
-          (quantize_value ~inv (F.unsafe_get xd (base + k)))
-      done
-    done;
-    match Atomic.get pool with
-    | Some p
-      when Par.Pool.size p > 1 && ra > 1 && ra * ca * qw.qrows >= par_threshold
-      ->
-        Par.Pool.parallel_rows p ~rows:ra (fun ~lo ~hi ->
-            matmul_qt_rows od ~qx ~xscales ~qw ~ca ~bias ~residual ~relu ~lo
-              ~hi)
-    | _ -> matmul_qt_rows od ~qx ~xscales ~qw ~ca ~bias ~residual ~relu ~lo:0 ~hi:ra
-
-  (* Test-only tamper hook: flip the sign of the largest-magnitude cell
-     of the quantized matrix in place.  The memoized qmat still carries a
-     valid version stamp upstream, so a certification pass sees a real
-     int8-vs-float divergence — used to prove the accuracy gate rejects
-     corrupted weights. *)
-  let corrupt_for_test m =
-    let n = m.qrows * m.qcols in
-    let best = ref 0 in
-    for k = 1 to n - 1 do
-      if abs (Bigarray.Array1.get m.q k) > abs (Bigarray.Array1.get m.q !best)
-      then best := k
-    done;
-    let v = Bigarray.Array1.get m.q !best in
-    Bigarray.Array1.set m.q !best
-      (if v = 0 then 127 else if v > 0 then -v else 127)
-end
 
 let blit_row_into src i dst =
   let c = dim1 src in

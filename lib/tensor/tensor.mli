@@ -8,8 +8,7 @@
     Storage is one flat [floatarray] per tensor (unboxed float64; rank-2
     element [(i, j)] at flat index [i * cols + j]).  The serving-tier hot
     path additionally uses {!packed} (Bigarray float64 column panels for
-    the fused GEMM) and {!Q.qmat} (Bigarray int8 per-row quantized
-    weights). *)
+    the fused GEMM). *)
 
 type t
 
@@ -161,48 +160,6 @@ val matmul_packed_prefix_into :
     {!matmul_packed_into} on exact-shape operands.
     @raise Invalid_argument if [rows] is negative or exceeds a buffer,
     or as {!matmul_packed_into}. *)
-
-(** {1 Int8 quantized serving path}
-
-    Inference-only: per-row symmetric int8 quantization (absmax / 127,
-    round half away from zero, clamped to ±127) of a weight matrix, an
-    int8×int8→int GEMM with the float rescale and the same fused
-    epilogue applied per cell.  Activations are quantized per row on the
-    fly into a caller-provided {!Q.scratch}, so a quantized forward
-    allocates nothing per call.  Accuracy is certified upstream
-    ([Check.Quantcert]) before the path is allowed to serve. *)
-
-module Q : sig
-  type qmat
-  (** Per-row int8 quantization of a rank-2 matrix (int8 [Bigarray]
-      values plus one float scale per row). *)
-
-  val quantize_rows : t -> qmat
-  val rows : qmat -> int
-  val cols : qmat -> int
-
-  type scratch
-  (** Reusable activation-quantization buffers for batches up to
-      [rows × cols]. *)
-
-  val scratch : rows:int -> cols:int -> scratch
-
-  val matmul_qt_into :
-    ?bias:t -> ?residual:t -> ?relu:bool -> scratch:scratch -> t -> t ->
-    qmat -> unit
-  (** [matmul_qt_into ~scratch out x qw] computes [x × qwᵀ] (for [qw]
-      quantized from an [n × k] weight matrix, matching
-      {!pack_transposed}'s orientation) with dynamic per-row activation
-      quantization and the float rescale
-      [acc * (xscale_i * wscale_j)] plus the fused bias/residual/relu
-      epilogue.  @raise Invalid_argument on shape mismatch, aliasing, or
-      an undersized scratch. *)
-
-  val corrupt_for_test : qmat -> unit
-  (** Tamper the quantized payload in place (flips the largest-magnitude
-      cell) while leaving scales and shape intact — test hook proving
-      the certification gate rejects corrupted weights. *)
-end
 
 val mv : t -> t -> t
 (** rank-2 × rank-1 → rank-1. *)

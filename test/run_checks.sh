@@ -29,8 +29,8 @@ dune runtest
 
 echo "== dune build @gemm =="
 # GEMM-kernel equivalence suite: the packed-panel fused kernels and the
-# tiled kernel bitwise against the naive reference, the floatarray
-# bridges, and the int8 quantized kernel's accuracy envelope
+# tiled kernel bitwise against the naive reference, and the floatarray
+# bridges
 dune build @gemm
 
 echo "== dune build @par =="

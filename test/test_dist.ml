@@ -194,6 +194,99 @@ let test_snapshot_rejects_mismatch () =
   | _ -> Alcotest.fail "garbage accepted"
   | exception Invalid_argument _ -> ()
 
+(* A snapshot cut into its header line and per-parameter entries, each
+   entry its text line, raw words and terminator, walked by structure
+   (raw float words may contain any byte). *)
+let snapshot_entries snap =
+  let nl = String.index snap '\n' in
+  let rec go pos acc =
+    if pos >= String.length snap then List.rev acc
+    else
+      let eol = String.index_from snap pos '\n' in
+      let numel =
+        match String.split_on_char ' ' (String.sub snap pos (eol - pos)) with
+        | [ "p"; _; _; n ] -> int_of_string n
+        | _ -> Alcotest.fail "unexpected snapshot entry"
+      in
+      let stop = eol + 1 + (8 * numel) + 1 in
+      go stop (String.sub snap pos (stop - pos) :: acc)
+  in
+  (String.sub snap 0 (nl + 1), go (nl + 1) [])
+
+(* A rejected snapshot must leave the target exactly as it was: weights
+   bitwise (its own snapshot unchanged) and the version stamp that keys
+   the eval cache and the packed weight panels. *)
+let check_rejected_untouched ~msg dst bad =
+  let before = Nn.Pvnet.snapshot dst and v0 = Nn.Pvnet.version dst in
+  (match Nn.Pvnet.load_snapshot dst bad with
+  | () -> Alcotest.failf "%s: snapshot accepted" msg
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check string) (msg ^ ": weights untouched") before
+    (Nn.Pvnet.snapshot dst);
+  Alcotest.(check int) (msg ^ ": version untouched") v0
+    (Nn.Pvnet.version dst)
+
+let test_snapshot_truncated_atomic () =
+  let snap = Nn.Pvnet.snapshot (tiny_net ~seed:3 ~m:3 ()) in
+  let header, entries = snapshot_entries snap in
+  let first = List.hd entries and second = List.nth entries 1 in
+  (* cut eight bytes into the second entry's values: the first entry
+     parses completely before the truncation is seen *)
+  let cut = String.index second '\n' + 1 + 8 in
+  let bad = header ^ first ^ String.sub second 0 cut in
+  check_rejected_untouched ~msg:"truncated" (tiny_net ~seed:99 ~m:3 ()) bad
+
+let test_snapshot_duplicate_rejected () =
+  let snap = Nn.Pvnet.snapshot (tiny_net ~seed:3 ~m:3 ()) in
+  let header, entries = snapshot_entries snap in
+  (* the first parameter listed twice, the second one missing: the
+     entry count still matches the parameter count *)
+  let bad =
+    match entries with
+    | e0 :: _ :: rest -> String.concat "" (header :: e0 :: e0 :: rest)
+    | _ -> Alcotest.fail "snapshot has fewer than two entries"
+  in
+  check_rejected_untouched ~msg:"duplicate" (tiny_net ~seed:99 ~m:3 ()) bad
+
+let test_checkpoint_strict () =
+  let lines =
+    let path = Filename.temp_file "pvnet" ".ckpt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Nn.Pvnet.save (tiny_net ~m:3 ()) path;
+        String.split_on_char '\n' (read_file path))
+  in
+  let rejects msg lines =
+    let path = Filename.temp_file "pvnet" ".ckpt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (String.concat "\n" lines));
+        match Nn.Pvnet.load path with
+        | _ -> Alcotest.failf "%s: checkpoint accepted" msg
+        | exception Invalid_argument _ -> ())
+  in
+  (* line 0 is the header; each parameter is a "param" line and a values
+     line *)
+  let without_second = List.filteri (fun i _ -> i <> 3 && i <> 4) lines in
+  rejects "missing parameter" without_second;
+  (* the first parameter twice in place of the second *)
+  rejects "duplicated parameter"
+    (List.filteri (fun i _ -> i <= 2) lines @ List.tl without_second);
+  rejects "non-numeric value"
+    (List.mapi
+       (fun i l ->
+         if i = 2 then
+           match String.split_on_char ' ' l with
+           | _ :: rest -> String.concat " " ("abc" :: rest)
+           | [] -> l
+         else l)
+       lines);
+  rejects "non-numeric header"
+    (List.mapi (fun i l -> if i = 0 then "pvnet 3 one 8 1 10" else l) lines)
+
 (* ------------------------------------------------------------------ *)
 (* Sharded replay *)
 
@@ -467,6 +560,12 @@ let () =
             test_snapshot_across_copy_into_replica;
           Alcotest.test_case "mismatch rejected" `Quick
             test_snapshot_rejects_mismatch;
+          Alcotest.test_case "truncated: weights + version untouched" `Quick
+            test_snapshot_truncated_atomic;
+          Alcotest.test_case "duplicate for missing rejected" `Quick
+            test_snapshot_duplicate_rejected;
+          Alcotest.test_case "text checkpoint strict" `Quick
+            test_checkpoint_strict;
         ] );
       ( "shards",
         [

@@ -306,10 +306,9 @@ let samples_identical sa sb =
          && bits_eq a.value b.value)
        sa sb
 
-(* The library episode (trail, batched or scalar, cache on or off)
-   against the persistent reference episode. *)
-let check_episode_pair ~msg ?cache ~batched g net =
-  let batch = if batched then 4 else 1 in
+(* The library episode (trail, waves of [batch] leaves, cache on or
+   off) against the persistent reference episode. *)
+let check_episode_pair ~msg ?cache ~batch g net =
   let cfg =
     {
       Core.Episode.default_config with
@@ -321,7 +320,7 @@ let check_episode_pair ~msg ?cache ~batched g net =
       ~mode:Core.Game.Feasibility cfg (Core.State.of_graph g)
   in
   let ob, sb =
-    Core.Episode.play ~collect:true ~batched ?cache ~rng:(rng 7) ~net
+    Core.Episode.play ~collect:true ?cache ~rng:(rng 7) ~net
       ~mode:Core.Game.Feasibility cfg (Core.Istate.of_graph g)
   in
   if not (bits_eq oa.Core.Episode.cost ob.Core.Episode.cost) then
@@ -340,13 +339,13 @@ let test_episode_equivalence =
     (fun spec ->
       let g = build_graph spec in
       let net = tiny_net ~m:spec.m () in
-      check_episode_pair ~msg:"scalar" ~batched:false g net;
-      check_episode_pair ~msg:"batched" ~batched:true g net;
+      check_episode_pair ~msg:"batch 1" ~batch:1 g net;
+      check_episode_pair ~msg:"batched" ~batch:4 g net;
       let ec = Nn.Evalcache.create ~capacity:512 in
       let cache = Nn.Cache.Local ec in
-      check_episode_pair ~msg:"cache" ~cache ~batched:true g net;
+      check_episode_pair ~msg:"cache" ~cache ~batch:4 g net;
       (* second run with the now-warm cache: hits must not change play *)
-      check_episode_pair ~msg:"warm cache" ~cache ~batched:true g net;
+      check_episode_pair ~msg:"warm cache" ~cache ~batch:4 g net;
       if Nn.Evalcache.hits ec = 0 then
         Alcotest.fail "warm cache saw no hits";
       true)

@@ -229,8 +229,9 @@ let test_wave_batch_gt1_toy () =
     [ 2; 8; 64 ]
 
 let test_wave_net_batch1_identical () =
-  (* the real PBQP game: scalar Pvnet.predict evaluation vs the batched
-     predict_batch path must give bit-identical search statistics *)
+  (* the real PBQP game: scalar SIMULATE through the game's [evaluate]
+     (a wave of one) vs batch-1 waves must give bit-identical search
+     statistics *)
   let m = 3 in
   let net =
     Nn.Pvnet.create
@@ -245,10 +246,8 @@ let test_wave_net_batch1_identical () =
         zero_inf = true; cost_max = 10.0 }
   in
   let root () = Core.Istate.Cursor.root (Core.Istate.of_graph g) in
-  let scalar =
-    Core.Game.make ~batched:false ~net ~mode:Core.Game.Feasibility ~m ()
-  in
   let batched = Core.Game.make ~net ~mode:Core.Game.Feasibility ~m () in
+  let scalar = { batched with Mcts.batched_evaluate = None } in
   let cfg = { Mcts.default_config with k = 60; check = true } in
   let ts = Mcts.create cfg scalar (root ()) in
   let tb = Mcts.create cfg batched (root ()) in

@@ -377,60 +377,6 @@ let test_pvnet_param_count () =
   let net = mknet () in
   Alcotest.(check bool) "has parameters" true (Nn.Pvnet.param_count net > 100)
 
-(* --- batched inference: predict_batch must match per-state predict --- *)
-
-let check_batch_matches_scalar ?(eps = 1e-9) net states =
-  let preds = Nn.Pvnet.predict_batch net states in
-  Alcotest.(check int) "one result per state" (List.length states)
-    (Array.length preds);
-  List.iteri
-    (fun i (g, next) ->
-      let p_s, v_s = Nn.Pvnet.predict net g ~next in
-      let p_b, v_b = preds.(i) in
-      Alcotest.(check (array (float eps)))
-        (Printf.sprintf "priors of state %d" i)
-        p_s p_b;
-      Alcotest.(check (float eps)) (Printf.sprintf "value of state %d" i) v_s v_b)
-    states
-
-let test_pvnet_predict_batch_basic () =
-  let net = mknet () in
-  Alcotest.(check int) "empty batch" 0
-    (Array.length (Nn.Pvnet.predict_batch net []));
-  let g = small_graph () in
-  (* batch of 1, all vertices, and duplicated states in one batch *)
-  check_batch_matches_scalar net [ (g, 2) ];
-  check_batch_matches_scalar net (List.map (fun v -> (g, v)) (Graph.vertices g));
-  check_batch_matches_scalar net [ (g, 0); (g, 0); (g, 3); (g, 0) ]
-
-let test_pvnet_predict_batch_m_mismatch () =
-  let net = mknet () in
-  let g = Graph.create ~m:2 ~n:1 in
-  Alcotest.check_raises "m mismatch"
-    (Invalid_argument "Pvnet.predict_batch: m mismatch") (fun () ->
-      ignore (Nn.Pvnet.predict_batch net [ (g, 0) ]))
-
-(* Property: batches mixing graphs of different sizes (ragged next-vertex
-   sets), with duplicates, sized 1..32, agree with scalar predict to
-   1e-9 on every prior and value. *)
-let test_pvnet_predict_batch_property =
-  let net = lazy (mknet ~seed:19 ()) in
-  qtest ~count:40 "predict_batch = predict (random ragged batches)"
-    (arb_graph_spec ~nmax:8 ~mmax:3 ())
-    (fun spec ->
-      let spec = { spec with m = 3 } in
-      let net = Lazy.force net in
-      let g1 = build_graph spec in
-      let g2 = build_graph { spec with seed = spec.seed + 1; n = spec.n + 2 } in
-      let all =
-        List.map (fun v -> (g1, v)) (Graph.vertices g1)
-        @ List.map (fun v -> (g2, v)) (Graph.vertices g2)
-      in
-      (* duplicate some states and cap the batch at 32 *)
-      let states = List.filteri (fun i _ -> i < 32) (all @ all) in
-      check_batch_matches_scalar net states;
-      true)
-
 (* Bitwise, at the sizes the shipped nets see: [prepare] runs the GCN
    over the CSR scratch with a blocked multi-row message kernel, so the
    scalar [predict] must agree to the last bit for widths that are not a
@@ -458,6 +404,45 @@ let check_prepared_bits ~msg net states =
               (Graph.n_alive g) next how)
         [ ("batched", batched.(i)); ("single", single.(0)) ])
     states
+
+let test_pvnet_prepared_basic () =
+  let net = mknet () in
+  Alcotest.(check int) "empty batch" 0
+    (Array.length (Nn.Pvnet.predict_prepared net [||]));
+  let g = small_graph () in
+  (* batch of 1, all vertices, and duplicated states in one batch *)
+  check_prepared_bits ~msg:"single" net [ (g, 2) ];
+  check_prepared_bits ~msg:"all" net
+    (List.map (fun v -> (g, v)) (Graph.vertices g));
+  check_prepared_bits ~msg:"dups" net [ (g, 0); (g, 0); (g, 3); (g, 0) ]
+
+let test_pvnet_prepare_m_mismatch () =
+  let net = mknet () in
+  let g = Graph.create ~m:2 ~n:1 in
+  Alcotest.check_raises "m mismatch"
+    (Invalid_argument "Pvnet.prepare: m mismatch") (fun () ->
+      ignore (Nn.Pvnet.prepare net g ~next:0))
+
+(* Property: batches mixing graphs of different sizes (ragged next-vertex
+   sets), with duplicates, sized 1..32, agree with the tape [predict]
+   bit for bit on every prior and value. *)
+let test_pvnet_prepared_property =
+  let net = lazy (mknet ~seed:19 ()) in
+  qtest ~count:40 "prepare = predict (random ragged batches)"
+    (arb_graph_spec ~nmax:8 ~mmax:3 ())
+    (fun spec ->
+      let spec = { spec with m = 3 } in
+      let net = Lazy.force net in
+      let g1 = build_graph spec in
+      let g2 = build_graph { spec with seed = spec.seed + 1; n = spec.n + 2 } in
+      let all =
+        List.map (fun v -> (g1, v)) (Graph.vertices g1)
+        @ List.map (fun v -> (g2, v)) (Graph.vertices g2)
+      in
+      (* duplicate some states and cap the batch at 32 *)
+      let states = List.filteri (fun i _ -> i < 32) (all @ all) in
+      check_prepared_bits ~msg:"ragged" net states;
+      true)
 
 (* every vertex of small graphs, a spread of vertices of large ones *)
 let sample_states g =
@@ -645,11 +630,11 @@ let () =
             test_pvnet_training_moves_prediction;
           Alcotest.test_case "save/load roundtrip" `Quick test_pvnet_save_load;
           Alcotest.test_case "param count" `Quick test_pvnet_param_count;
-          Alcotest.test_case "predict_batch basics" `Quick
-            test_pvnet_predict_batch_basic;
-          Alcotest.test_case "predict_batch m mismatch" `Quick
-            test_pvnet_predict_batch_m_mismatch;
-          test_pvnet_predict_batch_property;
+          Alcotest.test_case "predict_prepared basics" `Quick
+            test_pvnet_prepared_basic;
+          Alcotest.test_case "prepare m mismatch" `Quick
+            test_pvnet_prepare_m_mismatch;
+          test_pvnet_prepared_property;
           Alcotest.test_case "prepare = predict bitwise (m 2/9/13, n<=200)"
             `Quick test_prepared_bitwise_real_sizes;
           Alcotest.test_case "prepare = predict bitwise (PRO residuals)"

@@ -435,118 +435,9 @@ let test_training_invariant_under_service () =
             true (params_identical net0 net))
         [ ("serve-j2", 2, 16); ("serve-j4-b4", 4, 4) ])
 
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* The int8 quantized serving path behind the Check.Quantcert gate. *)
-
-let test_quantized_certified_serving () =
-  let m = 4 in
-  let net = tiny_net ~m () in
-  let g = random_graph ~seed:51 ~n:8 ~m in
-  let report = Check.Quantcert.certify net in
-  Alcotest.(check bool) "fresh tiny net certifies" true
-    (Check.Quantcert.certified report);
-  Alcotest.(check bool) "certificate installed" true
-    (Nn.Pvnet.quantized_certified net);
-  Alcotest.(check bool) "states were compared" true
-    (report.Check.Quantcert.states > 0);
-  (* the certified quantized batch serves, and stays near the float path *)
-  let preps_f = wave net g in
-  let float_out = Nn.Pvnet.predict_prepared net preps_f in
-  let preps_q =
-    Array.of_list
-      (List.map
-         (fun v -> Nn.Pvnet.prepare ~quantized:true net g ~next:v)
-         (Graph.vertices g))
-  in
-  let quant_out = Nn.Pvnet.predict_prepared net preps_q in
-  Alcotest.(check int) "same batch size" (Array.length float_out)
-    (Array.length quant_out);
-  Array.iteri
-    (fun i (pf, vf) ->
-      let pq, vq = quant_out.(i) in
-      Alcotest.(check bool)
-        (Printf.sprintf "value %d within harness bound" i)
-        true
-        (Float.abs (vf -. vq) <= 0.1);
-      Array.iteri
-        (fun j p ->
-          Alcotest.(check bool)
-            (Printf.sprintf "prior (%d, %d) within harness bound" i j)
-            true
-            (Float.abs (p -. pq.(j)) <= 0.05))
-        pf)
-    float_out;
-  (* any weight mutation revokes the version-stamped certificate *)
-  Nn.Pvnet.bump_version net;
-  Alcotest.(check bool) "bump revokes" false (Nn.Pvnet.quantized_certified net)
-
-let test_quantized_gate_rejects_uncertified () =
-  let m = 4 in
-  let net = tiny_net ~m () in
-  let g = random_graph ~seed:53 ~n:6 ~m in
-  Alcotest.(check bool) "no certificate yet" false
-    (Nn.Pvnet.quantized_certified net);
-  (* default prepare silently serves float while uncertified *)
-  let out = Nn.Pvnet.predict_prepared net (wave net g) in
-  Alcotest.(check bool) "float fallback serves" true (Array.length out > 0);
-  (* an explicit quantized request without a certificate must raise *)
-  let preps =
-    Array.of_list
-      (List.map
-         (fun v -> Nn.Pvnet.prepare ~quantized:true net g ~next:v)
-         (Graph.vertices g))
-  in
-  Alcotest.check_raises "gate raises"
-    (Invalid_argument
-       "Pvnet.predict_prepared: quantized path not certified for current \
-        weights") (fun () -> ignore (Nn.Pvnet.predict_prepared net preps))
-
-let test_quantized_corruption_rejected () =
-  let m = 4 in
-  let net = tiny_net ~seed:5 ~m () in
-  Alcotest.(check bool) "clean weights certify" true
-    (Check.Quantcert.certified (Check.Quantcert.certify net));
-  (* tamper the memoized int8 policy-head weights in place: the version
-     stamp still matches, so only the accuracy harness can notice *)
-  Nn.Pvnet.corrupt_quantized_for_test net;
-  let report = Check.Quantcert.certify net in
-  Alcotest.(check bool) "harness rejects corruption" false
-    (Check.Quantcert.certified report);
-  Alcotest.(check bool) "findings carry errors" true
-    (Check.Diag.has_errors report.Check.Quantcert.findings);
-  Alcotest.(check bool) "certificate cleared" false
-    (Nn.Pvnet.quantized_certified net)
-
-let test_quantized_certificate_syncs () =
-  let m = 4 in
-  let src = tiny_net ~m () in
-  let dst = Nn.Pvnet.clone src in
-  ignore (Check.Quantcert.certify src : Check.Quantcert.report);
-  Nn.Pvnet.set_quantized_serve src true;
-  Alcotest.(check bool) "src certified" true (Nn.Pvnet.quantized_certified src);
-  Nn.Pvnet.sync ~src ~dst;
-  (* equal version stamps imply bitwise-equal weights, so the copied
-     certificate is sound on the replica *)
-  Alcotest.(check bool) "replica certified" true
-    (Nn.Pvnet.quantized_certified dst);
-  Alcotest.(check bool) "replica serving mode" true (Nn.Pvnet.quantized_serve dst)
-
 let () =
   Alcotest.run "serve"
     [
-      ( "quantized",
-        [
-          Alcotest.test_case "certify + serve + revoke" `Quick
-            test_quantized_certified_serving;
-          Alcotest.test_case "gate rejects uncertified" `Quick
-            test_quantized_gate_rejects_uncertified;
-          Alcotest.test_case "harness rejects corrupted weights" `Quick
-            test_quantized_corruption_rejected;
-          Alcotest.test_case "sync transfers the certificate" `Quick
-            test_quantized_certificate_syncs;
-        ] );
       ( "protocol",
         [
           Alcotest.test_case "single worker = direct" `Quick

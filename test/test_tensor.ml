@@ -354,85 +354,6 @@ let test_float_array_bridges () =
     (Invalid_argument "Tensor.of_float_array: empty") (fun () ->
       ignore (Tensor.of_float_array (Float.Array.create 0)))
 
-(* ------------------------------------------------------------------ *)
-(* int8 quantized GEMM *)
-
-let test_quantized_accuracy () =
-  let rng = rng 31 in
-  (* well-scaled inputs (the serving regime): per-row int8 must stay
-     within a small relative error of the float product *)
-  let b = 16 and k = 48 and n = 24 in
-  let x =
-    Tensor.init2 b k (fun _ _ -> Random.State.float rng 2.0 -. 1.0)
-  in
-  let w =
-    Tensor.init2 n k (fun _ _ -> Random.State.float rng 2.0 -. 1.0)
-  in
-  let qw = Tensor.Q.quantize_rows w in
-  Alcotest.(check (pair int int))
-    "dims" (n, k)
-    (Tensor.Q.rows qw, Tensor.Q.cols qw);
-  let scr = Tensor.Q.scratch ~rows:b ~cols:k in
-  let out = Tensor.zeros [| b; n |] in
-  Tensor.Q.matmul_qt_into ~scratch:scr out x qw;
-  let exact = Tensor.matmul_naive x (Tensor.transpose w) in
-  (* |q - x| <= scale/2 per operand; with k=48 unit-range terms the
-     product error stays well under 0.05 absolute *)
-  for i = 0 to b - 1 do
-    for j = 0 to n - 1 do
-      let d = Float.abs (Tensor.get2 out i j -. Tensor.get2 exact i j) in
-      if d > 0.05 then
-        Alcotest.failf "quantized error %.4f at (%d, %d)" d i j
-    done
-  done;
-  (* determinism: a second run is bitwise identical *)
-  let out2 = Tensor.zeros [| b; n |] in
-  Tensor.Q.matmul_qt_into ~scratch:scr out2 x qw;
-  Alcotest.check t_bits "deterministic" out out2;
-  (* the fused epilogue follows the same order as the float kernel *)
-  let bias = Tensor.row (random_matrix rng 1 n) 0 in
-  let residual = random_matrix rng b n in
-  let fused = Tensor.zeros [| b; n |] in
-  Tensor.Q.matmul_qt_into ~bias ~residual ~relu:true ~scratch:scr fused x qw;
-  Alcotest.check t_bits "fused = plain + epilogue"
-    (epilogue ~bias ~residual ~relu:true out)
-    fused
-
-let test_quantized_corruption_visible () =
-  (* corrupt_for_test must produce a divergence a certifier can see *)
-  let rng = rng 33 in
-  let b = 4 and k = 32 and n = 8 in
-  let x = Tensor.init2 b k (fun _ _ -> Random.State.float rng 2.0 -. 1.0) in
-  let w = Tensor.init2 n k (fun _ _ -> Random.State.float rng 2.0 -. 1.0) in
-  let qw = Tensor.Q.quantize_rows w in
-  let scr = Tensor.Q.scratch ~rows:b ~cols:k in
-  let before = Tensor.zeros [| b; n |] in
-  Tensor.Q.matmul_qt_into ~scratch:scr before x qw;
-  Tensor.Q.corrupt_for_test qw;
-  let after = Tensor.zeros [| b; n |] in
-  Tensor.Q.matmul_qt_into ~scratch:scr after x qw;
-  Alcotest.(check bool) "corruption changes the product" false
-    (bits_equal before after)
-
-let test_quantized_errors () =
-  let x = Tensor.zeros [| 4; 6 |] in
-  let qw = Tensor.Q.quantize_rows (Tensor.zeros [| 5; 6 |]) in
-  Alcotest.check_raises "scratch too small"
-    (Invalid_argument "Tensor.Q.matmul_qt_into: scratch too small")
-    (fun () ->
-      Tensor.Q.matmul_qt_into
-        ~scratch:(Tensor.Q.scratch ~rows:2 ~cols:6)
-        (Tensor.zeros [| 4; 5 |])
-        x qw);
-  Alcotest.check_raises "inner dims"
-    (Invalid_argument "Tensor.Q.matmul_qt_into: inner dims differ")
-    (fun () ->
-      Tensor.Q.matmul_qt_into
-        ~scratch:(Tensor.Q.scratch ~rows:4 ~cols:7)
-        (Tensor.zeros [| 4; 5 |])
-        (Tensor.zeros [| 4; 7 |])
-        qw)
-
 let test_stack_rows_errors () =
   Alcotest.check_raises "empty" (Invalid_argument "Tensor.stack_rows: empty")
     (fun () -> ignore (Tensor.stack_rows []));
@@ -477,14 +398,6 @@ let () =
         [
           Alcotest.test_case "floatarray round-trips copy" `Quick
             test_float_array_bridges;
-        ] );
-      ( "quantized",
-        [
-          Alcotest.test_case "int8 accuracy + fused epilogue" `Quick
-            test_quantized_accuracy;
-          Alcotest.test_case "corruption is visible" `Quick
-            test_quantized_corruption_visible;
-          Alcotest.test_case "quantized errors" `Quick test_quantized_errors;
         ] );
       ( "row-helpers",
         [
