@@ -1104,10 +1104,11 @@ let serve_bench () =
       let s = Nn.Infer.stats srv in
       if s.Nn.Infer.batches > 0 then
         Printf.printf
-          "      service: %d batches (%d full, %d timeout), %.1f rows/batch, \
-           largest %d, queue wait p50/p99 %.0f/%.0f us\n\
+          "      service: %d batches (%d full, %d quorum, %d timeout), %.1f \
+           rows/batch, largest %d, queue wait p50/p99 %.0f/%.0f us\n\
            %!"
-          s.Nn.Infer.batches s.Nn.Infer.full_flushes s.Nn.Infer.timeout_flushes
+          s.Nn.Infer.batches s.Nn.Infer.full_flushes s.Nn.Infer.quorum_flushes
+          s.Nn.Infer.timeout_flushes
           (float_of_int s.Nn.Infer.rows /. float_of_int s.Nn.Infer.batches)
           s.Nn.Infer.max_batch_rows s.Nn.Infer.wait_p50_us
           s.Nn.Infer.wait_p99_us;
@@ -1416,7 +1417,10 @@ let daemon_bench () =
       float_of_string (kv "infer_rows_per_batch"),
       float_of_string (kv "cache_hit_rate"),
       float_of_string (kv "infer_wait_p50_us"),
-      float_of_string (kv "infer_wait_p99_us") )
+      float_of_string (kv "infer_wait_p99_us"),
+      ( kv "infer_full_flushes",
+        kv "infer_quorum_flushes",
+        kv "infer_timeout_flushes" ) )
   in
   let results = Hashtbl.create 8 in
   List.iter
@@ -1428,7 +1432,7 @@ let daemon_bench () =
               (if coalesce then "coalesced" else "per-request")
               clients
           in
-          let wall, p50, p99, evals_s, rpb, hit_rate, w50, w99 =
+          let wall, p50, p99, evals_s, rpb, hit_rate, w50, w99, flushes =
             run_scenario ~coalesce ~clients
           in
           let rps = float_of_int total /. wall in
@@ -1457,7 +1461,13 @@ let daemon_bench () =
             "  %-18s %7.1f req/s  p50 %7.2f ms  p99 %7.2f ms  %8.0f leaf/s  \
              (%.0f%% cache)  %5.2f rows/batch  wait p50/p99 %.0f/%.0f us\n\
              %!"
-            name rps p50 p99 evals_s (hit_rate *. 100.0) rpb w50 w99)
+            name rps p50 p99 evals_s (hit_rate *. 100.0) rpb w50 w99;
+          if coalesce then begin
+            let full, quorum, timeout = flushes in
+            Printf.printf
+              "  %-18s flushes: %s full, %s quorum, %s timeout\n%!" ""
+              full quorum timeout
+          end)
         [ false; true ])
     [ 1; 4; 16 ];
   List.iter

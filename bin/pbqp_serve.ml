@@ -148,7 +148,9 @@ let daemon_cmd =
   let wait_us =
     Arg.(value & opt int Serve.Daemon.default_config.wait_us
          & info [ "wait-us" ] ~docv:"US"
-             ~doc:"partial inference batch age bound")
+             ~doc:"cap on a partial inference batch's age; a batch normally \
+                   flushes earlier, once every running search is waiting \
+                   on it")
   in
   let cache =
     Arg.(value & opt int Serve.Daemon.default_config.cache_capacity

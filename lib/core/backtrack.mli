@@ -46,4 +46,5 @@ val solve :
 (** Color the trail state from its root position.  [cache] and [serve]
     are forwarded to {!Game.make} — backtracking revisits tree ancestors,
     so repeated leaf evaluations short-circuit, and wave evaluations can
-    coalesce across pool workers. *)
+    coalesce across pool workers.  With [serve] the whole search runs
+    inside {!Nn.Infer.with_search}. *)

@@ -5,13 +5,28 @@
    far below the batch sizes where the tiled kernel pays off.  The
    service coalesces waves across workers: a submitter enqueues its
    prepared leaves as a *ticket* and blocks; whichever submitter first
-   observes a full batch (>= max_batch rows pending) or an expired wait
-   (head ticket older than wait_us) takes the floating *server* role,
-   drains a version-uniform FIFO prefix of tickets, runs ONE coalesced
+   observes a flush condition takes the floating *server* role, drains a
+   version-uniform FIFO prefix of tickets, runs ONE coalesced
    [predict_prepared] over the concatenated leaves, and hands each
    ticket its result slice.  No domain is dedicated to serving — with
    j workers all j keep doing search work, and the role costs exactly
    the predict the worker was going to block on anyway.
+
+   Flush rules, checked in this order whenever no server is running:
+   - full: the queued tickets hold >= max_batch rows;
+   - quorum: at least one search is registered ([with_search]) and at
+     least as many tickets are queued as searches are registered — every
+     running search is parked, so nobody else can add a row;
+   - timeout: the head ticket has aged wait_us.  This is a cap, not a
+     knob: it fires for unregistered submitters (the trainer) and for a
+     registered search that is busy outside its wave.
+   Registration is a count, not a set of identities: a search holds one
+   ticket at a time (submit blocks), and while no server runs every
+   unanswered ticket is still queued, so the queue length is the number
+   of parked searches.  A parked submitter rechecks the rules after
+   every sleep slice (at most 50 µs), so a search that leaves and
+   thereby completes the quorum of those still parked releases them
+   within one slice, not at the timer.
 
    Determinism.  Every output row of the batched trunk/heads GEMMs and
    per-row LayerNorms depends only on its own input row, so a leaf's
@@ -52,6 +67,7 @@ type stats = {
   batches : int;
   rows : int;
   full_flushes : int;
+  quorum_flushes : int;
   timeout_flushes : int;
   max_batch_rows : int;
   waits : int;
@@ -104,9 +120,12 @@ type t = {
   workers : int;
   mutable pending_rows : int [@guarded_by "mutex"];
   mutable serving : bool [@guarded_by "mutex"];
+  mutable active : int [@guarded_by "mutex"];
+      (* searches inside [with_search] *)
   mutable s_batches : int [@guarded_by "mutex"];
   mutable s_rows : int [@guarded_by "mutex"];
   mutable s_full : int [@guarded_by "mutex"];
+  mutable s_quorum : int [@guarded_by "mutex"];
   mutable s_timeout : int [@guarded_by "mutex"];
   mutable s_max_rows : int [@guarded_by "mutex"];
   mutable s_waits : int [@guarded_by "mutex"];
@@ -129,9 +148,11 @@ let create ?(max_batch = 32) ?(wait_us = 200) ~workers () =
     workers;
     pending_rows = 0;
     serving = false;
+    active = 0;
     s_batches = 0;
     s_rows = 0;
     s_full = 0;
+    s_quorum = 0;
     s_timeout = 0;
     s_max_rows = 0;
     s_waits = 0;
@@ -154,6 +175,7 @@ let stats t =
       batches = t.s_batches;
       rows = t.s_rows;
       full_flushes = t.s_full;
+      quorum_flushes = t.s_quorum;
       timeout_flushes = t.s_timeout;
       max_batch_rows = t.s_max_rows;
       waits = t.s_waits;
@@ -192,14 +214,24 @@ let drain_batch t =
   (List.rev !batch, !brows)
 [@@requires_lock "mutex"]
 
+type flush = Full | Quorum | Timeout
+
+(* Called with the lock held and no server running: every registered
+   search has a ticket queued. *)
+let quorum t = t.active > 0 && Queue.length t.queue >= t.active
+[@@requires_lock "mutex"]
+
 (* Called with the lock held; returns with the lock held.  Runs one
    coalesced batch (the network call itself happens unlocked). *)
-let serve t ~full =
+let serve t why =
   let batch, brows = drain_batch t in
   t.serving <- true;
   t.s_batches <- t.s_batches + 1;
   t.s_rows <- t.s_rows + brows;
-  if full then t.s_full <- t.s_full + 1 else t.s_timeout <- t.s_timeout + 1;
+  (match why with
+  | Full -> t.s_full <- t.s_full + 1
+  | Quorum -> t.s_quorum <- t.s_quorum + 1
+  | Timeout -> t.s_timeout <- t.s_timeout + 1);
   if brows > t.s_max_rows then t.s_max_rows <- brows;
   Mutex.unlock t.mutex;
   let outcome =
@@ -289,34 +321,46 @@ let submit t ~net preps =
                 loop spin
               end
               else begin
-                let full = t.pending_rows >= t.max_batch in
                 let now = Unix.gettimeofday () in
-                let timed_out =
+                let age =
                   match Queue.peek_opt t.queue with
-                  | Some head -> now -. head.t_enqueued >= t.wait_s
-                  | None -> false
+                  | Some head -> now -. head.t_enqueued
+                  | None -> 0.0
                 in
-                if (full || timed_out) && not (Queue.is_empty t.queue) then begin
-                  serve t ~full;
-                  loop spin
-                end
-                else begin
-                  (* nothing to serve yet: sleep a slice bounded by the
-                     remaining wait, then recheck (no timed Condition
-                     wait in OCaml); a newly arriving submitter that
-                     fills the batch will serve it itself *)
-                  let remaining =
-                    match Queue.peek_opt t.queue with
-                    | Some head -> t.wait_s -. (now -. head.t_enqueued)
-                    | None -> t.wait_s
-                  in
-                  Mutex.unlock t.mutex;
-                  if spin < 32 then Domain.cpu_relax ()
-                  else Unix.sleepf (Float.max 1e-6 (Float.min remaining 5e-5));
-                  Mutex.lock t.mutex;
-                  loop (spin + 1)
-                end
+                let flush =
+                  if Queue.is_empty t.queue then None
+                  else if t.pending_rows >= t.max_batch then Some Full
+                  else if quorum t then Some Quorum
+                  else if age >= t.wait_s then Some Timeout
+                  else None
+                in
+                match flush with
+                | Some why ->
+                    serve t why;
+                    loop spin
+                | None ->
+                    (* nothing to serve yet: sleep a slice bounded by the
+                       remaining wait, then recheck (no timed Condition
+                       wait in OCaml); a newly arriving submitter that
+                       fills the batch or completes the quorum will serve
+                       it itself *)
+                    Mutex.unlock t.mutex;
+                    if spin < 32 then Domain.cpu_relax ()
+                    else
+                      Unix.sleepf
+                        (Float.max 1e-6 (Float.min (t.wait_s -. age) 5e-5));
+                    Mutex.lock t.mutex;
+                    loop (spin + 1)
               end)
     in
     loop 0
   end
+
+let with_search t f =
+  let register delta =
+    Mutex.lock t.mutex;
+    t.active <- t.active + delta;
+    Mutex.unlock t.mutex
+  in
+  register 1;
+  Fun.protect f ~finally:(fun () -> register (-1))

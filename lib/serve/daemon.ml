@@ -458,6 +458,7 @@ let stats_kvs t =
           ("infer_batches", string_of_int s.Nn.Infer.batches);
           ("infer_rows", string_of_int s.Nn.Infer.rows);
           ("infer_full_flushes", string_of_int s.Nn.Infer.full_flushes);
+          ("infer_quorum_flushes", string_of_int s.Nn.Infer.quorum_flushes);
           ("infer_timeout_flushes", string_of_int s.Nn.Infer.timeout_flushes);
           ("infer_max_batch_rows", string_of_int s.Nn.Infer.max_batch_rows);
           ( "infer_rows_per_batch",

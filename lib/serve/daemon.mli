@@ -30,7 +30,9 @@ type config = {
   workers : int;  (** solver domains (the {!Par.Pool} size) *)
   queue_cap : int;  (** admission bound; beyond it: [overloaded] *)
   max_batch : int;  (** {!Nn.Infer} coalesced-batch row budget *)
-  wait_us : int;  (** {!Nn.Infer} partial-batch age bound *)
+  wait_us : int;
+      (** {!Nn.Infer} partial-batch age cap; a batch normally flushes
+          earlier, once every running search has a ticket parked *)
   cache_capacity : int;  (** shared eval cache entries; [0] disables *)
   coalesce : bool;
       (** [false] is the per-request ablation: no shared {!Nn.Infer}, no

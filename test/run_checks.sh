@@ -9,8 +9,9 @@ echo "== dune build =="
 dune build
 
 echo "== dune build @quick =="
-# sub-minute inner-loop suites (tensor/nn equivalence, MCTS, pbqp); the
-# full matrix follows, this just fails fast on the cheap ones
+# sub-minute inner-loop suites (tensor/nn equivalence, MCTS, pbqp, the
+# Nn.Infer ticket protocol); the full matrix follows, this just fails
+# fast on the cheap ones
 dune build @quick
 
 echo "== dune build @analyze =="
@@ -55,15 +56,16 @@ dune build @exact
 
 echo "== dune build @serve =="
 # inference-service equivalence suite: the Nn.Infer ticket protocol
-# (coalescing, timeout flushes, first-exn), striped-cache consistency
-# under domains, and bitwise episodes/training runs across
-# {direct, service} x pool sizes x {cache off, on}
+# (full, quorum and timeout flushes, search registration, first-exn),
+# striped-cache consistency under domains, and bitwise episodes/training
+# runs across {direct, service} x pool sizes x {cache off, on}
 dune build @serve
 
 echo "== dune build @daemon =="
 # allocation-service suite: the Serve.Wire codec and malformed-frame
 # rejection, daemon admission control, deadlines, hot-reload, the
-# 4-concurrent-clients-bitwise-=-serial determinism claim, and the
+# 4-concurrent-clients-bitwise-=-serial determinism claim (every Infer
+# batch accounted to the full, quorum or timeout flush rule), and the
 # poisoned-batch Nn.Infer regression
 dune build @daemon
 

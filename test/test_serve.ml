@@ -1,8 +1,9 @@
 (* Tests for the cross-worker dynamic-batching inference service
    (Nn.Infer) and the shared striped evaluation cache (Nn.Stripedcache):
    ticket-protocol semantics (single-worker fast path, full-batch
-   coalescing, timeout flushes, oversized waves never split, first-exn
-   propagation to every submitter of a failed batch), bitwise episode
+   coalescing, timeout flushes, quorum flushes of registered searches,
+   oversized waves never split, first-exn propagation to every
+   submitter of a failed batch), bitwise episode
    equivalence across {direct, service} x pool sizes x {cache off, on},
    striped-cache consistency under concurrent domains, and a whole
    training run with the service on vs off. *)
@@ -212,6 +213,112 @@ let test_poisoned_batch_releases_every_waiter () =
       let s = Nn.Infer.stats srv in
       Alcotest.(check bool) "batches kept being served" true
         (s.Nn.Infer.batches >= 2))
+
+(* Spin until [n] parties have arrived at [count]. *)
+let barrier count n =
+  Atomic.incr count;
+  while Atomic.get count < n do
+    Domain.cpu_relax ()
+  done
+
+(* The quorum rule, deterministically: k registered searches each park
+   one ticket after a barrier, so the k-th arrival completes the quorum.
+   The row budget and the 5 s cap are out of reach, so exactly one batch
+   of all k tickets forms and it can only be a quorum flush. *)
+let test_quorum_flushes_lockstepped_searches () =
+  let m = 3 in
+  let base = tiny_net ~m () in
+  List.iter
+    (fun k ->
+      with_pool ~domains:k (fun pool ->
+          let replicas =
+            Array.init k (fun w -> if w = 0 then base else Nn.Pvnet.clone base)
+          in
+          let waves =
+            Array.init k (fun i ->
+                wave base (random_graph ~seed:(80 + i) ~n:5 ~m))
+          in
+          let rows = Array.fold_left (fun a w -> a + Array.length w) 0 waves in
+          let srv =
+            Nn.Infer.create ~max_batch:(rows + 1) ~wait_us:5_000_000
+              ~workers:k ()
+          in
+          let registered = Atomic.make 0 in
+          let served =
+            Par.Pool.map pool (Array.init k Fun.id) ~f:(fun ~worker i ->
+                Nn.Infer.with_search srv (fun () ->
+                    barrier registered k;
+                    Nn.Infer.submit srv ~net:replicas.(worker) waves.(i)))
+          in
+          Array.iteri
+            (fun i r ->
+              check_results
+                (Printf.sprintf "k=%d wave %d = direct (bitwise)" k i)
+                (Nn.Pvnet.predict_prepared base waves.(i))
+                r)
+            served;
+          let s = Nn.Infer.stats srv in
+          let label what = Printf.sprintf "k=%d: %s" k what in
+          Alcotest.(check int) (label "one batch") 1 s.Nn.Infer.batches;
+          Alcotest.(check int) (label "k tickets in it") k s.Nn.Infer.waits;
+          Alcotest.(check int) (label "all rows in it") rows s.Nn.Infer.rows;
+          Alcotest.(check int) (label "quorum flush") 1
+            s.Nn.Infer.quorum_flushes;
+          Alcotest.(check int) (label "no full flush") 0
+            s.Nn.Infer.full_flushes;
+          Alcotest.(check int) (label "no timeout flush") 0
+            s.Nn.Infer.timeout_flushes))
+    [ 2; 4 ]
+
+(* A registered search whose batch fails re-raises out of [with_search]
+   and is deregistered: the next lone registered search is its own
+   quorum and never waits for the 5 s cap. *)
+let test_failed_search_deregisters () =
+  let m = 3 in
+  let net = tiny_net ~m () in
+  let preps = wave net (random_graph ~seed:91 ~n:5 ~m) in
+  let srv = Nn.Infer.create ~max_batch:64 ~wait_us:5_000_000 ~workers:2 () in
+  let exception Poison in
+  Nn.Infer.poison_next_batch_for_test srv Poison;
+  (match
+     Nn.Infer.with_search srv (fun () -> Nn.Infer.submit srv ~net preps)
+   with
+  | _ -> Alcotest.fail "poisoned batch returned"
+  | exception Poison -> ());
+  check_results "lone registered search after a failure"
+    (Nn.Pvnet.predict_prepared net preps)
+    (Nn.Infer.with_search srv (fun () -> Nn.Infer.submit srv ~net preps));
+  let s = Nn.Infer.stats srv in
+  Alcotest.(check int) "both batches by quorum" 2 s.Nn.Infer.quorum_flushes;
+  Alcotest.(check int) "no timeout flush" 0 s.Nn.Infer.timeout_flushes
+
+(* Two registered searches; A parks a ticket, B leaves without ever
+   submitting.  B's release completes A's quorum, so A is served well
+   before the 5 s cap. *)
+let test_leave_completes_quorum () =
+  let m = 3 in
+  let net = tiny_net ~m () in
+  let preps = wave net (random_graph ~seed:93 ~n:5 ~m) in
+  let srv = Nn.Infer.create ~max_batch:64 ~wait_us:5_000_000 ~workers:2 () in
+  let registered = Atomic.make 0 in
+  let b =
+    Domain.spawn (fun () ->
+        Nn.Infer.with_search srv (fun () ->
+            barrier registered 2;
+            (* give A time to park; if it has not yet, A arrives alone
+               and is its own quorum — served by quorum either way *)
+            Unix.sleepf 0.05))
+  in
+  let r =
+    Nn.Infer.with_search srv (fun () ->
+        barrier registered 2;
+        Nn.Infer.submit srv ~net preps)
+  in
+  Domain.join b;
+  check_results "A's wave = direct" (Nn.Pvnet.predict_prepared net preps) r;
+  let s = Nn.Infer.stats srv in
+  Alcotest.(check int) "served by quorum" 1 s.Nn.Infer.quorum_flushes;
+  Alcotest.(check int) "not by the timer" 0 s.Nn.Infer.timeout_flushes
 
 let test_infer_validations () =
   Alcotest.check_raises "max_batch positive"
@@ -452,6 +559,12 @@ let () =
             `Quick test_server_exception_propagates;
           Alcotest.test_case "poisoned batch releases every waiter" `Quick
             test_poisoned_batch_releases_every_waiter;
+          Alcotest.test_case "quorum flushes lock-stepped searches" `Quick
+            test_quorum_flushes_lockstepped_searches;
+          Alcotest.test_case "failed search deregisters" `Quick
+            test_failed_search_deregisters;
+          Alcotest.test_case "leave completes the quorum" `Quick
+            test_leave_completes_quorum;
           Alcotest.test_case "validations" `Quick test_infer_validations;
         ] );
       ( "episodes",
