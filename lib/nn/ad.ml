@@ -77,6 +77,9 @@ let mv m v =
       accum m (Tensor.outer g v.value);
       accum v (Tensor.tmv m.value g))
 
+let linear ~apply ~transpose x =
+  node (apply x.value) [| x |] (fun g -> accum x (transpose g))
+
 let matmul a b =
   node (Tensor.matmul a.value b.value)
     [| a; b |]

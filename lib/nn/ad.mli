@@ -48,6 +48,15 @@ val tanh_ : t -> t
 val mv : t -> t -> t
 (** Matrix–vector product. *)
 
+val linear :
+  apply:(Tensor.t -> Tensor.t) -> transpose:(Tensor.t -> Tensor.t) -> t -> t
+(** [linear ~apply ~transpose x] is [A x] for a constant linear map [A]
+    given by its action, [apply v = A v], and its transpose's,
+    [transpose g = Aᵀ g].  Gradient flows to [x] only: unlike {!mv} on a
+    {!const} matrix, no [m × m] gradient is formed for [A].  With
+    [apply = Tensor.mv a] and [transpose = Tensor.tmv a] it is bitwise
+    [mv (const a) x], value and [x]'s gradient. *)
+
 val matmul : t -> t -> t
 val sum : t -> t
 (** → scalar node. *)

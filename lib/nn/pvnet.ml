@@ -28,6 +28,15 @@ type buffers = {
   svalues : Tensor.t;  (* B × 1 *)
 }
 
+(* A memoized message matrix φ(M)/m.  On the 0/∞ ATE family nearly
+   every edge matrix is a·J + diag(d): one value off the diagonal.  Such
+   a matrix is kept as m + 1 floats, [d_0 … d_{m-1}] then [a], and its
+   rows are summed from shared prefixes; every other matrix (and every
+   matrix at m = 1) is kept [Dense]. *)
+type msg =
+  | Dense of Tensor.t  (* m × m *)
+  | Jdiag of floatarray  (* d_0 … d_{m-1}, a *)
+
 (* Flat CSR scratch for the GCN message pass of [prepare]: per call one
    vertex index, the neighbour rows in increasing order and the resolved
    message matrices, shared by every GCN layer, plus the embedding
@@ -41,10 +50,11 @@ type csr = {
   mutable off : int array;  (* row r's edges are [off.(r), off.(r + 1)) *)
   mutable nbr : int array;  (* edge ↦ neighbour row *)
   mutable emat : Mat.t array;  (* edge ↦ the graph's matrix (fill only) *)
-  mutable msg : floatarray array;  (* edge ↦ message matrix, m × m *)
+  mutable msg : msg array;  (* edge ↦ message matrix *)
   mutable h : Tensor.t;  (* cap × m  embeddings, updated in place *)
   mutable hs : Tensor.t;  (* cap × m  self transforms *)
   mutable hm : Tensor.t;  (* cap × m  neighbour means *)
+  pk : floatarray;  (* m  a·h_u of the current [Jdiag] edge *)
 }
 
 type arena = {
@@ -71,8 +81,8 @@ end)
    graphs (every [Graph.copy] mints fresh ids) age out within two
    generations. *)
 type msg_cache = {
-  mutable young : Tensor.t Idtbl.t;
-  mutable old : Tensor.t Idtbl.t;
+  mutable young : msg Idtbl.t;
+  mutable old : msg Idtbl.t;
 }
 
 type t = {
@@ -124,6 +134,7 @@ let create ~rng config =
             h = Tensor.zeros [| 1; m |];
             hs = Tensor.zeros [| 1; m |];
             hm = Tensor.zeros [| 1; m |];
+            pk = Float.Array.make m 0.0;
           };
         bufs = Hashtbl.create 8;
         packs = Hashtbl.create 8;
@@ -214,25 +225,41 @@ let vertex_features t vec =
    never misses once warm; this one holds the directed edges of all eight
    PRO residuals at once (10 278; PRO8 alone: 2130).  The bound is the
    memory: a daemon replica fills both generations with entries of dead
-   request graphs, about 32 MiB of message matrices at m = 13. *)
+   request graphs.  At m = 13 that is about 4 MiB when the entries are
+   [Jdiag] (the 0/∞ family) and about 34 MiB when they are [Dense]. *)
 let msg_generation = 12288
 
 (* Message matrix from u into v: [Graph.edge g v u] is already oriented
    with v's colors as rows and u's as columns, so [mv] maps u-space
    features into v-space.  Entries become soft compatibilities, scaled by
-   1/m so message magnitudes stay bounded. *)
+   1/m so message magnitudes stay bounded.  Classified straight from the
+   costs: [Jdiag] when every off-diagonal cell has the bits of cell
+   (0, 1), with an early exit at the first that does not. *)
+let classify config mat =
+  let m = config.m and scale = config.cost_scale in
+  let cell i j = phi_cost scale (Mat.get mat i j) /. float_of_int m in
+  let a = if m > 1 then cell 0 1 else 0.0 in
+  let rec off_equal i j =
+    if i = m then true
+    else if j = m then off_equal (i + 1) 0
+    else
+      (i = j
+      || Int64.equal (Int64.bits_of_float (cell i j)) (Int64.bits_of_float a))
+      && off_equal i (j + 1)
+  in
+  if m > 1 && off_equal 0 0 then
+    Jdiag (Float.Array.init (m + 1) (fun i -> if i < m then cell i i else a))
+  else Dense (Tensor.init2 m m cell)
+
 let message_matrix t mat =
   let c = t.msg_cache and id = Mat.id mat in
   match Idtbl.find_opt c.young id with
   | Some cached -> cached
   | None ->
-      let tensor =
+      let entry =
         match Idtbl.find_opt c.old id with
         | Some cached -> cached
-        | None ->
-            let m = t.config.m and scale = t.config.cost_scale in
-            Tensor.init2 m m (fun i j ->
-                phi_cost scale (Mat.get mat i j) /. float_of_int m)
+        | None -> classify t.config mat
       in
       if Idtbl.length c.young >= msg_generation then begin
         let dropped = c.old in
@@ -240,8 +267,45 @@ let message_matrix t mat =
         c.old <- c.young;
         c.young <- dropped
       end;
-      Idtbl.replace c.young id tensor;
-      tensor
+      Idtbl.replace c.young id entry;
+      entry
+
+(* The tape's message op, [Ad.mv] on the expanded matrix bit for bit
+   without expanding it: a [Jdiag] row is [Tensor.mv]'s sum over the same
+   cells, the transpose is [Tensor.tmv]'s (zero-skip included), and no
+   gradient is formed for the constant matrix. *)
+let jdiag_cell jd i j =
+  if i = j then Float.Array.get jd i
+  else Float.Array.get jd (Float.Array.length jd - 1)
+
+let jdiag_mv jd h =
+  let m = Tensor.dim1 h and hd = Tensor.data h in
+  Tensor.init1 m (fun i ->
+      let acc = ref 0.0 in
+      for k = 0 to m - 1 do
+        acc := !acc +. (jdiag_cell jd i k *. Float.Array.get hd k)
+      done;
+      !acc)
+
+let jdiag_tmv jd g =
+  let m = Tensor.dim1 g and gd = Tensor.data g in
+  let out = Tensor.zeros [| m |] in
+  let od = Tensor.data out in
+  for i = 0 to m - 1 do
+    let gi = Float.Array.get gd i in
+    if gi <> 0.0 then
+      for j = 0 to m - 1 do
+        Float.Array.set od j (Float.Array.get od j +. (jdiag_cell jd i j *. gi))
+      done
+  done;
+  out
+
+let is_jdiag = function Jdiag _ -> true | Dense _ -> false
+
+let message_apply entry x =
+  match entry with
+  | Dense a -> Ad.linear ~apply:(Tensor.mv a) ~transpose:(Tensor.tmv a) x
+  | Jdiag jd -> Ad.linear ~apply:(jdiag_mv jd) ~transpose:(jdiag_tmv jd) x
 
 (* --- Forward --------------------------------------------------------- *)
 
@@ -269,7 +333,7 @@ let forward t ctx g ~next =
                   List.map
                     (fun u ->
                       let mvu = Option.get (Graph.edge_ref g v u) in
-                      Ad.mv (Ad.const (message_matrix t mvu)) (Hashtbl.find h u))
+                      message_apply (message_matrix t mvu) (Hashtbl.find h u))
                     ns
                 in
                 Ad.add self
@@ -394,7 +458,7 @@ let layernorm_rows_into (ln : Layer.Layernorm.t) x out =
 (* --- GCN message pass over the flat CSR scratch ----------------------- *)
 
 let no_mat = Mat.zero ~rows:1 ~cols:1
-let no_msg = Float.Array.create 0
+let no_msg = Jdiag (Float.Array.create 0)
 
 (* Index the live vertices and size every CSR buffer for [g]: rows in
    increasing vertex id, [off] from the degrees.  Growth is geometric,
@@ -449,8 +513,7 @@ let csr_fill t g =
     for e = lo to hi - 1 do
       Array.unsafe_set c.nbr e
         (Array.unsafe_get c.row_of (Array.unsafe_get c.nbr e));
-      Array.unsafe_set c.msg e
-        (Tensor.data (message_matrix t (Array.unsafe_get c.emat e)))
+      Array.unsafe_set c.msg e (message_matrix t (Array.unsafe_get c.emat e))
     done;
     let cost = Graph.cost g v in
     for i = 0 to m - 1 do
@@ -459,57 +522,147 @@ let csr_fill t g =
   done
 [@@hot]
 
+(* Row i of the [Jdiag] message a·J + diag(d) applied to h_u (at [hu]
+   in [hd]), added into [hmd] at [orow + i], for every i.  [Tensor.mv]
+   sums row i as ((0.0 + p_0) + …) + p_{i-1}, then + d_i·h_u,i, then
+   + p_{i+1} … + p_{m-1}, with p_k = a·h_u,k; so each p_k is computed
+   once into [pk], the running prefix P_i is shared by all later rows,
+   and each row finishes with its diagonal term and its own ascending
+   suffix — the same float operations in the same order as the dense
+   kernel, without loading a matrix.  Four rows per pass over the suffix,
+   as in the dense kernel. *)
+let jdiag_message ~m jd pk hd hu hmd orow =
+  let a = Float.Array.unsafe_get jd m in
+  for k = 0 to m - 1 do
+    Float.Array.unsafe_set pk k (a *. Float.Array.unsafe_get hd (hu + k))
+  done;
+  let pre = ref 0.0 in
+  let i = ref 0 in
+  while !i + 4 <= m do
+    let i0 = !i in
+    let p0 = Float.Array.unsafe_get pk i0 in
+    let p1 = Float.Array.unsafe_get pk (i0 + 1) in
+    let p2 = Float.Array.unsafe_get pk (i0 + 2) in
+    let p3 = Float.Array.unsafe_get pk (i0 + 3) in
+    let s1 = !pre +. p0 in
+    let s2 = s1 +. p1 in
+    let s3 = s2 +. p2 in
+    let t0 =
+      ref
+        (!pre
+        +. (Float.Array.unsafe_get jd i0 *. Float.Array.unsafe_get hd (hu + i0))
+        +. p1 +. p2 +. p3)
+    in
+    let t1 =
+      ref
+        (s1
+        +. Float.Array.unsafe_get jd (i0 + 1)
+           *. Float.Array.unsafe_get hd (hu + i0 + 1)
+        +. p2 +. p3)
+    in
+    let t2 =
+      ref
+        (s2
+        +. Float.Array.unsafe_get jd (i0 + 2)
+           *. Float.Array.unsafe_get hd (hu + i0 + 2)
+        +. p3)
+    in
+    let t3 =
+      ref
+        (s3
+        +. Float.Array.unsafe_get jd (i0 + 3)
+           *. Float.Array.unsafe_get hd (hu + i0 + 3))
+    in
+    pre := s3 +. p3;
+    for k = i0 + 4 to m - 1 do
+      let p = Float.Array.unsafe_get pk k in
+      t0 := !t0 +. p;
+      t1 := !t1 +. p;
+      t2 := !t2 +. p;
+      t3 := !t3 +. p
+    done;
+    let o = orow + i0 in
+    Float.Array.unsafe_set hmd o (Float.Array.unsafe_get hmd o +. !t0);
+    Float.Array.unsafe_set hmd (o + 1)
+      (Float.Array.unsafe_get hmd (o + 1) +. !t1);
+    Float.Array.unsafe_set hmd (o + 2)
+      (Float.Array.unsafe_get hmd (o + 2) +. !t2);
+    Float.Array.unsafe_set hmd (o + 3)
+      (Float.Array.unsafe_get hmd (o + 3) +. !t3);
+    i := i0 + 4
+  done;
+  while !i < m do
+    let i0 = !i in
+    let t =
+      ref
+        (!pre
+        +. (Float.Array.unsafe_get jd i0 *. Float.Array.unsafe_get hd (hu + i0)))
+    in
+    pre := !pre +. Float.Array.unsafe_get pk i0;
+    for k = i0 + 1 to m - 1 do
+      t := !t +. Float.Array.unsafe_get pk k
+    done;
+    let o = orow + i0 in
+    Float.Array.unsafe_set hmd o (Float.Array.unsafe_get hmd o +. !t);
+    i := i0 + 1
+  done
+[@@hot]
+
 (* Row r of [hm] ← the mean over r's neighbours u of M_ru · h_u, for the
-   first [rows] rows; rows without neighbours are zeroed.  Each M·h is
-   computed four output rows per pass over h_u, but every output still
-   sums its own products in ascending k from 0.0 — exactly [Tensor.mv] —
-   and is then added to the row's accumulator in neighbour order and
-   scaled by 1/deg, exactly [add_into] + [Tensor.scale]: bit-identical
-   to the scalar [forward]'s mean of [Ad.mv] messages. *)
-let message_pass ~m ~rows ~off ~nbr ~msg hd hmd =
+   first [rows] rows; rows without neighbours are zeroed.  A [Dense] M·h
+   is computed four output rows per pass over h_u, but every output still
+   sums its own products in ascending k from 0.0 — exactly [Tensor.mv];
+   a [Jdiag] one runs [jdiag_message].  Each message is then added to the
+   row's accumulator in neighbour order and scaled by 1/deg, exactly
+   [add_into] + [Tensor.scale]: bit-identical to the scalar [forward]'s
+   mean of messages. *)
+let message_pass ~m ~rows ~off ~nbr ~msg ~pk hd hmd =
   for r = 0 to rows - 1 do
     let orow = r * m in
     Float.Array.fill hmd orow m 0.0;
     let lo = Array.unsafe_get off r and hi = Array.unsafe_get off (r + 1) in
     for e = lo to hi - 1 do
-      let md = Array.unsafe_get msg e in
       let hu = Array.unsafe_get nbr e * m in
-      let i = ref 0 in
-      while !i + 4 <= m do
-        let i0 = !i in
-        let b0 = i0 * m in
-        let b1 = b0 + m in
-        let b2 = b1 + m in
-        let b3 = b2 + m in
-        let t0 = ref 0.0 and t1 = ref 0.0 and t2 = ref 0.0 and t3 = ref 0.0 in
-        for k = 0 to m - 1 do
-          let x = Float.Array.unsafe_get hd (hu + k) in
-          t0 := !t0 +. (Float.Array.unsafe_get md (b0 + k) *. x);
-          t1 := !t1 +. (Float.Array.unsafe_get md (b1 + k) *. x);
-          t2 := !t2 +. (Float.Array.unsafe_get md (b2 + k) *. x);
-          t3 := !t3 +. (Float.Array.unsafe_get md (b3 + k) *. x)
-        done;
-        let o = orow + i0 in
-        Float.Array.unsafe_set hmd o (Float.Array.unsafe_get hmd o +. !t0);
-        Float.Array.unsafe_set hmd (o + 1)
-          (Float.Array.unsafe_get hmd (o + 1) +. !t1);
-        Float.Array.unsafe_set hmd (o + 2)
-          (Float.Array.unsafe_get hmd (o + 2) +. !t2);
-        Float.Array.unsafe_set hmd (o + 3)
-          (Float.Array.unsafe_get hmd (o + 3) +. !t3);
-        i := i0 + 4
-      done;
-      while !i < m do
-        let b = !i * m in
-        let acc = ref 0.0 in
-        for k = 0 to m - 1 do
-          let x = Float.Array.unsafe_get hd (hu + k) in
-          acc := !acc +. (Float.Array.unsafe_get md (b + k) *. x)
-        done;
-        let o = orow + !i in
-        Float.Array.unsafe_set hmd o (Float.Array.unsafe_get hmd o +. !acc);
-        incr i
-      done
+      match Array.unsafe_get msg e with
+      | Jdiag jd -> jdiag_message ~m jd pk hd hu hmd orow
+      | Dense a ->
+          let md = Tensor.data a in
+          let i = ref 0 in
+          while !i + 4 <= m do
+            let i0 = !i in
+            let b0 = i0 * m in
+            let b1 = b0 + m in
+            let b2 = b1 + m in
+            let b3 = b2 + m in
+            let t0 = ref 0.0 and t1 = ref 0.0 and t2 = ref 0.0 and t3 = ref 0.0 in
+            for k = 0 to m - 1 do
+              let x = Float.Array.unsafe_get hd (hu + k) in
+              t0 := !t0 +. (Float.Array.unsafe_get md (b0 + k) *. x);
+              t1 := !t1 +. (Float.Array.unsafe_get md (b1 + k) *. x);
+              t2 := !t2 +. (Float.Array.unsafe_get md (b2 + k) *. x);
+              t3 := !t3 +. (Float.Array.unsafe_get md (b3 + k) *. x)
+            done;
+            let o = orow + i0 in
+            Float.Array.unsafe_set hmd o (Float.Array.unsafe_get hmd o +. !t0);
+            Float.Array.unsafe_set hmd (o + 1)
+              (Float.Array.unsafe_get hmd (o + 1) +. !t1);
+            Float.Array.unsafe_set hmd (o + 2)
+              (Float.Array.unsafe_get hmd (o + 2) +. !t2);
+            Float.Array.unsafe_set hmd (o + 3)
+              (Float.Array.unsafe_get hmd (o + 3) +. !t3);
+            i := i0 + 4
+          done;
+          while !i < m do
+            let b = !i * m in
+            let acc = ref 0.0 in
+            for k = 0 to m - 1 do
+              let x = Float.Array.unsafe_get hd (hu + k) in
+              acc := !acc +. (Float.Array.unsafe_get md (b + k) *. x)
+            done;
+            let o = orow + !i in
+            Float.Array.unsafe_set hmd o (Float.Array.unsafe_get hmd o +. !acc);
+            incr i
+          done
     done;
     if hi > lo then begin
       let s = 1.0 /. float_of_int (hi - lo) in
@@ -550,7 +703,7 @@ let readout_row t g ~next =
       Tensor.matmul_packed_prefix_into ~rows
         ~bias:w_self.Layer.Linear.b.Var.value ~residual:None ~relu:false c.hs
         c.h (packed_of t w_self);
-      message_pass ~m ~rows ~off:c.off ~nbr:c.nbr ~msg:c.msg hd
+      message_pass ~m ~rows ~off:c.off ~nbr:c.nbr ~msg:c.msg ~pk:c.pk hd
         (Tensor.data c.hm);
       Tensor.matmul_packed_prefix_into ~rows
         ~bias:w_msg.Layer.Linear.b.Var.value ~residual:(Some c.hs) ~relu:true

@@ -114,6 +114,29 @@ val eval_count : t -> int
 
 val reset_eval_count : t -> unit
 
+(** {1 Message matrices}
+
+    The GCN's message from [u] into [v] applies [φ(M)/m] to [h_u], where
+    [M] is the edge matrix oriented with [v]'s colors as rows.  On the
+    0/∞ ATE family nearly every such matrix is [a·J + diag(d)] — one
+    value everywhere off the diagonal — and is kept as [m + 1] floats;
+    every other matrix is kept dense.  Both forwards memoize the
+    classified matrix per [Mat.id]. *)
+
+type msg
+
+val classify : config -> Pbqp.Mat.t -> msg
+(** The message matrix of an edge matrix, not memoized: the
+    [a·J + diag(d)] form when [m > 1] and every off-diagonal cell of
+    [φ(M)/m] has the same bits, dense otherwise. *)
+
+val is_jdiag : msg -> bool
+
+val message_apply : msg -> Ad.t -> Ad.t
+(** The tape op {!predict} and {!loss} run per edge: bitwise [Ad.mv]
+    on the constant dense matrix, in value and in [h]'s gradient,
+    without expanding the matrix or forming its gradient. *)
+
 (** {1 Training} *)
 
 type sample = {

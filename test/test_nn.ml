@@ -507,38 +507,236 @@ let test_prepared_bitwise_real_sizes () =
         (interleave (List.map sample_states graphs)))
     [ 2; 9; 13 ]
 
-(* states a search visits on the PRO1 and PRO4 residuals (m = 13): the
-   root and every few moves down a legal path *)
-let test_prepared_bitwise_pro () =
+(* A PRO residual (m = 13) and the states a search visits on it: the
+   root and every few moves down a legal path. *)
+let pro_residual i =
   let machine = Ate.Machine.default in
-  let residual i =
-    let g =
-      (Ate.Pbqp_build.build machine
-         (Ate.Program.analyze_exn (Ate.Progen.pro ~machine i)))
-        .Ate.Pbqp_build.graph
-    in
-    fst (Solvers.Scholz.reduce_exact g)
+  let g =
+    (Ate.Pbqp_build.build machine
+       (Ate.Program.analyze_exn (Ate.Progen.pro ~machine i)))
+      .Ate.Pbqp_build.graph
   in
-  let path g =
-    let rec walk s depth acc =
-      match Core.State.next_vertex s with
-      | Some v when not (Core.State.is_dead_end s) -> (
-          let acc =
-            if depth mod 5 = 0 then (Core.State.graph s, v) :: acc else acc
-          in
-          let colors = List.init (Core.State.m s) Fun.id in
-          match List.find_opt (Core.State.legal s) colors with
-          | Some c -> walk (Core.State.apply s c) (depth + 1) acc
-          | None -> acc)
-      | _ -> acc
-    in
-    let order = Core.Order.compute Core.Order.Increasing_liberty g in
-    List.rev (walk (Core.State.of_graph ~order g) 0 [])
+  fst (Solvers.Scholz.reduce_exact g)
+
+let pro_path g =
+  let rec walk s depth acc =
+    match Core.State.next_vertex s with
+    | Some v when not (Core.State.is_dead_end s) -> (
+        let acc =
+          if depth mod 5 = 0 then (Core.State.graph s, v) :: acc else acc
+        in
+        let colors = List.init (Core.State.m s) Fun.id in
+        match List.find_opt (Core.State.legal s) colors with
+        | Some c -> walk (Core.State.apply s c) (depth + 1) acc
+        | None -> acc)
+    | _ -> acc
   in
-  let paths = List.map (fun i -> path (residual i)) [ 1; 4 ] in
+  let order = Core.Order.compute Core.Order.Increasing_liberty g in
+  List.rev (walk (Core.State.of_graph ~order g) 0 [])
+
+let test_prepared_bitwise_pro () =
+  let paths = List.map (fun i -> pro_path (pro_residual i)) [ 1; 4 ] in
   let m = Graph.m (fst (List.hd (List.hd paths))) in
   let net = jittered_net ~seed:31 (Nn.Pvnet.default_config ~m) in
   check_prepared_bits ~msg:"PRO residual paths" net (interleave paths)
+
+(* Edge matrices of the shapes the message kernel tells apart, at m
+   colors, each with whether it must classify as a·J + diag: the
+   interference shape (0 off the diagonal, ∞ on it), equal finite
+   off-diagonals over a varied diagonal, each of those with one
+   off-diagonal cell perturbed, and a random dense matrix.  At m = 1
+   there is no off-diagonal and everything stays dense. *)
+let planted_mats ~rng m =
+  let fin () = float_of_int (Random.State.int rng 40) /. 4.0 in
+  let off = fin () in
+  let diag =
+    Array.init m (fun _ -> if Random.State.bool rng then Cost.inf else fin ())
+  in
+  let equal_off =
+    Mat.init ~rows:m ~cols:m (fun i j -> if i = j then diag.(i) else off)
+  in
+  let perturb mat =
+    Mat.init ~rows:m ~cols:m (fun i j ->
+        let c = Mat.get mat i j in
+        if i = m - 1 && j = 0 then (if Cost.is_inf c then 0.5 else c +. 1.0)
+        else c)
+  in
+  let dense =
+    Mat.init ~rows:m ~cols:m (fun _ _ ->
+        if Random.State.int rng 5 = 0 then Cost.inf else fin ())
+  in
+  let jd = m > 1 in
+  [ (Mat.interference m, jd); (equal_off, jd) ]
+  @ (if m > 1 then
+       [ (perturb (Mat.interference m), false); (perturb equal_off, false) ]
+     else [])
+  @ [ (dense, false) ]
+
+(* A graph whose edges cycle through the planted shapes, so that every
+   row mixes a·J + diag and dense messages. *)
+let planted_graph ~seed ~m ~n =
+  let rng = rng seed in
+  let g = Graph.create ~m ~n in
+  for v = 0 to n - 1 do
+    Graph.set_cost g v
+      (Vec.of_array
+         (Array.init m (fun _ ->
+              if Random.State.int rng 4 = 0 then Cost.inf
+              else float_of_int (Random.State.int rng 20))))
+  done;
+  let k = ref 0 in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Random.State.float rng 1.0 < 0.3 then begin
+        let mats = planted_mats ~rng m in
+        Graph.add_edge g u v (fst (List.nth mats (!k mod List.length mats)));
+        incr k
+      end
+    done
+  done;
+  g
+
+(* (a·J + diag, all) directed edges over [graphs] *)
+let jdiag_edges config graphs =
+  List.fold_left
+    (fun acc g ->
+      List.fold_left
+        (fun acc v ->
+          List.fold_left
+            (fun (jd, all) u ->
+              let msg =
+                Nn.Pvnet.classify config (Option.get (Graph.edge_ref g v u))
+              in
+              ((if Nn.Pvnet.is_jdiag msg then jd + 1 else jd), all + 1))
+            acc (Graph.neighbors g v))
+        acc (Graph.vertices g))
+    (0, 0) graphs
+
+let test_message_classify () =
+  List.iter
+    (fun m ->
+      let config = Nn.Pvnet.default_config ~m in
+      List.iteri
+        (fun i (mat, jd) ->
+          List.iter
+            (fun (how, mat) ->
+              if Nn.Pvnet.is_jdiag (Nn.Pvnet.classify config mat) <> jd then
+                Alcotest.failf "m=%d planted %d (%s): expected %s" m i how
+                  (if jd then "a·J + diag" else "dense"))
+            [ ("as built", mat); ("transposed", Mat.transpose mat) ])
+        (planted_mats ~rng:(rng m) m))
+    [ 1; 2; 5; 9; 13 ]
+
+(* [prepare] = [predict] bit for bit on graphs with planted a·J + diag
+   and dense edges side by side: m = 5 and 13 leave remainder rows after
+   the four-row blocks, m = 1 and 2 have no full block at all. *)
+let test_prepared_bitwise_planted () =
+  List.iter
+    (fun m ->
+      let net = jittered_net ~seed:(200 + m) (Nn.Pvnet.default_config ~m) in
+      let graphs =
+        List.map
+          (fun (seed, n) -> planted_graph ~seed:(seed + m) ~m ~n)
+          [ (1, 12); (2, 30); (3, 5) ]
+      in
+      let jd, all = jdiag_edges (Nn.Pvnet.config net) graphs in
+      if m > 1 && (jd = 0 || jd = all) then
+        Alcotest.failf "m=%d: %d of %d edges a·J + diag, want both kinds" m jd
+          all;
+      check_prepared_bits ~msg:(Printf.sprintf "planted m=%d" m) net
+        (interleave (List.map sample_states graphs)))
+    [ 1; 2; 5; 9; 13 ]
+
+(* The function graphs of the MiniC corpus (m = 9: eight registers and
+   the spill color), whose edges are all a·J + diag. *)
+let test_prepared_bitwise_minic () =
+  let graphs =
+    List.concat_map
+      (fun (_, src) ->
+        List.filter_map
+          (fun f ->
+            let g =
+              (Cir.Alloc_pbqp.build (Cir.Liveness.analyze f)).Cir.Alloc_pbqp.graph
+            in
+            if Graph.n_alive g > 0 then Some g else None)
+          (Cir.Lower.compile src).Cir.Ir.funcs)
+      Cir.Programs.all
+  in
+  let m = Graph.m (List.hd graphs) in
+  let net = jittered_net ~seed:41 (Nn.Pvnet.default_config ~m) in
+  let jd, all = jdiag_edges (Nn.Pvnet.config net) graphs in
+  if jd <> all then
+    Alcotest.failf "%d of %d MiniC edges a·J + diag, want all" jd all;
+  check_prepared_bits ~msg:"MiniC functions" net
+    (interleave (List.map sample_states graphs))
+
+(* The tape op against [Ad.mv] on the dense matrix φ(M)/m built from
+   the costs: value and ∂h bit for bit, with zeros in h and in the
+   incoming gradient (where [Tensor.tmv] skips a row). *)
+let test_message_apply_tape () =
+  List.iter
+    (fun m ->
+      let r = rng (300 + m) in
+      let vec () =
+        Tensor.init1 m (fun _ ->
+            if Random.State.int r 4 = 0 then 0.0
+            else Random.State.float r 2.0 -. 1.0)
+      in
+      let config = Nn.Pvnet.default_config ~m in
+      let dense mat =
+        Tensor.init2 m m (fun i j ->
+            let c = Mat.get mat i j in
+            (if Cost.is_inf c then 0.0
+             else 1.0 /. (1.0 +. (c /. config.Nn.Pvnet.cost_scale)))
+            /. float_of_int m)
+      in
+      List.iteri
+        (fun i (mat, _) ->
+          let msg = Nn.Pvnet.classify config mat in
+          let h = vec () and g = vec () in
+          let run op =
+            let x = Nn.Ad.const h in
+            let y = op x in
+            Nn.Ad.backward (Nn.Ad.sum (Nn.Ad.mul y (Nn.Ad.const g)));
+            (Nn.Ad.value y, Nn.Ad.grad x)
+          in
+          let v, dh = run (Nn.Pvnet.message_apply msg) in
+          let v', dh' = run (Nn.Ad.mv (Nn.Ad.const (dense mat))) in
+          if not (tensor_bits_equal v v' && tensor_bits_equal dh dh') then
+            Alcotest.failf "m=%d planted %d: message_apply <> Ad.mv" m i)
+        (planted_mats ~rng:r m))
+    [ 1; 2; 5; 9; 13 ]
+
+(* Counter gate on the arena forward: once a replica is warm (message
+   cache filled, CSR scratch grown), re-preparing the states of the PRO1
+   path allocates a fixed number of minor words per call — the result
+   (the 3m readout row and the mask copy) plus what the fill allocates,
+   among it an option per cache lookup and boxed cost features.  The
+   pinned count is the one measured before the structured message
+   kernel; an allocation added to the message pass or the fill (a
+   scratch per edge, a boxed float per row) moves it. *)
+let prepare_minor_words = 1989.5
+
+let test_prepare_allocation () =
+  let states = Array.of_list (pro_path (pro_residual 1)) in
+  let m = Graph.m (fst states.(0)) in
+  let net = jittered_net ~seed:31 (Nn.Pvnet.default_config ~m) in
+  let out = Array.make (Array.length states) None in
+  let pass () =
+    let w0 = Gc.minor_words () in
+    for i = 0 to Array.length states - 1 do
+      let g, next = states.(i) in
+      out.(i) <- Some (Nn.Pvnet.prepare net g ~next)
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int (Array.length states)
+  in
+  ignore (pass ());
+  for k = 1 to 2 do
+    let per = pass () in
+    if per <> prepare_minor_words then
+      Alcotest.failf "warm pass %d: %.3f minor words per prepare, expected %.1f"
+        k per prepare_minor_words
+  done
 
 (* gradient check through the full network on a tiny graph *)
 let test_pvnet_full_gradcheck () =
@@ -639,6 +837,16 @@ let () =
             `Quick test_prepared_bitwise_real_sizes;
           Alcotest.test_case "prepare = predict bitwise (PRO residuals)"
             `Quick test_prepared_bitwise_pro;
+          Alcotest.test_case "prepare minor words (warm PRO1 path)" `Quick
+            test_prepare_allocation;
+          Alcotest.test_case "message classes (planted, m 1/2/5/9/13)" `Quick
+            test_message_classify;
+          Alcotest.test_case "prepare = predict bitwise (planted a·J + diag)"
+            `Quick test_prepared_bitwise_planted;
+          Alcotest.test_case "prepare = predict bitwise (MiniC functions, m 9)"
+            `Quick test_prepared_bitwise_minic;
+          Alcotest.test_case "message tape op = Ad.mv bitwise" `Quick
+            test_message_apply_tape;
           Alcotest.test_case "full network gradcheck" `Quick
             test_pvnet_full_gradcheck;
         ] );
