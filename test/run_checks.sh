@@ -14,6 +14,12 @@ echo "== dune build @quick =="
 # fast on the cheap ones
 dune build @quick
 
+echo "== dune build @golden =="
+# recorded outputs of fixed-seed runs (GOLDEN): the train smoke's net,
+# optimizer and replay digests and a batch-corpus subset's search
+# counters; any changed bit fails (also part of `dune runtest`)
+dune build @golden
+
 echo "== dune build @analyze =="
 # the repo's own static analysis (lib/analyze): guarded-by lock regions,
 # lock-order cycles, hash-order/Random nondeterminism and the [@hot]
