@@ -174,18 +174,6 @@ kill -TERM "$daemon_pid"
 wait "$daemon_pid" || { echo "daemon exited non-zero after SIGTERM"; exit 1; }
 if [ -e "$daemon_sock" ]; then echo "socket not unlinked on drain"; exit 1; fi
 
-echo "== bench --compare vs checked-in trajectory (serve group) =="
-# perf-regression gate: rerun the serve bench group and fail on any
-# >25% ns/op regression against the checked-in BENCH_serve.json (the
-# other BENCH_*.json groups are far slower to rerun; serve covers the
-# coalesced-inference and scratch-arena hot paths this gate protects).
-# One retry: on a 1-core host a background blip can push a row past the
-# threshold; a real regression fails both runs.
-dune exec bench/main.exe -- serve --compare BENCH_serve.json || {
-  echo "-- retrying once (transient load can trip the 25% threshold) --"
-  dune exec bench/main.exe -- serve --compare BENCH_serve.json
-}
-
 echo "== bench --compare vs checked-in trajectory (gap group) =="
 # optimality-gap gate: re-prove every family optimum with the exact
 # branch-and-bound solver and fail on a >25% growth in branch-and-bound

@@ -738,6 +738,41 @@ let test_prepare_allocation () =
         k per prepare_minor_words
   done
 
+(* Counter gate on the batched trunk forward: a warm 32-row
+   [predict_prepared] (arena buffers for that batch size already grown)
+   allocates a fixed number of minor words: the (priors, value) results
+   of the per-row mask epilogue and what the trunk and head passes
+   allocate today.  A scratch tensor or closure added to the trunk, the
+   heads or the masking moves the count. *)
+let predict_prepared_minor_words = 5284.0
+
+let test_predict_prepared_allocation () =
+  let m = 13 in
+  let net = jittered_net ~seed:37 (Nn.Pvnet.default_config ~m) in
+  let g =
+    Generate.erdos_renyi ~rng:(rng 2)
+      { Generate.default with n = 40; m; p_edge = 0.15 }
+  in
+  let preps =
+    Array.of_list
+      (List.filteri (fun i _ -> i < 32) (Graph.vertices g))
+    |> Array.map (fun v -> Nn.Pvnet.prepare net g ~next:v)
+  in
+  let pass () =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Nn.Pvnet.predict_prepared net preps));
+    Gc.minor_words () -. w0
+  in
+  ignore (pass ());
+  for k = 1 to 2 do
+    let words = pass () in
+    if words <> predict_prepared_minor_words then
+      Alcotest.failf
+        "warm pass %d: %.1f minor words per 32-row predict_prepared, \
+         expected %.1f"
+        k words predict_prepared_minor_words
+  done
+
 (* gradient check through the full network on a tiny graph *)
 let test_pvnet_full_gradcheck () =
   let net =
@@ -839,6 +874,8 @@ let () =
             `Quick test_prepared_bitwise_pro;
           Alcotest.test_case "prepare minor words (warm PRO1 path)" `Quick
             test_prepare_allocation;
+          Alcotest.test_case "predict_prepared minor words (warm 32-row batch)"
+            `Quick test_predict_prepared_allocation;
           Alcotest.test_case "message classes (planted, m 1/2/5/9/13)" `Quick
             test_message_classify;
           Alcotest.test_case "prepare = predict bitwise (planted a·J + diag)"
