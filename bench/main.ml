@@ -1325,181 +1325,6 @@ let gap_bench () =
     (gap_families ())
 
 (* ------------------------------------------------------------------ *)
-(* The allocation daemon (Serve.Daemon over a real Unix socket):
-   requests/s, p50/p99 latency, and leaf-evals/s at 1/4/16 concurrent
-   clients, for coalesced serving (shared Nn.Infer batches + shared
-   striped cache) against the per-request ablation (--no-coalesce:
-   process-per-request semantics, nothing shared).  The acceptance gate
-   — coalesced >= 1.5x the ablation's requests/s at 4+ clients, and a
-   mean coalesced batch size > 1 — is evaluated WITHIN one run, so host
-   speed cancels; failures are collected here and only flunk the
-   process after --json/--compare have written their outputs. *)
-
-let gate_failures : string list ref = ref []
-
-let daemon_bench () =
-  section
-    "Allocation service (pbqp_serve): coalesced vs per-request at 1/4/16 \
-     clients";
-  let m = 13 in
-  let net = Nn.Pvnet.create ~rng:(rng 11) (Nn.Pvnet.default_config ~m) in
-  (* a small rotation of distinct instances, revisited across requests:
-     the steady-state shape a compile server sees (recompiles of the
-     same functions), which is what the shared version-stamped cache
-     and cross-request batches exploit *)
-  let n_graphs = 12 in
-  let bodies =
-    Array.init n_graphs (fun i ->
-        Pbqp.Io.to_string
-          (Pbqp.Generate.erdos_renyi ~rng:(rng (300 + i))
-             { Pbqp.Generate.default with n = 10 + (i mod 4); m; p_edge = 0.3 }))
-  in
-  let params = { Serve.Wire.default_params with solver = "rl"; k = 6 } in
-  (* 96 requests over 12 instances = 8 visits each: enough steady
-     state that the shared cache/batches, not the cold first pass,
-     set the throughput *)
-  let total = 96 in
-  let run_scenario ~coalesce ~clients =
-    let sock =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "pbqp_bench_%d_%b_%d.sock" (Unix.getpid ()) coalesce
-           clients)
-    in
-    (try Unix.unlink sock with Unix.Unix_error _ -> ());
-    let config =
-      { Serve.Daemon.default_config with socket_path = sock; workers = 2;
-        queue_cap = 256; coalesce }
-    in
-    let t = Serve.Daemon.create ~config (Nn.Pvnet.clone net) in
-    let d = Domain.spawn (fun () -> Serve.Daemon.run t) in
-    let per = total / clients in
-    let lats = Array.make total 0.0 in
-    let t0 = Unix.gettimeofday () in
-    let drivers =
-      Array.init clients (fun ci ->
-          Domain.spawn (fun () ->
-              let c = Serve.Client.connect_unix sock in
-              Fun.protect
-                ~finally:(fun () -> Serve.Client.close c)
-                (fun () ->
-                  for r = 0 to per - 1 do
-                    let body = bodies.((ci + (r * clients)) mod n_graphs) in
-                    let u0 = Unix.gettimeofday () in
-                    (match
-                       Serve.Client.request c (Serve.Wire.Pbqp (params, body))
-                     with
-                    | Ok (Serve.Wire.Solution _) -> ()
-                    | Ok _ -> failwith "daemon_bench: unexpected reply kind"
-                    | Error e -> failwith ("daemon_bench: " ^ e));
-                    lats.((ci * per) + r) <- Unix.gettimeofday () -. u0
-                  done)))
-    in
-    Array.iter Domain.join drivers;
-    let wall = Unix.gettimeofday () -. t0 in
-    let stats =
-      let c = Serve.Client.connect_unix sock in
-      Fun.protect
-        ~finally:(fun () -> Serve.Client.close c)
-        (fun () ->
-          match Serve.Client.request c Serve.Wire.Stats with
-          | Ok (Serve.Wire.Stats_reply kvs) -> kvs
-          | _ -> [])
-    in
-    Serve.Daemon.stop t;
-    Domain.join d;
-    Array.sort compare lats;
-    let pct p = lats.(min (total - 1) (p * total / 100)) in
-    let kv key = Option.value ~default:"0" (List.assoc_opt key stats) in
-    ( wall,
-      pct 50 *. 1e3,
-      pct 99 *. 1e3,
-      float_of_string (kv "eval_count") /. wall,
-      float_of_string (kv "infer_rows_per_batch"),
-      float_of_string (kv "cache_hit_rate"),
-      float_of_string (kv "infer_wait_p50_us"),
-      float_of_string (kv "infer_wait_p99_us"),
-      ( kv "infer_full_flushes",
-        kv "infer_quorum_flushes",
-        kv "infer_timeout_flushes" ) )
-  in
-  let results = Hashtbl.create 8 in
-  List.iter
-    (fun clients ->
-      List.iter
-        (fun coalesce ->
-          let name =
-            Printf.sprintf "%s C=%d"
-              (if coalesce then "coalesced" else "per-request")
-              clients
-          in
-          let wall, p50, p99, evals_s, rpb, hit_rate, w50, w99, flushes =
-            run_scenario ~coalesce ~clients
-          in
-          let rps = float_of_int total /. wall in
-          Hashtbl.replace results (coalesce, clients) (rps, rpb);
-          (* leaf_evals_per_s counts network forwards only; coalesced
-             rows also share an evaluation cache that short-circuits
-             repeat leaves entirely, so a LOWER forwards/s with a high
-             cache_hit_rate is the service doing less work per request,
-             not running slower — always read the two together *)
-          record ~group:"daemon" ~name ~iters:total
-            ~ns_per_op:(wall /. float_of_int total *. 1e9)
-            ~allocs_per_op:0.0
-            ~extra:
-              [
-                ("rps", rps);
-                ("p50_ms", p50);
-                ("p99_ms", p99);
-                ("leaf_evals_per_s", evals_s);
-                ("cache_hit_rate", hit_rate);
-                ("rows_per_batch", rpb);
-                ("infer_wait_p50_us", w50);
-                ("infer_wait_p99_us", w99);
-              ]
-            ();
-          Printf.printf
-            "  %-18s %7.1f req/s  p50 %7.2f ms  p99 %7.2f ms  %8.0f leaf/s  \
-             (%.0f%% cache)  %5.2f rows/batch  wait p50/p99 %.0f/%.0f us\n\
-             %!"
-            name rps p50 p99 evals_s (hit_rate *. 100.0) rpb w50 w99;
-          if coalesce then begin
-            let full, quorum, timeout = flushes in
-            Printf.printf
-              "  %-18s flushes: %s full, %s quorum, %s timeout\n%!" ""
-              full quorum timeout
-          end)
-        [ false; true ])
-    [ 1; 4; 16 ];
-  List.iter
-    (fun clients ->
-      match
-        ( Hashtbl.find_opt results (true, clients),
-          Hashtbl.find_opt results (false, clients) )
-      with
-      | Some (crps, rpb), Some (arps, _) ->
-          let speedup = crps /. arps in
-          Printf.printf
-            "  C=%d: coalesced is %.2fx per-request (gate >= 1.50x), %.2f \
-             rows/batch (gate > 1)\n\
-             %!"
-            clients speedup rpb;
-          if speedup < 1.5 then
-            gate_failures :=
-              Printf.sprintf
-                "daemon C=%d: coalesced %.2fx per-request requests/s, below \
-                 the 1.5x gate"
-                clients speedup
-              :: !gate_failures;
-          if rpb <= 1.0 then
-            gate_failures :=
-              Printf.sprintf
-                "daemon C=%d: mean coalesced batch size %.2f, gate needs > 1"
-                clients rpb
-              :: !gate_failures
-      | _ -> ())
-    [ 4; 16 ]
-
-(* ------------------------------------------------------------------ *)
 (* Distributed actor/learner self-play (lib/dist): whole training runs
    with domain-hosted actors over socketpairs — the same Frame wire
    protocol as the subprocess topology, minus fork/exec.  On this
@@ -1718,7 +1543,6 @@ let () =
   | "serve" -> serve_bench ()
   | "analyze" -> analyze_bench ()
   | "gap" -> gap_bench ()
-  | "daemon" -> daemon_bench ()
   | "dist" -> dist_bench ()
   | "all" ->
       e1 ();
@@ -1736,12 +1560,11 @@ let () =
       serve_bench ();
       analyze_bench ();
       gap_bench ();
-      daemon_bench ();
       dist_bench ()
   | other ->
       Printf.eprintf
         "unknown experiment %S (e1..e6, ext, micro, batch, par, incr, gemm, \
-         serve, analyze, gap, daemon, dist, all)\n"
+         serve, analyze, gap, dist, all)\n"
         other;
       exit 1);
   (match !json_out with
@@ -1752,12 +1575,4 @@ let () =
   (match !compare_ref with
   | Some path -> compare_against path
   | None -> ());
-  (* the daemon acceptance gate flunks last, AFTER --json/--compare
-     have written their outputs, so a failing run still leaves the
-     numbers behind for inspection *)
-  (match List.rev !gate_failures with
-  | [] -> ()
-  | fails ->
-      List.iter (fun f -> Printf.eprintf "GATE FAIL: %s\n" f) fails;
-      exit 1);
   Printf.printf "\ntotal wall time: %.0fs\n" (Unix.gettimeofday () -. t0)

@@ -7,8 +7,8 @@ open Cmdliner
 
 (* --- daemon mode --- *)
 
-let daemon socket tcp_port workers queue_cap max_batch wait_us cache
-    no_coalesce net_path m seed =
+let daemon socket tcp_port workers queue_cap max_batch wait_us cache net_path
+    m seed =
   let net =
     match net_path with
     | Some path -> Nn.Pvnet.load path
@@ -27,7 +27,6 @@ let daemon socket tcp_port workers queue_cap max_batch wait_us cache
       max_batch;
       wait_us;
       cache_capacity = cache;
-      coalesce = not no_coalesce;
     }
   in
   let t = Serve.Daemon.create ~config net in
@@ -157,12 +156,6 @@ let daemon_cmd =
          & info [ "cache" ] ~docv:"N"
              ~doc:"shared evaluation cache capacity (0 disables)")
   in
-  let no_coalesce =
-    Arg.(value & flag
-         & info [ "no-coalesce" ]
-             ~doc:"ablation: per-request semantics — no cross-request \
-                   batching, no shared cache (the bench baseline)")
-  in
   let net =
     Arg.(value & opt (some file) None
          & info [ "net" ] ~docv:"CKPT" ~doc:"Pvnet checkpoint to serve")
@@ -179,7 +172,7 @@ let daemon_cmd =
     Term.(
       ret
         (const daemon $ socket_arg $ tcp $ workers $ queue_cap $ max_batch
-       $ wait_us $ cache $ no_coalesce $ net $ m $ seed))
+       $ wait_us $ cache $ net $ m $ seed))
 
 let file_pos =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")

@@ -43,7 +43,6 @@ type config = {
   max_batch : int;
   wait_us : int;
   cache_capacity : int;
-  coalesce : bool;
 }
 
 let default_config =
@@ -55,7 +54,6 @@ let default_config =
     max_batch = 32;
     wait_us = 200;
     cache_capacity = 4096;
-    coalesce = true;
   }
 
 (* --- connection state: every field IO-domain-private --- *)
@@ -135,12 +133,12 @@ let rq_length rq =
 type t = {
   cfg : config;
   registry : Registry.t;
-  serve : Nn.Infer.t option;  (* None = the no-coalescing ablation *)
-  cache : Nn.Cache.t option;
+  serve : Nn.Infer.t;
+  cache : Nn.Cache.t option;  (* None when [cache_capacity = 0] *)
   rq : rqueue;
   m_mutex : Mutex.t;
-  parse_memo : (string, Pbqp.Graph.t) Hashtbl.t option [@guarded_by "m_mutex"];
-      (* content-addressed parse memo; None = the per-request ablation *)
+  parse_memo : (string, Pbqp.Graph.t) Hashtbl.t [@guarded_by "m_mutex"];
+      (* content-addressed parse memo *)
   r_mutex : Mutex.t;
   replies : (conn * string) Queue.t [@guarded_by "r_mutex"];
   wake_r : Unix.file_descr;
@@ -186,21 +184,18 @@ let create ?(config = default_config) net =
     cfg = config;
     registry = Registry.create ~net ~workers:config.workers;
     serve =
-      (if config.coalesce then
-         Some
-           (Nn.Infer.create ~max_batch:config.max_batch
-              ~wait_us:config.wait_us ~workers:config.workers ())
-       else None);
+      Nn.Infer.create ~max_batch:config.max_batch ~wait_us:config.wait_us
+        ~workers:config.workers ();
     cache =
-      (if config.coalesce && config.cache_capacity > 0 then
+      (if config.cache_capacity > 0 then
          Some
-           (if config.workers > 1 then
-              Nn.Cache.striped ~stripes:16 ~capacity:config.cache_capacity
-            else Nn.Cache.local ~capacity:config.cache_capacity)
+           (Nn.Cache.striped
+              ~stripes:(if config.workers > 1 then 16 else 1)
+              ~capacity:config.cache_capacity)
        else None);
     rq = rq_create config.queue_cap;
     m_mutex = Mutex.create ();
-    parse_memo = (if config.coalesce then Some (Hashtbl.create 64) else None);
+    parse_memo = Hashtbl.create 64;
     r_mutex = Mutex.create ();
     replies = Queue.create ();
     wake_r;
@@ -266,18 +261,11 @@ let memo_capacity = 128
 
 let parse_graph t body =
   let probe =
-    Mutex.protect t.m_mutex (fun () ->
-        match t.parse_memo with
-        | None -> `Disabled
-        | Some memo -> (
-            match Hashtbl.find_opt memo body with
-            | Some g -> `Hit g
-            | None -> `Miss))
+    Mutex.protect t.m_mutex (fun () -> Hashtbl.find_opt t.parse_memo body)
   in
   match probe with
-  | `Disabled -> Check.Invariants.parse_string body
-  | `Hit g -> Ok (Pbqp.Graph.copy g)
-  | `Miss -> (
+  | Some g -> Ok (Pbqp.Graph.copy g)
+  | None -> (
       match Check.Invariants.parse_string body with
       | Error _ as e -> e
       | Ok g ->
@@ -285,16 +273,13 @@ let parse_graph t body =
             Mutex.protect t.m_mutex (fun () ->
                 (* a racing worker may have parsed the same body
                    first; its instance wins so both share a uid *)
-                match t.parse_memo with
-                | None -> g
-                | Some memo -> (
-                    match Hashtbl.find_opt memo body with
-                    | Some g0 -> g0
-                    | None ->
-                        if Hashtbl.length memo >= memo_capacity then
-                          Hashtbl.reset memo;
-                        Hashtbl.add memo body g;
-                        g))
+                match Hashtbl.find_opt t.parse_memo body with
+                | Some g0 -> g0
+                | None ->
+                    if Hashtbl.length t.parse_memo >= memo_capacity then
+                      Hashtbl.reset t.parse_memo;
+                    Hashtbl.add t.parse_memo body g;
+                    g)
           in
           Ok (Pbqp.Graph.copy canonical))
 
@@ -312,7 +297,7 @@ let exec_pbqp t ~net (p : Wire.solve_params) body =
           let sol, stats =
             Core.Solver.solve_feasible ~net
               ~mcts:{ Mcts.default_config with k = p.k }
-              ~backtracking:p.backtrack ?cache:t.cache ?serve:t.serve g
+              ~backtracking:p.backtrack ?cache:t.cache ~serve:t.serve g
           in
           solution_reply g sol ~nodes:stats.Core.Solver.nodes
             ~backtracks:stats.backtracks
@@ -361,7 +346,7 @@ let exec_ate t ~net (p : Wire.solve_params) src =
             fst
               (Core.Solver.solve_feasible ~net
                  ~mcts:{ Mcts.default_config with k = p.k }
-                 ~backtracking:p.backtrack ?cache:t.cache ?serve:t.serve g))
+                 ~backtracking:p.backtrack ?cache:t.cache ~serve:t.serve g))
     | other -> Error (Printf.sprintf "unknown ate solver %S" other)
   in
   match solve with
@@ -422,7 +407,6 @@ let stats_kvs t =
       ("workers", string_of_int t.cfg.workers);
       ("queue_cap", string_of_int t.cfg.queue_cap);
       ("queue_depth", string_of_int (rq_length t.rq));
-      ("coalesce", string_of_bool t.cfg.coalesce);
       ("served", string_of_int (Atomic.get t.served));
       ("timeouts", string_of_int (Atomic.get t.timeouts));
       ("overloads", string_of_int (Atomic.get t.overloads));
@@ -430,10 +414,7 @@ let stats_kvs t =
       ("eval_count", string_of_int (Registry.eval_count t.registry));
       ( "memo_size",
         string_of_int
-          (Mutex.protect t.m_mutex (fun () ->
-               match t.parse_memo with
-               | None -> 0
-               | Some memo -> Hashtbl.length memo)) );
+          (Mutex.protect t.m_mutex (fun () -> Hashtbl.length t.parse_memo)) );
     ]
   in
   let cache =
@@ -450,25 +431,22 @@ let stats_kvs t =
         ]
   in
   let infer =
-    match t.serve with
-    | None -> []
-    | Some srv ->
-        let s = Nn.Infer.stats srv in
-        [
-          ("infer_batches", string_of_int s.Nn.Infer.batches);
-          ("infer_rows", string_of_int s.Nn.Infer.rows);
-          ("infer_full_flushes", string_of_int s.Nn.Infer.full_flushes);
-          ("infer_quorum_flushes", string_of_int s.Nn.Infer.quorum_flushes);
-          ("infer_timeout_flushes", string_of_int s.Nn.Infer.timeout_flushes);
-          ("infer_max_batch_rows", string_of_int s.Nn.Infer.max_batch_rows);
-          ( "infer_rows_per_batch",
-            Printf.sprintf "%.3f"
-              (if s.Nn.Infer.batches = 0 then 0.0
-               else float_of_int s.Nn.Infer.rows /. float_of_int s.Nn.Infer.batches) );
-          ("infer_waits", string_of_int s.Nn.Infer.waits);
-          ("infer_wait_p50_us", Printf.sprintf "%.1f" s.Nn.Infer.wait_p50_us);
-          ("infer_wait_p99_us", Printf.sprintf "%.1f" s.Nn.Infer.wait_p99_us);
-        ]
+    let s = Nn.Infer.stats t.serve in
+    [
+      ("infer_batches", string_of_int s.Nn.Infer.batches);
+      ("infer_rows", string_of_int s.Nn.Infer.rows);
+      ("infer_full_flushes", string_of_int s.Nn.Infer.full_flushes);
+      ("infer_quorum_flushes", string_of_int s.Nn.Infer.quorum_flushes);
+      ("infer_timeout_flushes", string_of_int s.Nn.Infer.timeout_flushes);
+      ("infer_max_batch_rows", string_of_int s.Nn.Infer.max_batch_rows);
+      ( "infer_rows_per_batch",
+        Printf.sprintf "%.3f"
+          (if s.Nn.Infer.batches = 0 then 0.0
+           else float_of_int s.Nn.Infer.rows /. float_of_int s.Nn.Infer.batches) );
+      ("infer_waits", string_of_int s.Nn.Infer.waits);
+      ("infer_wait_p50_us", Printf.sprintf "%.1f" s.Nn.Infer.wait_p50_us);
+      ("infer_wait_p99_us", Printf.sprintf "%.1f" s.Nn.Infer.wait_p99_us);
+    ]
   in
   base @ cache @ infer
 

@@ -34,15 +34,11 @@ type config = {
       (** {!Nn.Infer} partial-batch age cap; a batch normally flushes
           earlier, once every running search has a ticket parked *)
   cache_capacity : int;  (** shared eval cache entries; [0] disables *)
-  coalesce : bool;
-      (** [false] is the per-request ablation: no shared {!Nn.Infer}, no
-          shared cache — the process-per-request baseline the bench gate
-          compares against *)
 }
 
 val default_config : config
 (** [/tmp/pbqp_serve.sock], no TCP, 2 workers, queue 64, batch 32,
-    wait 200 µs, cache 4096, coalescing on. *)
+    wait 200 µs, cache 4096. *)
 
 type t
 

@@ -186,18 +186,6 @@ dune exec bench/main.exe -- gap --compare BENCH_gap.json || {
   dune exec bench/main.exe -- gap --compare BENCH_gap.json
 }
 
-echo "== bench --compare vs checked-in trajectory (daemon group) =="
-# allocation-service gate: rerun the daemon bench (requests/s, p50/p99
-# latency, leaf-evals/s over the real socket at 1/4/16 clients) and
-# fail on a >25% per-request ns regression vs BENCH_daemon.json — or on
-# the acceptance gate itself: coalesced serving below 1.5x the
-# per-request ablation's requests/s at 4+ clients, or a mean coalesced
-# batch size <= 1
-dune exec bench/main.exe -- daemon --compare BENCH_daemon.json || {
-  echo "-- retrying once (transient load can trip the 25% threshold) --"
-  dune exec bench/main.exe -- daemon --compare BENCH_daemon.json
-}
-
 echo "== bench --compare vs checked-in trajectory (dist group) =="
 # distributed-training gate: rerun the dist bench (whole training runs,
 # in-process vs 1/2/4 domain-hosted actors over the real wire protocol)

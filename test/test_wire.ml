@@ -129,11 +129,11 @@ let fresh_sock () =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "pbqp_wire_%d_%d.sock" (Unix.getpid ()) !sock_counter)
 
-let with_daemon ?(workers = 2) ?(queue_cap = 64) ?(coalesce = true) ?net f =
+let with_daemon ?(workers = 2) ?(queue_cap = 64) ?net f =
   let net = match net with Some n -> n | None -> tiny_net ~m:3 () in
   let config =
     { Serve.Daemon.default_config with socket_path = fresh_sock ();
-      workers; queue_cap; coalesce }
+      workers; queue_cap }
   in
   let t = Serve.Daemon.create ~config net in
   let d = Domain.spawn (fun () -> Serve.Daemon.run t) in
@@ -436,8 +436,12 @@ let test_concurrent_clients_bitwise_serial () =
       (* and the leaves went through the service: every batch is
          accounted to exactly one flush rule, and daemon waves are one
          leaf (Mcts.default_config.batch = 1), so each ticket is one row.
-         How many tickets share a batch depends on thread timing; the
-         coalescing itself is pinned down in test_serve's quorum case. *)
+         Every rl leaf evaluation looks up the shared cache first, and
+         each miss is one Infer row: the rows summed over all batches
+         are the leaf evaluations minus the cache hits, and they are
+         every forward the workers' replicas ran.  How many tickets
+         share a batch depends on thread timing; the coalescing itself
+         is pinned down in test_serve's quorum case. *)
       with_client path (fun c ->
           match request_exn c Serve.Wire.Stats with
           | Serve.Wire.Stats_reply kvs ->
@@ -449,7 +453,15 @@ let test_concurrent_clients_bitwise_serial () =
                 (get "infer_full_flushes" + get "infer_quorum_flushes"
                 + get "infer_timeout_flushes");
               Alcotest.(check int) "one row per ticket" (get "infer_waits")
-                (get "infer_rows")
+                (get "infer_rows");
+              let leaf_evals = get "cache_hits" + get "cache_misses" in
+              Alcotest.(check bool) "rl leaves were evaluated" true
+                (leaf_evals > 0);
+              Alcotest.(check int) "infer rows = leaf evals - cache hits"
+                (leaf_evals - get "cache_hits")
+                (get "infer_rows");
+              Alcotest.(check int) "every forward row went through Infer"
+                (get "eval_count") (get "infer_rows")
           | _ -> Alcotest.fail "expected stats"))
 
 let () =
