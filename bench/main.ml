@@ -1325,92 +1325,6 @@ let gap_bench () =
     (gap_families ())
 
 (* ------------------------------------------------------------------ *)
-(* Distributed actor/learner self-play (lib/dist): whole training runs
-   with domain-hosted actors over socketpairs — the same Frame wire
-   protocol as the subprocess topology, minus fork/exec.  On this
-   1-core bench host the actor domains oversubscribe the core, so the
-   actors=2/4 rows measure protocol + framing overhead under
-   contention, NOT parallel speedup; the meaningful comparison is
-   actors=1 vs in-process, which is bit-identical by construction
-   (test_dist asserts it), so that row IS the determinism overhead of
-   distribution: snapshot broadcasts, sample framing, hub pumping. *)
-
-let dist_bench () =
-  section "Distributed self-play (lib/dist): in-process vs actors=1/2/4";
-  Printf.printf
-    "host reports %d recommended domain(s); on a 1-core host the actor\n\
-     rows measure wire/protocol overhead, not parallel speedup.\n\
-     actors=1 is bit-identical to the in-process loop (test_dist), so\n\
-     wall_vs_in_process on that row is pure distribution overhead.\n\n"
-    (Domain.recommended_domain_count ());
-  let m = 8 in
-  let iterations = 2 and episodes = 8 and batches = 4 in
-  let cfg =
-    {
-      (Core.Train.default_config ~m) with
-      iterations;
-      episodes_per_iteration = episodes;
-      domains = 1;
-      mcts = { Mcts.default_config with k = 8 };
-      net =
-        { (Nn.Pvnet.default_config ~m) with trunk_width = 16;
-          trunk_blocks = 1; gcn_layers = 2 };
-      n_mean = 12.0;
-      n_stddev = 2.0;
-      arena_games = 2;
-      batches_per_iteration = batches;
-      batch_size = 16;
-    }
-  in
-  let run_once ~actors =
-    let samples = ref 0 in
-    let on_iteration p = samples := p.Core.Train.replay_size in
-    let (), wall =
-      time_it (fun () ->
-          let net =
-            match actors with
-            | 0 -> Core.Train.run ~on_iteration ~rng:(rng 7) cfg
-            | n ->
-                let launch, join = Dist.Spawn.domains ~config:cfg in
-                Core.Train.run ~on_iteration
-                  ~make_source:
-                    (Dist.Learner.source ~config:cfg ~actors:n
-                       ~on_shutdown:join ~launch ())
-                  ~rng:(rng 7) cfg
-          in
-          ignore (net : Nn.Pvnet.t))
-    in
-    (wall, !samples)
-  in
-  let baseline = ref 0.0 in
-  List.iter
-    (fun actors ->
-      let wall, samples = run_once ~actors in
-      let name =
-        if actors = 0 then "in-process (actors=0)"
-        else Printf.sprintf "actors=%d (domain-hosted)" actors
-      in
-      let samples_s = float_of_int samples /. wall in
-      let steps_s = float_of_int (iterations * batches) /. wall in
-      if actors = 0 then baseline := wall;
-      let overhead = if !baseline > 0.0 then wall /. !baseline else 1.0 in
-      record ~group:"dist" ~name ~iters:iterations
-        ~ns_per_op:(wall /. float_of_int iterations *. 1e9)
-        ~allocs_per_op:0.0
-        ~extra:
-          [
-            ("samples_per_s", samples_s);
-            ("learner_steps_per_s", steps_s);
-            ("wall_vs_in_process", overhead);
-          ]
-        ();
-      Printf.printf
-        "  %-26s %6.2f s  %8.1f samples/s  %6.2f step/s  %5.2fx in-process\n\
-         %!"
-        name wall samples_s steps_s overhead)
-    [ 0; 1; 2; 4 ]
-
-(* ------------------------------------------------------------------ *)
 (* --compare OLD.json: after the selected groups have run, diff the
    freshly recorded rows against a previous --json file (matched by
    (group, name)) and exit non-zero on any >25% ns/op regression.  The
@@ -1543,7 +1457,6 @@ let () =
   | "serve" -> serve_bench ()
   | "analyze" -> analyze_bench ()
   | "gap" -> gap_bench ()
-  | "dist" -> dist_bench ()
   | "all" ->
       e1 ();
       e2 ();
@@ -1559,12 +1472,11 @@ let () =
       gemm_bench ();
       serve_bench ();
       analyze_bench ();
-      gap_bench ();
-      dist_bench ()
+      gap_bench ()
   | other ->
       Printf.eprintf
         "unknown experiment %S (e1..e6, ext, micro, batch, par, incr, gemm, \
-         serve, analyze, gap, dist, all)\n"
+         serve, analyze, gap, all)\n"
         other;
       exit 1);
   (match !json_out with

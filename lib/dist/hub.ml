@@ -82,7 +82,15 @@ let pump_write conn =
     | exception e when would_block e -> continue_ := false
   done
 
+(* Learner-side traffic over every hub of the process: frames queued to
+   actors and their payload bytes (the frame headers excluded). *)
+let frames_sent = Atomic.make 0
+let payload_bytes_sent = Atomic.make 0
+let traffic () = (Atomic.get frames_sent, Atomic.get payload_bytes_sent)
+
 let send t actor payload =
+  Atomic.incr frames_sent;
+  ignore (Atomic.fetch_and_add payload_bytes_sent (String.length payload));
   let conn = t.conns.(actor) in
   Queue.add { p_bytes = Frame.encode payload; p_off = 0 } conn.c_outq;
   pump_write conn

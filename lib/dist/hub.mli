@@ -24,6 +24,11 @@ val send : t -> int -> string -> unit
 val broadcast : t -> string -> unit
 (** {!send} to every actor. *)
 
+val traffic : unit -> int * int
+(** [(frames, payload bytes)] queued by {!send} on every hub of this
+    process so far — deterministic for a fixed-seed run, whatever the
+    scheduling, so a test can pin what the learner puts on the wire. *)
+
 val recv : t -> int * string
 (** The next complete frame from any actor, as [(actor, payload)] —
     pumping pending writes while it waits.  Fair across actors (the

@@ -186,15 +186,6 @@ dune exec bench/main.exe -- gap --compare BENCH_gap.json || {
   dune exec bench/main.exe -- gap --compare BENCH_gap.json
 }
 
-echo "== bench --compare vs checked-in trajectory (dist group) =="
-# distributed-training gate: rerun the dist bench (whole training runs,
-# in-process vs 1/2/4 domain-hosted actors over the real wire protocol)
-# and fail on a >25% per-iteration ns regression vs BENCH_dist.json
-dune exec bench/main.exe -- dist --compare BENCH_dist.json || {
-  echo "-- retrying once (transient load can trip the 25% threshold) --"
-  dune exec bench/main.exe -- dist --compare BENCH_dist.json
-}
-
 echo "== pbqp_lint --self-test =="
 dune exec bin/pbqp_lint.exe -- --self-test
 

@@ -499,12 +499,30 @@ let test_one_actor_equals_in_process () =
       Alcotest.(check bool) "final nets identical, bit for bit" true
         (params_identical local dist))
 
+(* What the learner of the fixed-seed 2-actor run puts on the wire per
+   iteration (run_config: 2 iterations), counted by Dist.Hub: a snapshot
+   broadcast when the nets changed and an assignment broadcast each
+   iteration, plus the final quit.  A snapshot sent per episode, or a
+   larger snapshot encoding, moves these. *)
+let two_actor_frames_per_iteration = 5.0
+let two_actor_bytes_per_iteration = 11780.0
+
 let test_two_actors_reproducible () =
   let m = 3 in
   in_temp_dir (fun dir ->
       let go tag =
         let prefix = Filename.concat dir tag in
-        let net = run_distributed ~actors:2 ~seed:7 (run_config ~m prefix) in
+        let f0, b0 = Dist.Hub.traffic () in
+        let cfg = run_config ~m prefix in
+        let net = run_distributed ~actors:2 ~seed:7 cfg in
+        let f1, b1 = Dist.Hub.traffic () in
+        let per x = float_of_int x /. float_of_int cfg.Core.Train.iterations in
+        Alcotest.(check (float 0.0))
+          (tag ^ ": learner frames per iteration")
+          two_actor_frames_per_iteration (per (f1 - f0));
+        Alcotest.(check (float 0.0))
+          (tag ^ ": learner payload bytes per iteration")
+          two_actor_bytes_per_iteration (per (b1 - b0));
         (net, read_file (prefix ^ ".replay.txt"))
       in
       let net_a, replay_a = go "a" in
