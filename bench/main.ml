@@ -2,7 +2,10 @@
    evaluation section (see DESIGN.md §4 for the experiment index, and
    EXPERIMENTS.md for paper-reported vs measured values).
 
-   Usage: main.exe [e1|e2|e3|e4|e5|e6|micro|all]
+   Usage: main.exe [e1|e2|e3|e4|e5|e6|ext|gap|all] [--json PATH]
+            [--compare OLD.json]
+
+   Performance is measured by perfbench/ (BENCHMARK.json), not here.
 
    Networks are trained on first use at a laptop-scale schedule and cached
    under bench_cache/ so reruns are fast; delete the directory to retrain. *)
@@ -18,23 +21,16 @@ let time_it f =
   (r, Unix.gettimeofday () -. t)
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable results (--json PATH): every group that measures
-   operations records (group, name, iters, ns/op, allocs/op, GC words/op
-   and — where meaningful — a cache hit rate) here, so a run leaves a
-   perf-trajectory file that later PRs can diff against. *)
+(* Machine-readable results (--json PATH): the gap group records one row
+   per family (group, name, iters, the gated per-op value — written as
+   "ns_per_op", the key --compare reads — and named extra fields), so a
+   run leaves a file that later runs can diff against. *)
 
 type row = {
   r_group : string;
   r_name : string;
   r_iters : int;
   r_ns : float;
-  r_allocs : float;
-  r_minor : float;  (** minor-heap words per op (main domain) *)
-  r_major : float;  (** major-heap + promoted words per op *)
-  r_hit : float option;  (** evaluation-cache hit rate, when applicable *)
-  r_cache : Nn.Evalcache.stats option;
-      (** evaluation-cache counters (hits/misses/evictions/size), when a
-          cache was in play *)
   r_extra : (string * float) list;
       (** group-specific numeric fields (e.g. the gap group's mean
           optimality gaps); ignored by the --compare parser, which only
@@ -44,13 +40,9 @@ type row = {
 let json_out : string option ref = ref None
 let json_results : row list ref = ref []
 
-let record ?(minor_words_per_op = 0.0) ?(major_words_per_op = 0.0) ?hit_rate
-    ?cache_stats ?(extra = []) ~group ~name ~iters ~ns_per_op ~allocs_per_op
-    () =
+let record ?(extra = []) ~group ~name ~iters ~ns_per_op () =
   json_results :=
     { r_group = group; r_name = name; r_iters = iters; r_ns = ns_per_op;
-      r_allocs = allocs_per_op; r_minor = minor_words_per_op;
-      r_major = major_words_per_op; r_hit = hit_rate; r_cache = cache_stats;
       r_extra = extra }
     :: !json_results
 
@@ -79,65 +71,16 @@ let write_json path =
         (fun i r ->
           Printf.fprintf oc
             "    {\"group\": \"%s\", \"name\": \"%s\", \"iters\": %d, \
-             \"ns_per_op\": %.1f, \"allocs_per_op\": %.1f, \
-             \"minor_words_per_op\": %.1f, \"major_words_per_op\": %.1f%s}%s\n"
+             \"ns_per_op\": %.1f%s}%s\n"
             (json_escape r.r_group) (json_escape r.r_name) r.r_iters r.r_ns
-            r.r_allocs r.r_minor r.r_major
-            ((match r.r_hit with
-             | None -> ""
-             | Some h -> Printf.sprintf ", \"hit_rate\": %.4f" h)
-            ^ (match r.r_cache with
-              | None -> ""
-              | Some (s : Nn.Evalcache.stats) ->
-                  Printf.sprintf
-                    ", \"cache_hits\": %d, \"cache_misses\": %d,                    \"cache_evictions\": %d, \"cache_size\": %d"
-                    s.Nn.Evalcache.hits s.misses s.evictions s.size)
-            ^ String.concat ""
-                (List.map
-                   (fun (k, v) ->
-                     Printf.sprintf ", \"%s\": %.4f" (json_escape k) v)
-                   r.r_extra))
+            (String.concat ""
+               (List.map
+                  (fun (k, v) ->
+                    Printf.sprintf ", \"%s\": %.4f" (json_escape k) v)
+                  r.r_extra))
             (if i = List.length results - 1 then "" else ","))
         results;
       Printf.fprintf oc "  ]\n}\n")
-
-(* Hand-rolled timing for the parallel benchmarks (Bechamel pins its
-   harness to one domain, so pool effects are better measured directly):
-   repeat [f] until [min_time] wall seconds and [min_iters] runs, then
-   report per-op nanoseconds, per-op allocated words, and per-op GC
-   minor/major words (main domain only — worker-domain allocation is not
-   in the counters). *)
-type measurement = {
-  m_iters : int;
-  m_ns : float;
-  m_allocs : float;
-  m_minor : float;
-  m_major : float;
-}
-
-let measure ?(min_time = 0.25) ?(min_iters = 3) f =
-  ignore (f ());
-  let iters = ref 0 and t_total = ref 0.0 and a_total = ref 0.0 in
-  let minor_total = ref 0.0 and major_total = ref 0.0 in
-  while !t_total < min_time || !iters < min_iters do
-    let s0 = Gc.quick_stat () in
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    t_total := !t_total +. (Unix.gettimeofday () -. t0);
-    a_total := !a_total +. (Gc.allocated_bytes () -. a0);
-    let s1 = Gc.quick_stat () in
-    minor_total := !minor_total +. (s1.Gc.minor_words -. s0.Gc.minor_words);
-    major_total :=
-      !major_total
-      +. (s1.Gc.major_words -. s0.Gc.major_words)
-      +. (s1.Gc.promoted_words -. s0.Gc.promoted_words);
-    incr iters
-  done;
-  let n = float_of_int !iters in
-  { m_iters = !iters; m_ns = !t_total *. 1e9 /. n;
-    m_allocs = !a_total /. 8.0 /. n; m_minor = !minor_total /. n;
-    m_major = !major_total /. n }
 
 (* ------------------------------------------------------------------ *)
 (* Trained networks (cached) *)
@@ -590,561 +533,6 @@ let ext () =
     [ "Queens"; "Nbody"; "Oscar"; "Gcd"; "Mandel" ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks *)
-
-let micro () =
-  section "Microbenchmarks (Bechamel)";
-  let open Bechamel in
-  let g30 =
-    Pbqp.Generate.erdos_renyi ~rng:(rng 3)
-      { Pbqp.Generate.default with n = 30; m = 13; p_edge = 0.2 }
-  in
-  let net = Lazy.force ate_net_25 in
-  let state = Core.State.of_graph g30 in
-  let tests =
-    Test.make_grouped ~name:"pbqp-rl"
-      [
-        Test.make ~name:"Graph.copy (n=30,m=13)"
-          (Staged.stage (fun () -> ignore (Pbqp.Graph.copy g30)));
-        Test.make ~name:"State.apply"
-          (Staged.stage (fun () -> ignore (Core.State.apply state 0)));
-        Test.make ~name:"Pvnet 1-row prepare+predict_prepared (n=30)"
-          (Staged.stage (fun () ->
-               ignore
-                 (Nn.Pvnet.predict_prepared net
-                    [| Nn.Pvnet.prepare net g30 ~next:0 |])));
-        Test.make ~name:"Scholz.solve (n=30)"
-          (Staged.stage (fun () -> ignore (Solvers.Scholz.solve g30)));
-        Test.make ~name:"MiniC compile (Sieve)"
-          (Staged.stage (fun () ->
-               ignore (Cir.Lower.compile (Cir.Programs.find "Sieve"))));
-        Test.make ~name:"Liveness.analyze (Sieve main)"
-          (Staged.stage
-             (let f =
-                List.hd (Cir.Lower.compile (Cir.Programs.find "Sieve")).Cir.Ir.funcs
-              in
-              fun () -> ignore (Cir.Liveness.analyze f)));
-        Test.make ~name:"Check.Invariants.graph (n=30)"
-          (Staged.stage (fun () -> ignore (Check.Invariants.graph g30)));
-        Test.make ~name:"Check.Certify.recompute (n=30)"
-          (Staged.stage
-             (let sol, _, _ = Solvers.Scholz.solve_with_cost g30 in
-              fun () -> ignore (Check.Certify.recompute g30 sol)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] ->
-          record ~group:"micro" ~name ~iters:1 ~ns_per_op:est
-            ~allocs_per_op:0.0 ();
-          Printf.printf "  %-36s %14.1f ns/run\n%!" name est
-      | _ -> Printf.printf "  %-36s (no estimate)\n%!" name)
-    results
-
-(* ------------------------------------------------------------------ *)
-(* Batched-evaluation microbenchmarks: the tiled GEMM against the naive
-   kernel, one 16-row arena forward against 16 single-row ones, and a
-   whole self-play episode with waves of 1 and of 8 leaves.  Uses a
-   fresh (untrained) net — these measure inference mechanics, not play
-   quality — so the section runs in seconds. *)
-
-let batching () =
-  section "Batched evaluation microbenchmarks (Bechamel)";
-  let open Bechamel in
-  let mk n =
-    let r = rng (n + 1) in
-    let rand _ _ = Random.State.float r 2.0 -. 1.0 in
-    (Tensor.init2 n n rand, Tensor.init2 n n rand)
-  in
-  let a64, b64 = mk 64 in
-  let a192, b192 = mk 192 in
-  let out192 = Tensor.zeros [| 192; 192 |] in
-  let m = 13 in
-  let net =
-    Nn.Pvnet.create ~rng:(rng 1)
-      { (Nn.Pvnet.default_config ~m) with trunk_width = 64; trunk_blocks = 2 }
-  in
-  let g =
-    Pbqp.Generate.erdos_renyi ~rng:(rng 3)
-      { Pbqp.Generate.default with n = 30; m; p_edge = 0.2 }
-  in
-  let states =
-    List.filteri (fun i _ -> i < 16)
-      (List.map (fun v -> (g, v)) (Pbqp.Graph.vertices g))
-  in
-  let st = Core.Istate.of_graph g in
-  let episode ~batch () =
-    let cfg =
-      {
-        Core.Episode.default_config with
-        Core.Episode.mcts = { Mcts.default_config with k = 16; batch };
-      }
-    in
-    ignore
-      (Core.Episode.play ~rng:(rng 7) ~net
-         ~mode:Core.Game.Feasibility cfg st)
-  in
-  let tests =
-    Test.make_grouped ~name:"batching"
-      [
-        Test.make ~name:"matmul_naive 64x64"
-          (Staged.stage (fun () -> ignore (Tensor.matmul_naive a64 b64)));
-        Test.make ~name:"matmul (tiled) 64x64"
-          (Staged.stage (fun () -> ignore (Tensor.matmul a64 b64)));
-        Test.make ~name:"matmul_naive 192x192"
-          (Staged.stage (fun () -> ignore (Tensor.matmul_naive a192 b192)));
-        Test.make ~name:"matmul (tiled) 192x192"
-          (Staged.stage (fun () -> ignore (Tensor.matmul a192 b192)));
-        Test.make ~name:"matmul_into (tiled, no alloc) 192x192"
-          (Staged.stage (fun () -> Tensor.matmul_into out192 a192 b192));
-        Test.make ~name:"16 x 1-row prepare+predict_prepared (n=30)"
-          (Staged.stage (fun () ->
-               List.iter
-                 (fun (g, next) ->
-                   ignore
-                     (Nn.Pvnet.predict_prepared net
-                        [| Nn.Pvnet.prepare net g ~next |]))
-                 states));
-        Test.make ~name:"16-row prepare+predict_prepared (n=30)"
-          (Staged.stage (fun () ->
-               ignore
-                 (Nn.Pvnet.predict_prepared net
-                    (Array.of_list
-                       (List.map
-                          (fun (g, next) -> Nn.Pvnet.prepare net g ~next)
-                          states)))));
-        Test.make ~name:"episode, batch_leaves=1 (k=16)"
-          (Staged.stage (episode ~batch:1));
-        Test.make ~name:"episode, batch_leaves=8 (k=16)"
-          (Staged.stage (episode ~batch:8));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] ->
-          record ~group:"batch" ~name ~iters:1 ~ns_per_op:est
-            ~allocs_per_op:0.0 ();
-          Printf.printf "  %-42s %14.1f ns/run\n%!" name est
-      | _ -> Printf.printf "  %-42s (no estimate)\n%!" name)
-    results
-
-(* ------------------------------------------------------------------ *)
-(* Parallel-runtime benchmarks: the pool-backed GEMM, the data-parallel
-   training step and whole-iteration episode throughput at 1/2/4/8
-   domains.  Every parallel variant computes bit-identical results to
-   its serial baseline (that is what the @par test alias asserts); this
-   group measures what that determinism costs or buys on this host. *)
-
-let par_bench () =
-  section "Parallel runtime (Par.Pool) at 1/2/4/8 domains";
-  Printf.printf
-    "host reports %d recommended domain(s); parallel results are\n\
-     bit-identical to serial at every pool size, so any speedup is free.\n\n"
-    (Domain.recommended_domain_count ());
-  let show ~name m =
-    record ~group:"par" ~name ~iters:m.m_iters ~ns_per_op:m.m_ns
-      ~allocs_per_op:m.m_allocs ~minor_words_per_op:m.m_minor
-      ~major_words_per_op:m.m_major ();
-    Printf.printf "  %-44s %14.1f ns/op  (x%d)\n%!" name m.m_ns m.m_iters
-  in
-  let js = [ 1; 2; 4; 8 ] in
-  (* GEMM: 256x256, comfortably above the pool threshold. *)
-  let n = 256 in
-  let r = rng 11 in
-  let rand _ _ = Random.State.float r 2.0 -. 1.0 in
-  let a = Tensor.init2 n n rand and b = Tensor.init2 n n rand in
-  let out = Tensor.zeros [| n; n |] in
-  Tensor.set_pool None;
-  show ~name:"gemm 256x256 serial"
-    (measure (fun () -> Tensor.matmul_into out a b));
-  List.iter
-    (fun j ->
-      let pool = Par.Pool.create ~domains:j in
-      Tensor.set_pool (Some pool);
-      show
-        ~name:(Printf.sprintf "gemm 256x256 pool j=%d" j)
-        (measure (fun () -> Tensor.matmul_into out a b));
-      Tensor.set_pool None;
-      Par.Pool.shutdown pool)
-    js;
-  (* Training step: one Adam step on a 16-sample batch, m = 13. *)
-  let m = 13 in
-  let g =
-    Pbqp.Generate.erdos_renyi ~rng:(rng 5)
-      { Pbqp.Generate.default with n = 16; m; p_edge = 0.2 }
-  in
-  let uniform = Array.make m (1.0 /. float_of_int m) in
-  let samples =
-    List.map
-      (fun v ->
-        { Nn.Pvnet.graph = g; next = v; policy = Array.copy uniform;
-          value = 0.25 })
-      (Pbqp.Graph.vertices g)
-  in
-  let fresh_net () = Nn.Pvnet.create ~rng:(rng 6) (Nn.Pvnet.default_config ~m) in
-  let serial_net = fresh_net () in
-  let serial_opt = Nn.Adam.create Nn.Adam.default_config in
-  show ~name:"train step (16 samples) serial"
-    (measure (fun () -> Nn.Pvnet.train_batch serial_net serial_opt samples));
-  List.iter
-    (fun j ->
-      let pool = Par.Pool.create ~domains:j in
-      let net = fresh_net () in
-      let opt = Nn.Adam.create Nn.Adam.default_config in
-      let replicas =
-        Array.init (Par.Pool.size pool) (fun w ->
-            if w = 0 then net else Nn.Pvnet.clone net)
-      in
-      show
-        ~name:(Printf.sprintf "train step (16 samples) pool j=%d" j)
-        (measure (fun () ->
-             Nn.Pvnet.train_batch_parallel ~pool ~replicas net opt samples));
-      Par.Pool.shutdown pool)
-    js;
-  (* Episode throughput: one self-play iteration (8 episodes, k = 12, no
-     training / arena) through Core.Train.run at each pool size. *)
-  let episodes = 8 in
-  let train_cfg j =
-    {
-      (Core.Train.default_config ~m:8) with
-      iterations = 1;
-      episodes_per_iteration = episodes;
-      batches_per_iteration = 0;
-      arena_games = 0;
-      mcts = { Mcts.default_config with k = 12 };
-      n_mean = 12.0;
-      n_stddev = 2.0;
-      domains = j;
-    }
-  in
-  List.iter
-    (fun j ->
-      let m =
-        measure ~min_time:0.0 ~min_iters:2 (fun () ->
-            ignore (Core.Train.run ~rng:(rng 31) (train_cfg j)))
-      in
-      let e = float_of_int episodes in
-      show
-        ~name:(Printf.sprintf "self-play episode (k=12) j=%d" j)
-        { m_iters = m.m_iters * episodes; m_ns = m.m_ns /. e;
-          m_allocs = m.m_allocs /. e; m_minor = m.m_minor /. e;
-          m_major = m.m_major /. e })
-    js
-
-(* ------------------------------------------------------------------ *)
-(* Incremental-state & evaluation-cache benchmarks: bare apply chains on
-   the trail-based Istate against per-move persistent copies (the State
-   transition oracle), whole k=12 self-play episodes on the trail with
-   and without a transposition cache, and an LRU-capacity sweep of the
-   cache's hit rate on a repeated-position workload.  Cached and
-   uncached episodes are bit-identical (the @incr test alias asserts
-   it); this group measures what the cache buys. *)
-
-let incr_bench () =
-  section "Incremental state & evaluation cache";
-  let show ?cache_stats ~name m =
-    (* hit rate derived from the cache's own counters (Evalcache.stats)
-       rather than recomputed ad hoc *)
-    let hit_rate =
-      Option.map
-        (fun (s : Nn.Evalcache.stats) ->
-          let total = s.Nn.Evalcache.hits + s.misses in
-          if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total)
-        cache_stats
-    in
-    record ~group:"incr" ~name ~iters:m.m_iters ~ns_per_op:m.m_ns
-      ~allocs_per_op:m.m_allocs ~minor_words_per_op:m.m_minor
-      ~major_words_per_op:m.m_major ?hit_rate ?cache_stats ();
-    Printf.printf "  %-44s %12.1f ns/op  %10.0f w/op%s\n%!" name m.m_ns
-      m.m_allocs
-      (match hit_rate with
-      | None -> ""
-      | Some h -> Printf.sprintf "  hit %.0f%%" (100. *. h))
-  in
-  let m = 13 in
-  let g =
-    Pbqp.Generate.erdos_renyi ~rng:(rng 3)
-      { Pbqp.Generate.default with n = 50; m; p_edge = 0.3 }
-  in
-  let net = Nn.Pvnet.create ~rng:(rng 1) (Nn.Pvnet.default_config ~m) in
-  (* Bare state transitions: color every vertex down to the complete
-     state, then (incrementally) undo back — vs rebuilding the chain of
-     persistent copies.  One op = a full down-and-up walk. *)
-  let depth = Pbqp.Graph.n_alive g in
-  let first_legal legal =
-    let rec go c = if c >= m then invalid_arg "no legal color" else
-      if legal c then c else go (c + 1)
-    in
-    go 0
-  in
-  show ~name:(Printf.sprintf "apply chain x%d, persistent copies" depth)
-    (measure (fun () ->
-         let st = ref (Core.State.of_graph g) in
-         for _ = 1 to depth do
-           st := Core.State.apply !st (first_legal (Core.State.legal !st))
-         done));
-  let ist = Core.Istate.of_graph g in
-  show ~name:(Printf.sprintf "apply/undo chain x%d, trail" depth)
-    (measure (fun () ->
-         for _ = 1 to depth do
-           Core.Istate.apply ist (first_legal (Core.Istate.legal ist))
-         done;
-         for _ = 1 to depth do
-           Core.Istate.undo ist
-         done));
-  (* Whole self-play episodes on the trail, k = 12, batched leaf
-     evaluation (the tensor inference path, as production self-play runs
-     it), without and with a transposition cache: repeated runs of one
-     instance under fixed weights hit the cache (MCTS re-searches the
-     same positions move after move, run after run), so the per-leaf GCN
-     readout collapses to cache lookups and what remains is the state
-     machinery. *)
-  let cfg =
-    {
-      Core.Episode.default_config with
-      Core.Episode.mcts = { Mcts.default_config with k = 12; batch = 8 };
-    }
-  in
-  let episode ?cache () =
-    ignore
-      (Core.Episode.play ?cache ~rng:(rng 7) ~net ~mode:Core.Game.Feasibility
-         cfg (Core.Istate.of_graph g))
-  in
-  show ~name:"episode k=12, trail" (measure (episode ?cache:None));
-  let cache = Nn.Cache.local ~capacity:4096 in
-  let cached = measure (episode ~cache) in
-  show ~cache_stats:(Nn.Cache.stats cache) ~name:"episode k=12, trail + cache 4096"
-    cached;
-  (* Hit-rate sweep over cache capacities: two identical episodes per
-     data point (warm-up + measured traffic), counters reset between
-     capacities. *)
-  List.iter
-    (fun capacity ->
-      let cache = Nn.Cache.local ~capacity in
-      let run = episode ~cache in
-      run ();
-      let m = measure ~min_time:0.0 ~min_iters:2 run in
-      show ~cache_stats:(Nn.Cache.stats cache)
-        ~name:(Printf.sprintf "episode k=12, cache sweep cap=%d" capacity)
-        m)
-    [ 64; 256; 1024; 4096 ]
-
-(* ------------------------------------------------------------------ *)
-(* Inference-service benchmarks: the zero-allocation arena forward,
-   then self-play episode
-   throughput with per-worker batching vs the cross-worker coalescing
-   service at 1/2/4/8 domains, normalized to ns per network leaf
-   evaluation (counted by Pvnet.eval_count, summed over replicas).
-   Service and per-worker episodes are bit-identical at every
-   (j, batch, wait) setting — the @serve test alias asserts it — so
-   leaf-eval throughput is the only variable.  GC words are main-domain
-   only, as in the par group. *)
-
-(* ------------------------------------------------------------------ *)
-(* The GEMM ladder at the serve forward's shapes: the boxed
-   [float array array] reference the flat tensor core replaced (and the
-   hot-boxed-matrix lint now rejects), the flat tiled kernels and the
-   packed fused-epilogue kernel.  All kernels compute the same
-   ascending-k zero-skip sums, so the rows differ only in storage layout
-   and fusion, not arithmetic. *)
-
-let gemm_bench () =
-  section "GEMM ladder: boxed reference vs flat tiled vs packed";
-  let show ~name m =
-    record ~group:"gemm" ~name ~iters:m.m_iters ~ns_per_op:m.m_ns
-      ~allocs_per_op:m.m_allocs ~minor_words_per_op:m.m_minor
-      ~major_words_per_op:m.m_major ();
-    Printf.printf "  %-48s %11.1f ns/op  %9.1f minor w/op\n%!" name m.m_ns
-      m.m_minor
-  in
-  let r = rng 5 in
-  (* the readout->trunk GEMM shape of a b=32 serve forward *)
-  let b = 32 and k = 96 and n = 32 in
-  let a = Tensor.init2 b k (fun _ _ -> Random.State.float r 2.0 -. 1.0) in
-  let w = Tensor.init2 n k (fun _ _ -> Random.State.float r 2.0 -. 1.0) in
-  let bias = Tensor.init1 n (fun _ -> Random.State.float r 0.5) in
-  (* boxed row-pointer reference: one heap block per row, same
-     zero-skip inner loop as the flat kernels *)
-  let boxed_a =
-    Array.init b (fun i -> Array.init k (fun j -> Tensor.get2 a i j))
-  in
-  let boxed_bt =
-    Array.init k (fun kk -> Array.init n (fun j -> Tensor.get2 w j kk))
-  in
-  let boxed_out = Array.make_matrix b n 0.0 in
-  let boxed () =
-    for i = 0 to b - 1 do
-      let ai = boxed_a.(i) and oi = boxed_out.(i) in
-      Array.fill oi 0 n 0.0;
-      for kk = 0 to k - 1 do
-        let aik = ai.(kk) in
-        if aik <> 0.0 then begin
-          let bk = boxed_bt.(kk) in
-          for j = 0 to n - 1 do
-            oi.(j) <- oi.(j) +. (aik *. bk.(j))
-          done
-        end
-      done
-    done
-  in
-  let bt = Tensor.transpose w in
-  let out = Tensor.zeros [| b; n |] in
-  let packed = Tensor.pack_transposed w in
-  show
-    ~name:(Printf.sprintf "boxed float array array %dx%dx%d" b k n)
-    (measure boxed);
-  show ~name:"matmul_naive (flat)"
-    (measure (fun () -> ignore (Tensor.matmul_naive a bt)));
-  show ~name:"matmul (flat tiled)"
-    (measure (fun () -> ignore (Tensor.matmul a bt)));
-  show ~name:"matmul_into (flat tiled, no alloc)"
-    (measure (fun () -> Tensor.matmul_into out a bt));
-  show ~name:"matmul_packed_into (no epilogue)"
-    (measure (fun () -> Tensor.matmul_packed_into out a packed));
-  show ~name:"matmul_packed_into (fused bias+relu)"
-    (measure (fun () ->
-         Tensor.matmul_packed_into ~bias ~relu:true out a packed))
-
-(* ------------------------------------------------------------------ *)
-
-let serve_bench () =
-  section "Cross-worker inference service (Nn.Infer) at 1/2/4/8 domains";
-  Printf.printf
-    "host reports %d recommended domain(s); on a 1-core host the pool rows\n\
-     measure oversubscription, so the meaningful comparison is service vs\n\
-     per-worker at the SAME j, not across j.\n\n"
-    (Domain.recommended_domain_count ());
-  let show ?(leaves = 1.0) ~name m =
-    (* per-leaf numbers, so --compare tracks leaf-eval throughput *)
-    record ~group:"serve" ~name ~iters:m.m_iters ~ns_per_op:(m.m_ns /. leaves)
-      ~allocs_per_op:(m.m_allocs /. leaves)
-      ~minor_words_per_op:(m.m_minor /. leaves)
-      ~major_words_per_op:(m.m_major /. leaves) ();
-    Printf.printf "  %-46s %9.1f ns/leaf  %9.0f leaf/s  %7.1f minor w/leaf\n%!"
-      name (m.m_ns /. leaves)
-      (1e9 /. (m.m_ns /. leaves))
-      (m.m_minor /. leaves)
-  in
-  let m = 13 in
-  let net = Nn.Pvnet.create ~rng:(rng 1) (Nn.Pvnet.default_config ~m) in
-  (* One coalesced 32-leaf arena forward.  Runs on the main domain, so
-     the minor-word counter is exact. *)
-  let gbig =
-    Pbqp.Generate.erdos_renyi ~rng:(rng 2)
-      { Pbqp.Generate.default with n = 40; m; p_edge = 0.15 }
-  in
-  let preps =
-    Array.map
-      (fun v -> Nn.Pvnet.prepare net gbig ~next:v)
-      (Array.of_list
-         (List.filteri (fun i _ -> i < 32) (Pbqp.Graph.vertices gbig)))
-  in
-  let b = float_of_int (Array.length preps) in
-  show ~leaves:b ~name:"predict_prepared b=32, scratch arena"
-    (measure (fun () -> ignore (Nn.Pvnet.predict_prepared net preps)));
-  (* Episode throughput: 8 fixed self-play episodes per op,
-     farmed over the pool, per-worker batching vs the service. *)
-  let episodes = 8 in
-  let graphs =
-    Array.init episodes (fun i ->
-        Pbqp.Generate.erdos_renyi ~rng:(rng (40 + i))
-          { Pbqp.Generate.default with n = 20; m; p_edge = 0.25 })
-  in
-  let cfg =
-    {
-      Core.Episode.default_config with
-      Core.Episode.mcts = { Mcts.default_config with k = 12; batch = 8 };
-    }
-  in
-  let run pool replicas serve () =
-    ignore
-      (Par.Pool.map pool (Array.init episodes Fun.id) ~f:(fun ~worker i ->
-           Core.Episode.play ?serve ~rng:(rng (70 + i))
-             ~net:replicas.(worker) ~mode:Core.Game.Feasibility cfg
-             (Core.Istate.of_graph graphs.(i))))
-  in
-  List.iter
-    (fun j ->
-      let pool = Par.Pool.create ~domains:j in
-      let nw = Par.Pool.size pool in
-      let replicas =
-        Array.init nw (fun w -> if w = 0 then net else Nn.Pvnet.clone net)
-      in
-      (* episodes are deterministic, so one counted run fixes the
-         per-op leaf total for both variants at every j *)
-      Array.iter Nn.Pvnet.reset_eval_count replicas;
-      run pool replicas None ();
-      let leaves =
-        float_of_int
-          (Array.fold_left (fun a r -> a + Nn.Pvnet.eval_count r) 0 replicas)
-      in
-      show ~leaves
-        ~name:(Printf.sprintf "episodes x%d j=%d per-worker (b=8)" episodes j)
-        (measure (run pool replicas None));
-      let srv = Nn.Infer.create ~max_batch:32 ~wait_us:200 ~workers:nw () in
-      show ~leaves
-        ~name:(Printf.sprintf "episodes x%d j=%d service (b<=32)" episodes j)
-        (measure (run pool replicas (Some srv)));
-      let s = Nn.Infer.stats srv in
-      if s.Nn.Infer.batches > 0 then
-        Printf.printf
-          "      service: %d batches (%d full, %d quorum, %d timeout), %.1f \
-           rows/batch, largest %d, queue wait p50/p99 %.0f/%.0f us\n\
-           %!"
-          s.Nn.Infer.batches s.Nn.Infer.full_flushes s.Nn.Infer.quorum_flushes
-          s.Nn.Infer.timeout_flushes
-          (float_of_int s.Nn.Infer.rows /. float_of_int s.Nn.Infer.batches)
-          s.Nn.Infer.max_batch_rows s.Nn.Infer.wait_p50_us
-          s.Nn.Infer.wait_p99_us;
-      Par.Pool.shutdown pool)
-    [ 1; 2; 4; 8 ]
-
-(* ------------------------------------------------------------------ *)
-(* Static analysis over the repo's own sources (lib/analyze): the wall
-   cost of the @analyze CI gate — parse every .ml under lib/ and bin/,
-   build the symbol registry and run all three rule families.  Skipped
-   when the source tree is not visible from the cwd. *)
-
-let analyze_bench () =
-  section "Static analysis (pbqp_analyze over lib/ + bin/)";
-  if not (Sys.file_exists "lib" && Sys.file_exists "bin") then
-    Printf.printf "  skipped: ./lib and ./bin not visible from the cwd\n"
-  else begin
-    let roots = [ "lib"; "bin" ] in
-    let warm = Analyze.run ~roots in
-    let iters = 5 in
-    let (), dt =
-      time_it (fun () ->
-          for _ = 1 to iters do
-            ignore (Analyze.run ~roots)
-          done)
-    in
-    let ns = dt /. float_of_int iters *. 1e9 in
-    record ~group:"analyze" ~name:"whole-repo pass (lib+bin)" ~iters
-      ~ns_per_op:ns ~allocs_per_op:0.0 ();
-    Printf.printf "  %d files, %d findings, %.1f ms per pass (%d passes)\n%!"
-      warm.Analyze.files
-      (List.length warm.Analyze.findings)
-      (ns /. 1e6) iters
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Optimality gap vs the proven optimum (the `gap` group): four graph
    families, each instance's optimum proven by the exact branch-and-bound
    solver (Solvers.Exact), then every heuristic's mean gap to it —
@@ -1312,7 +700,6 @@ let gap_bench () =
          time rides along as an informational extra field. *)
       record ~group:"gap" ~name:(family ^ " nodes/proof") ~iters:n
         ~ns_per_op:(float_of_int !nodes_exact /. float_of_int n)
-        ~allocs_per_op:0.0
         ~extra:
           (List.rev !extra
           @ [
@@ -1327,9 +714,10 @@ let gap_bench () =
 (* ------------------------------------------------------------------ *)
 (* --compare OLD.json: after the selected groups have run, diff the
    freshly recorded rows against a previous --json file (matched by
-   (group, name)) and exit non-zero on any >25% ns/op regression.  The
-   parser is line-based over the bench's own output format — no JSON
-   dependency. *)
+   (group, name)) and exit non-zero on any row whose per-op value (the
+   gap group's branch-and-bound nodes per proof) grew by more than 25%.
+   The parser is line-based over the bench's own output format — no
+   JSON dependency. *)
 
 let find_sub s pat =
   let n = String.length s and m = String.length pat in
@@ -1383,7 +771,7 @@ let parse_bench_rows path =
 
 let compare_against path =
   let old_rows = parse_bench_rows path in
-  section (Printf.sprintf "compare vs %s (fail on ns/op > 1.25x)" path);
+  section (Printf.sprintf "compare vs %s (fail on a per-op value > 1.25x)" path);
   let regressed = ref 0 and matched = ref 0 in
   List.iter
     (fun r ->
@@ -1393,12 +781,12 @@ let compare_against path =
           let ratio = r.r_ns /. old_ns in
           if ratio > 1.25 then begin
             incr regressed;
-            Printf.printf "  %-52s %12.1f -> %12.1f ns/op  %.2fx REGRESSION\n"
+            Printf.printf "  %-52s %12.1f -> %12.1f /op  %.2fx REGRESSION\n"
               (r.r_group ^ "/" ^ r.r_name)
               old_ns r.r_ns ratio
           end
           else
-            Printf.printf "  %-52s %12.1f -> %12.1f ns/op  %.2fx\n"
+            Printf.printf "  %-52s %12.1f -> %12.1f /op  %.2fx\n"
               (r.r_group ^ "/" ^ r.r_name)
               old_ns r.r_ns ratio
       | _ -> ())
@@ -1406,7 +794,7 @@ let compare_against path =
   if !matched = 0 then
     Printf.printf "  (no rows of this run matched %s)\n" path;
   if !regressed > 0 then begin
-    Printf.eprintf "%d throughput regression(s) > 25%% vs %s\n" !regressed path;
+    Printf.eprintf "%d regression(s) > 25%% vs %s\n" !regressed path;
     exit 1
   end
   else Printf.printf "  ok: no regression > 25%% across %d matched row(s)\n"
@@ -1449,13 +837,6 @@ let () =
   | "e5" -> e5 ()
   | "e6" -> e6 ()
   | "ext" -> ext ()
-  | "micro" -> micro ()
-  | "batch" -> batching ()
-  | "par" -> par_bench ()
-  | "incr" -> incr_bench ()
-  | "gemm" -> gemm_bench ()
-  | "serve" -> serve_bench ()
-  | "analyze" -> analyze_bench ()
   | "gap" -> gap_bench ()
   | "all" ->
       e1 ();
@@ -1465,18 +846,10 @@ let () =
       e5 ();
       e6 ();
       ext ();
-      micro ();
-      batching ();
-      par_bench ();
-      incr_bench ();
-      gemm_bench ();
-      serve_bench ();
-      analyze_bench ();
       gap_bench ()
   | other ->
       Printf.eprintf
-        "unknown experiment %S (e1..e6, ext, micro, batch, par, incr, gemm, \
-         serve, analyze, gap, all)\n"
+        "unknown experiment %S (e1..e6, ext, gap, all)\n"
         other;
       exit 1);
   (match !json_out with

@@ -178,13 +178,9 @@ echo "== bench --compare vs checked-in trajectory (gap group) =="
 # optimality-gap gate: re-prove every family optimum with the exact
 # branch-and-bound solver and fail on a >25% growth in branch-and-bound
 # nodes per proof vs the checked-in BENCH_gap.json — the prover is
-# deterministic, so unlike wall time this only moves on a real
-# algorithmic regression (weakened bound or branching); one retry kept
-# for symmetry with the serve gate
-dune exec bench/main.exe -- gap --compare BENCH_gap.json || {
-  echo "-- retrying once (transient load can trip the 25% threshold) --"
-  dune exec bench/main.exe -- gap --compare BENCH_gap.json
-}
+# deterministic, so this only moves on a real algorithmic regression
+# (weakened bound or branching)
+dune exec bench/main.exe -- gap --compare BENCH_gap.json
 
 echo "== pbqp_lint --self-test =="
 dune exec bin/pbqp_lint.exe -- --self-test
