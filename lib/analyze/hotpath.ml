@@ -21,10 +21,10 @@
    - [hot-printf]: Printf/Format — formatting allocates pervasively.
 
    Deliberate non-rules: bare [ref] creation is NOT flagged (the local
-   loop-counter idiom in Tensor.matmul_rows; escape analysis keeps it
-   cheap and the point of the lint is steady-state churn, not local
-   scratch), and float boxing is invisible to a syntactic pass — the
-   bench allocs-per-op regression gate owns that.  Escape hatch:
+   loop-counter idiom in Tensor.matmul_packed_rows; escape analysis
+   keeps it cheap and the point of the lint is steady-state churn, not
+   local scratch), and float boxing is invisible to a syntactic pass —
+   the minor-words counter cases in test_nn own that.  Escape hatch:
    [@analyze.ok "why"] on any subtree. *)
 
 open Parsetree

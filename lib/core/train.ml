@@ -274,17 +274,10 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
         Nn.Adam.load opt ~params:(Nn.Pvnet.params current) o
   | _ -> ());
   (* One persistent pool for the whole run: self-play episodes, the
-     data-parallel gradient step, arena games and (via [Tensor.set_pool])
-     any large main-domain GEMM all share it, instead of paying a
-     [Domain.spawn] + net re-clone per iteration. *)
+     data-parallel gradient step and arena games all share it, instead
+     of paying a [Domain.spawn] + net re-clone per iteration. *)
   let pool = Par.Pool.create ~domains:config.domains in
-  let prev_tensor_pool = Tensor.get_pool () in
-  Fun.protect
-    ~finally:(fun () ->
-      Tensor.set_pool prev_tensor_pool;
-      Par.Pool.shutdown pool)
-  @@ fun () ->
-  Tensor.set_pool (Some pool);
+  Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) @@ fun () ->
   let nw = Par.Pool.size pool in
   (* Per-worker net replicas (the GCN message cache inside a net is not
      thread-safe), allocated once for the whole run.  Worker 0 is the

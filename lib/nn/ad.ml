@@ -80,13 +80,6 @@ let mv m v =
 let linear ~apply ~transpose x =
   node (apply x.value) [| x |] (fun g -> accum x (transpose g))
 
-let matmul a b =
-  node (Tensor.matmul a.value b.value)
-    [| a; b |]
-    (fun g ->
-      accum a (Tensor.matmul g (Tensor.transpose b.value));
-      accum b (Tensor.matmul (Tensor.transpose a.value) g))
-
 let sum a =
   node
     (Tensor.scalar (Tensor.sum a.value))

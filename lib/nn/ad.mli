@@ -57,7 +57,6 @@ val linear :
     [apply = Tensor.mv a] and [transpose = Tensor.tmv a] it is bitwise
     [mv (const a) x], value and [x]'s gradient. *)
 
-val matmul : t -> t -> t
 val sum : t -> t
 (** → scalar node. *)
 

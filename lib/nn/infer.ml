@@ -2,7 +2,7 @@
 
    Each pool worker's MCTS wave is small (≤ config.batch leaves), so
    per-worker [Pvnet.predict_prepared] calls run the trunk/heads GEMMs
-   far below the batch sizes where the tiled kernel pays off.  The
+   over a handful of rows, each pass re-streaming the packed weights.  The
    service coalesces waves across workers: a submitter enqueues its
    prepared leaves as a *ticket* and blocks; whichever submitter first
    observes a flush condition takes the floating *server* role, drains a

@@ -177,16 +177,6 @@ module Pool = struct
         out
     end
 
-  let parallel_rows t ~rows f =
-    if rows > 0 then begin
-      let nb = min rows t.size in
-      let per = (rows + nb - 1) / nb in
-      parallel_for t ~n:nb ~chunk:1 (fun ~worker:_ blk ->
-          let lo = blk * per in
-          let hi = min rows (lo + per) in
-          if lo < hi then f ~lo ~hi)
-    end
-
   let reduce t ~n ~map:mapf ~fold ~init =
     if n <= 0 then init
     else begin

@@ -17,15 +17,13 @@
     the worker index therefore produces bit-identical results for every
     pool size, 1 included.
 
-    {b Re-entrancy.}  Calling into the pool from inside a task (e.g. a
-    pool-backed [Tensor.matmul] reached from a parallel self-play
-    episode) must not deadlock on the shared queue: nested regions
-    detect they are already executing on the pool and run their tasks
-    inline, serially, on the current worker.  The [worker] index passed
-    to task functions identifies the executing domain (0 = the
-    submitting domain) so tasks can index per-worker replicas of
-    non-thread-safe state; nested inline tasks inherit the enclosing
-    worker's index.
+    {b Re-entrancy.}  Calling into the pool from inside a task must not
+    deadlock on the shared queue: nested regions detect they are already
+    executing on the pool and run their tasks inline, serially, on the
+    current worker.  The [worker] index passed to task functions
+    identifies the executing domain (0 = the submitting domain) so tasks
+    can index per-worker replicas of non-thread-safe state; nested
+    inline tasks inherit the enclosing worker's index.
 
     The pool is designed for a single submitting domain (the one that
     called {!Pool.create}); submitting concurrently from several domains
@@ -56,14 +54,6 @@ module Pool : sig
   (** [parallel_for t ~n f] runs [f ~worker i] for [i = 0 .. n-1],
       partitioned into contiguous chunks ([chunk] indices per task;
       defaults to an even split across workers). *)
-
-  val parallel_rows : t -> rows:int -> (lo:int -> hi:int -> unit) -> unit
-  (** [parallel_rows t ~rows f] partitions [0 .. rows-1] into at most
-      [size t] contiguous blocks and runs [f ~lo ~hi] on each (half-open
-      ranges).  The partition depends only on [rows] and the pool size,
-      never on scheduling — the row-split used by the flat GEMM kernels,
-      where disjoint output-row ranges touch disjoint slices of the flat
-      buffer and each output cell keeps its serial accumulation order. *)
 
   val map : t -> f:(worker:int -> 'a -> 'b) -> 'a array -> 'b array
   (** [map t ~f xs] is [Array.map] with one task per element; result [i]

@@ -10,10 +10,8 @@
 
    Bit-identity discipline: every float kernel accumulates each output
    cell in globally ascending-k order and skips exact-zero A
-   contributions ([if aik <> 0.0]), so [matmul_naive], the tiled
-   [matmul]/[matmul_into], and the packed fused kernel all produce
-   bit-identical results, for every pool size (row splits never change a
-   per-cell accumulation order). *)
+   contributions ([if aik <> 0.0]), so [matmul_naive] and the packed
+   fused kernel produce bit-identical results. *)
 
 module F = Float.Array
 
@@ -120,7 +118,7 @@ let axpy a x y =
 
 let matmul_naive a b =
   let ra, ca = dims2 a and rb, cb = dims2 b in
-  if ca <> rb then invalid_arg "Tensor.matmul: inner dims differ";
+  if ca <> rb then invalid_arg "Tensor.matmul_naive: inner dims differ";
   let out = zeros [| ra; cb |] in
   let ad = a.data and bd = b.data and od = out.data in
   for i = 0 to ra - 1 do
@@ -133,88 +131,6 @@ let matmul_naive a b =
         done
     done
   done;
-  out
-
-(* Cache-tiled GEMM.  Per output element the k-accumulation order is
-   globally ascending — the same order the naive kernel uses — and skipped
-   zero contributions add exact (positive) zeros, so results are
-   bit-identical to [matmul_naive].  32×32 double tiles are 8 KB: an A
-   tile, a B tile and an out row-block coexist in a 32 KB L1. *)
-let block = 32
-
-(* The tiled kernel restricted to output rows [lo, hi): zero-fills its
-   own row range then accumulates into it, so disjoint row ranges touch
-   disjoint slices of [od] and can run on different domains.  Splitting
-   by rows does not change any per-element accumulation order (each
-   output cell's k-sum lives entirely inside one row), so any partition
-   is bit-identical to the serial [lo=0, hi=ra] call. *)
-let matmul_rows od ad bd ~ca ~cb ~lo ~hi =
-  F.fill od (lo * cb) ((hi - lo) * cb) 0.0;
-  let ib = ref lo in
-  while !ib < hi do
-    let imax = min (!ib + block) hi in
-    let kb = ref 0 in
-    while !kb < ca do
-      let kmax = min (!kb + block) ca in
-      let jb = ref 0 in
-      while !jb < cb do
-        let jmax = min (!jb + block) cb in
-        (* dims are validated by the caller, so every index below is in
-           range; unsafe accesses drop the per-element bounds checks
-           that dominate the inner loop *)
-        for i = !ib to imax - 1 do
-          let orow = i * cb in
-          for k = !kb to kmax - 1 do
-            let aik = F.unsafe_get ad ((i * ca) + k) in
-            if aik <> 0.0 then begin
-              let brow = k * cb in
-              for j = !jb to jmax - 1 do
-                F.unsafe_set od (orow + j)
-                  (F.unsafe_get od (orow + j)
-                  +. (aik *. F.unsafe_get bd (brow + j)))
-              done
-            end
-          done
-        done;
-        jb := !jb + block
-      done;
-      kb := !kb + block
-    done;
-    ib := !ib + block
-  done
-[@@hot]
-
-(* Optional pool for parallel GEMM; set once at startup by the driver.
-   Atomic so a concurrent reader sees either the old or the new pool,
-   never a torn value. *)
-let pool : Par.Pool.t option Atomic.t = Atomic.make None
-let set_pool p = Atomic.set pool p
-let get_pool () = Atomic.get pool
-
-(* Below this many multiply-adds the fork/join overhead beats the win. *)
-let par_threshold = 65536
-
-let matmul_into out a b =
-  let ra, ca = dims2 a and rb, cb = dims2 b in
-  if ca <> rb then invalid_arg "Tensor.matmul_into: inner dims differ";
-  let ro, co = dims2 out in
-  if ro <> ra || co <> cb then
-    invalid_arg "Tensor.matmul_into: output shape mismatch";
-  if out.data == a.data || out.data == b.data then
-    invalid_arg "Tensor.matmul_into: output aliases an input";
-  let ad = a.data and bd = b.data and od = out.data in
-  match Atomic.get pool with
-  | Some p
-    when Par.Pool.size p > 1 && ra > 1 && ra * ca * cb >= par_threshold ->
-      Par.Pool.parallel_rows p ~rows:ra (fun ~lo ~hi ->
-          matmul_rows od ad bd ~ca ~cb ~lo ~hi)
-  | _ -> matmul_rows od ad bd ~ca ~cb ~lo:0 ~hi:ra
-
-let matmul a b =
-  let ra, ca = dims2 a and rb, cb = dims2 b in
-  if ca <> rb then invalid_arg "Tensor.matmul: inner dims differ";
-  let out = zeros [| ra; cb |] in
-  matmul_into out a b;
   out
 
 (* {2 Packed-panel GEMM with fused epilogues} *)
@@ -265,19 +181,19 @@ let pack_transposed w =
      packed B is w.(j).(k) *)
   pack_panels ~pk:cw ~pn:rw (fun k j -> F.unsafe_get wd ((j * cw) + k))
 
-(* The fused kernel restricted to output rows [lo, hi).  Each output
-   cell is accumulated in a register in ascending-k order with the same
-   zero-skip as the naive/tiled kernels, then written exactly once after
-   the epilogue — so [out == residual] aliasing is safe (the residual
-   cell is read before the single write), and fused results are
-   bit-identical to the unfused
-   [matmul_into; add bias rowwise; add residual; relu] sequence, which
-   applies the exact same float operations in the exact same order. *)
-let matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~lo ~hi =
+(* The fused kernel over output rows [0, rows).  Each output cell is
+   accumulated in a register in ascending-k order with the same
+   zero-skip as the naive kernel, then written exactly once after the
+   epilogue — so [out == residual] aliasing is safe (the residual cell
+   is read before the single write), and fused results are bit-identical
+   to the unfused [matmul_naive; add bias rowwise; add residual; relu]
+   sequence, which applies the exact same float operations in the exact
+   same order. *)
+let matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~rows =
   let pn = bp.pn and panels = bp.panels in
   let npanels = (pn + panel_width - 1) / panel_width in
   let pstride = ca * panel_width in
-  for i = lo to hi - 1 do
+  for i = 0 to rows - 1 do
     let arow = i * ca in
     let orow = i * pn in
     for p = 0 to npanels - 1 do
@@ -361,14 +277,7 @@ let packed_prefix_into name ~exact ~rows ~bias ~residual ~relu out a bp =
           invalid_arg ("Tensor." ^ name ^ ": residual shape mismatch");
         Some r.data
   in
-  let ad = a.data and od = out.data in
-  match Atomic.get pool with
-  | Some p
-    when Par.Pool.size p > 1 && rows > 1 && rows * ca * bp.pn >= par_threshold
-    ->
-      Par.Pool.parallel_rows p ~rows (fun ~lo ~hi ->
-          matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~lo ~hi)
-  | _ -> matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~lo:0 ~hi:rows
+  matmul_packed_rows out.data a.data ~ca ~bp ~bias ~residual ~relu ~rows
 
 let matmul_packed_into ?bias ?residual ?(relu = false) out a bp =
   packed_prefix_into "matmul_packed_into" ~exact:true ~rows:(fst (dims2 a))

@@ -83,32 +83,9 @@ val axpy : float -> t -> t -> unit
 
 (** {1 Linear algebra} *)
 
-val matmul : t -> t -> t
-(** rank-2 × rank-2, cache-tiled.  Bit-identical to {!matmul_naive}: both
-    accumulate each output element in ascending-[k] order.  When a pool
-    is installed ({!set_pool}) and the product is large enough, output
-    rows are split across the pool's domains; each output cell is still
-    written by exactly one task with the same per-cell accumulation
-    order, so the result stays bit-identical for every pool size. *)
-
 val matmul_naive : t -> t -> t
-(** The straightforward three-loop kernel — kept as the reference the
-    tiled {!matmul} is equivalence-tested against. *)
-
-val matmul_into : t -> t -> t -> unit
-(** [matmul_into out a b] writes [a × b] into [out] (overwriting it),
-    reusing the buffer instead of allocating.
-    @raise Invalid_argument on shape mismatch or if [out] shares its
-    buffer with [a] or [b]. *)
-
-val set_pool : Par.Pool.t option -> unit
-(** Install (or remove, with [None]) the domain pool used by {!matmul} /
-    {!matmul_into} for large products.  Global; call once at startup.
-    The pool is only consulted from the submitting domain — nested calls
-    made from inside pool tasks run the serial kernel inline. *)
-
-val get_pool : unit -> Par.Pool.t option
-(** The currently installed pool, if any. *)
+(** rank-2 × rank-2, the straightforward three-loop kernel — the
+    reference the packed kernels are equivalence-tested against. *)
 
 (** {1 Packed-panel GEMM with fused epilogues}
 
@@ -140,13 +117,11 @@ val matmul_packed_into :
 (** [matmul_packed_into ?bias ?residual ?relu out a bp] writes
     [a × bp] into [out] with the optional epilogue applied per cell in
     this order: [+ bias.(j)], then [residual.(i, j) + ·], then relu.
-    Bit-identical to the unfused [matmul_into] followed by separate
+    Bit-identical to the unfused {!matmul_naive} followed by separate
     bias/residual/relu passes (same float operations in the same order;
     each cell accumulates ascending-k with the same zero-skip).
     [out == residual] aliasing is allowed (each cell is read before its
-    single write); [out] must not alias [a].  Row-split across the
-    installed pool for large products, bit-identical at every pool
-    size. *)
+    single write); [out] must not alias [a]. *)
 
 val matmul_packed_prefix_into :
   rows:int -> bias:t -> residual:t option -> relu:bool -> t -> t -> packed ->

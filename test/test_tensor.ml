@@ -1,9 +1,9 @@
-(* Equivalence tests for the cache-tiled GEMM: [Tensor.matmul] (tiled)
+(* Equivalence tests for the packed-panel GEMM: [Tensor.matmul_packed_into]
    must be BIT-identical to [Tensor.matmul_naive] — same k-ascending
    accumulation order per output element, so not even the last ulp may
-   differ.  Random shapes, adversarial shapes straddling the 32-wide
-   block boundary, sparsity (the zero-skip path), and the row-stacking
-   helpers. *)
+   differ.  Random shapes, adversarial shapes straddling the 8-wide
+   panel boundary, sparsity (the zero-skip path), the fused epilogues,
+   the floatarray bridges and the row-stacking helpers. *)
 
 open Testutil
 
@@ -12,7 +12,7 @@ let bits_equal a b = tensor_bits_equal a b
 
 let t_bits = Alcotest.testable Tensor.pp bits_equal
 
-(* Random matrices with zeros mixed in (exercises the tiled kernel's
+(* Random matrices with zeros mixed in (exercises the packed kernel's
    zero-skip), negatives, and a wide magnitude range so accumulation
    order would actually show up in the low bits if it differed. *)
 let random_matrix rng ?(p_zero = 0.2) r c =
@@ -21,94 +21,6 @@ let random_matrix rng ?(p_zero = 0.2) r c =
       else
         let mag = 10.0 ** Random.State.float rng 6.0 in
         (Random.State.float rng 2.0 -. 1.0) *. mag)
-
-let check_pair rng ?p_zero ra ca cb =
-  let a = random_matrix rng ?p_zero ra ca in
-  let b = random_matrix rng ?p_zero ca cb in
-  let tiled = Tensor.matmul a b in
-  let naive = Tensor.matmul_naive a b in
-  if not (bits_equal tiled naive) then
-    Alcotest.failf "tiled <> naive for %dx%d @ %dx%d" ra ca ca cb
-
-let test_tiled_equals_naive_random =
-  let arb =
-    QCheck.make
-      ~print:(fun (s, ra, ca, cb) -> Printf.sprintf "seed=%d %dx%d @ %dx%d" s ra ca ca cb)
-      QCheck.Gen.(
-        let* s = int_bound 1_000_000 in
-        let* ra = int_range 1 70 in
-        let* ca = int_range 1 70 in
-        let* cb = int_range 1 70 in
-        pure (s, ra, ca, cb))
-  in
-  qtest ~count:60 "tiled = naive (random shapes, bitwise)" arb
-    (fun (s, ra, ca, cb) ->
-      check_pair (rng s) ra ca cb;
-      true)
-
-let test_tiled_equals_naive_adversarial () =
-  let rng = rng 42 in
-  (* degenerate and block-boundary-straddling shapes: the tile width is
-     32, so 31/32/33 and 64/65 cross every edge case of the loop nest *)
-  List.iter
-    (fun (ra, ca, cb) -> check_pair rng ra ca cb)
-    [
-      (1, 1, 1);
-      (1, 64, 1);
-      (1, 33, 50);  (* 1xN row vector *)
-      (50, 33, 1);  (* Nx1 column result *)
-      (64, 1, 64);  (* inner dim 1 *)
-      (31, 31, 31);
-      (32, 32, 32);
-      (33, 33, 33);
-      (31, 32, 33);
-      (33, 32, 31);
-      (64, 65, 63);
-      (65, 64, 65);
-      (2, 96, 2);   (* many k-blocks, tiny output *)
-      (96, 2, 96);  (* one k-block, many row/col blocks *)
-    ]
-
-let test_tiled_equals_naive_sparse () =
-  (* all-zero and nearly-all-zero inputs: the zero-skip must still write
-     every output element (no stale garbage), and signed zeros must not
-     leak a -0.0 that the naive kernel would not produce *)
-  let rng = rng 7 in
-  let a = Tensor.init2 40 40 (fun i j -> if i = j then -1.0 else 0.0) in
-  let b = random_matrix rng 40 40 in
-  Alcotest.check t_bits "negated diagonal" (Tensor.matmul_naive a b)
-    (Tensor.matmul a b);
-  let z = Tensor.zeros [| 33; 33 |] in
-  let b33 = random_matrix rng 33 50 in
-  Alcotest.check t_bits "zero times random" (Tensor.matmul_naive z b33)
-    (Tensor.matmul z b33);
-  check_pair rng ~p_zero:0.95 45 45 45
-
-let test_matmul_into_reuses_buffer () =
-  let rng = rng 9 in
-  let a = random_matrix rng 20 33 in
-  let b = random_matrix rng 33 17 in
-  let out = Tensor.init2 20 17 (fun _ _ -> Float.nan) in
-  (* garbage in the output buffer must be fully overwritten *)
-  Tensor.matmul_into out a b;
-  Alcotest.check t_bits "into = fresh" (Tensor.matmul a b) out;
-  (* and the buffer is reusable across calls *)
-  let a2 = random_matrix rng 20 33 in
-  Tensor.matmul_into out a2 b;
-  Alcotest.check t_bits "second fill" (Tensor.matmul a2 b) out
-
-let test_matmul_into_errors () =
-  let a = Tensor.zeros [| 2; 3 |] and b = Tensor.zeros [| 3; 4 |] in
-  Alcotest.check_raises "inner dims"
-    (Invalid_argument "Tensor.matmul_into: inner dims differ") (fun () ->
-      Tensor.matmul_into (Tensor.zeros [| 2; 4 |]) a (Tensor.zeros [| 2; 4 |]));
-  Alcotest.check_raises "output shape"
-    (Invalid_argument "Tensor.matmul_into: output shape mismatch") (fun () ->
-      Tensor.matmul_into (Tensor.zeros [| 4; 2 |]) a b);
-  let sq = Tensor.zeros [| 3; 3 |] in
-  Alcotest.check_raises "aliasing"
-    (Invalid_argument "Tensor.matmul_into: output aliases an input") (fun () ->
-      Tensor.matmul_into sq sq sq)
 
 let test_stack_rows_row_roundtrip () =
   let rng = rng 11 in
@@ -143,7 +55,7 @@ let test_blit_row_into () =
 
 (* ------------------------------------------------------------------ *)
 (* Packed-panel GEMM with fused epilogues: [matmul_packed_into] must be
-   bit-identical to the retained naive/tiled kernels (same ascending-k
+   bit-identical to the naive kernel (same ascending-k
    zero-skip accumulation per cell) and, with epilogues, to the unfused
    sequence "matmul, + bias, + residual, relu" in exactly that order. *)
 
@@ -367,18 +279,6 @@ let test_stack_rows_errors () =
 let () =
   Alcotest.run "tensor"
     [
-      ( "tiled-gemm",
-        [
-          test_tiled_equals_naive_random;
-          Alcotest.test_case "adversarial shapes" `Quick
-            test_tiled_equals_naive_adversarial;
-          Alcotest.test_case "sparse inputs" `Quick
-            test_tiled_equals_naive_sparse;
-          Alcotest.test_case "matmul_into buffer reuse" `Quick
-            test_matmul_into_reuses_buffer;
-          Alcotest.test_case "matmul_into errors" `Quick
-            test_matmul_into_errors;
-        ] );
       ( "packed-gemm",
         [
           test_packed_equals_naive_random;
