@@ -90,7 +90,7 @@ let rec last_component lid =
 
 (* Canonical (unqualified) name of the lock denoted by an expression, or
    None when the expression is too dynamic to track (e.g. an array
-   element: Stripedcache locks [fst c.shards.(i)] — those regions are
+   element: Nn.Cache locks [fst c.shards.(i)] — those regions are
    simply not attributed to a named lock). *)
 let rec lock_name expr =
   match expr.pexp_desc with

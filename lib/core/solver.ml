@@ -17,22 +17,6 @@ let with_exact_reduction g solve =
       Solvers.Scholz.complete reduction sol;
       (Some sol, stats)
 
-(* The search runs on the trail state ([Istate]).  A positive
-   [eval_cache] gives the solve its own transposition cache (repeated
-   positions appear across backtracking replans and retreats).  An
-   explicit [cache] (possibly striped-shared across a serving pool)
-   takes precedence; [serve] routes wave evaluations through the
-   cross-worker Nn.Infer service — both result-preserving. *)
-let backtrack_solve ?cache ?serve ~eval_cache ~net ~mode config state =
-  let cache =
-    match cache with
-    | Some _ -> cache
-    | None ->
-        if eval_cache > 0 then Some (Nn.Cache.local ~capacity:eval_cache)
-        else None
-  in
-  Backtrack.solve ?cache ?serve ~net ~mode config state
-
 (* The exact branch-and-bound engine behind the same stats surface as the
    Deep-RL entry points: the optimality-gap harness's oracle.  [backtracks]
    reports the search's pruned-subtree count. *)
@@ -44,11 +28,11 @@ let solve_exact ?max_nodes ?max_seconds g =
 let solve_feasible ~net ?(mcts = Mcts.default_config)
     ?(order = Order.Decreasing_liberty) ?(backtracking = true)
     ?(replan = true) ?(max_backtracks = 100_000) ?(exact_reduce = false)
-    ?(rollouts = false) ?(eval_cache = 0) ?cache ?serve ?rng g =
+    ?(rollouts = false) ?cache ?serve ?rng g =
   let solve_on g =
     let state = make_state ?rng ~order g in
     let result =
-      backtrack_solve ?cache ?serve ~eval_cache ~net ~mode:Game.Feasibility
+      Backtrack.solve ?cache ?serve ~net ~mode:Game.Feasibility
         { Backtrack.mcts; enabled = backtracking; replan; max_backtracks;
           rollouts }
         state
@@ -67,7 +51,7 @@ let solve_feasible ~net ?(mcts = Mcts.default_config)
 
 let minimize ~net ?(mcts = Mcts.default_config) ?(order = Order.By_id)
     ?reference ?(shaping = 5.0) ?(exact_reduce = false) ?(rollouts = false)
-    ?(eval_cache = 0) ?cache ?serve ?rng g =
+    ?cache ?serve ?rng g =
   let reference =
     match reference with
     | Some r -> r
@@ -79,7 +63,7 @@ let minimize ~net ?(mcts = Mcts.default_config) ?(order = Order.By_id)
   let solve_on g =
     let state = make_state ?rng ~order g in
     let result =
-      backtrack_solve ?cache ?serve ~eval_cache ~net ~mode
+      Backtrack.solve ?cache ?serve ~net ~mode
         { Backtrack.default_config with mcts; enabled = false; rollouts }
         state
     in

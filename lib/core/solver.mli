@@ -35,7 +35,6 @@ val solve_feasible :
   ?max_backtracks:int ->
   ?exact_reduce:bool ->
   ?rollouts:bool ->
-  ?eval_cache:int ->
   ?cache:Nn.Cache.t ->
   ?serve:Nn.Infer.t ->
   ?rng:Random.State.t ->
@@ -48,13 +47,11 @@ val solve_feasible :
     The search runs on the trail-based {!Istate}: O(deg) apply/undo
     instead of a graph copy per tree node.  [rollouts] (default false)
     blends greedy roll-out values into leaf evaluation (see {!Rollout}).
-    A positive
-    [eval_cache] gives the solve an LRU transposition cache of that many
-    network evaluations (see {!Nn.Evalcache}), also result-preserving.
 
-    [cache] supplies an external (possibly striped, pool-shared)
-    evaluation cache instead — it takes precedence over [eval_cache] —
-    and [serve] routes wave evaluations through a cross-worker
+    [cache] gives the solve a transposition cache of network evaluations
+    (repeated positions appear across backtracking replans and retreats;
+    possibly striped and pool-shared, see {!Nn.Cache}), and [serve]
+    routes wave evaluations through a cross-worker
     {!Nn.Infer} service so unrelated concurrent solves coalesce into
     shared forward batches.  Both preserve results bitwise; they are the
     serving-tier hooks ({!Serve.Daemon}).
@@ -73,13 +70,12 @@ val minimize :
   ?shaping:float ->
   ?exact_reduce:bool ->
   ?rollouts:bool ->
-  ?eval_cache:int ->
   ?cache:Nn.Cache.t ->
   ?serve:Nn.Infer.t ->
   ?rng:Random.State.t ->
   Graph.t ->
   (Solution.t * Cost.t) option * stats
-(** Minimize the cost sum.  [eval_cache]/[cache]/[serve] as in
+(** Minimize the cost sum.  [cache]/[serve] as in
     {!solve_feasible}.  [reference] anchors the search's terminal
     values (defaults to the Scholz–Eckstein cost of the graph);
     [shaping] (default 5.0) smooths the comparison reward.  [rollouts]

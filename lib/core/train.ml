@@ -291,8 +291,9 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
     Array.init nw (fun w -> if w = 0 then current else Nn.Pvnet.clone current)
   in
   (* One shared evaluation cache per net role, striped over mutex-guarded
-     shards when the pool has several workers (plain single-owner LRU at
-     nw = 1) — a position solved by one worker is a hit for every other.
+     shards when the pool has several workers (one stripe, the plain LRU,
+     at nw = 1) — a position solved by one worker is a hit for every
+     other.
      Sharing cannot perturb results: hits return bitwise what the network
      would compute under the same weights version, so only the hit/miss
      counters — never run outputs — depend on the task→worker mapping.
@@ -302,11 +303,9 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
   let make_cache () =
     if config.eval_cache > 0 then
       Some
-        (if nw > 1 then
-           Nn.Cache.striped
-             ~stripes:(max 1 config.cache_stripes)
-             ~capacity:config.eval_cache
-         else Nn.Cache.local ~capacity:config.eval_cache)
+        (Nn.Cache.striped
+           ~stripes:(if nw > 1 then max 1 config.cache_stripes else 1)
+           ~capacity:config.eval_cache)
     else None
   in
   let best_cache = make_cache () and current_cache = make_cache () in

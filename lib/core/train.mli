@@ -81,8 +81,8 @@ type config = {
           sequentiality for evaluation throughput (see DESIGN.md). *)
   eval_cache : int;
       (** total capacity of the shared per-net-role evaluation cache
-          ([Nn.Cache]: a striped [Nn.Stripedcache] when [domains > 1],
-          a single-owner [Nn.Evalcache] otherwise); 0 (the default)
+          ([Nn.Cache]: [cache_stripes] shards when [domains > 1], one
+          otherwise); 0 (the default)
           disables caching.  Entries are versioned by [Nn.Pvnet.version],
           so optimizer steps and promotions invalidate them implicitly;
           hits return bitwise-identical results, so runs are unchanged by

@@ -2,7 +2,7 @@
    evaluation cache: random apply/undo interleavings and cursor walks
    against the persistent State oracle (structurally bit-equal at every
    depth), trail roll-outs against persistent greedy completions,
-   LRU/version semantics of Nn.Evalcache, episodes and solves against the
+   LRU/version semantics of Nn.Cache, episodes and solves against the
    persistent reference drivers (test/oracle) with the cache off and on,
    and whole training runs across {cache off, on} x domains. *)
 
@@ -203,66 +203,73 @@ let test_rollout_matches_oracle =
   true
 
 (* ------------------------------------------------------------------ *)
-(* Evaluation cache: LRU + version semantics *)
+(* Evaluation cache: LRU + version semantics, on the one-stripe
+   Nn.Cache (a single Evalcache shard holding the whole capacity) *)
 
 let entry priors value = (Array.of_list priors, value)
+let lru ~capacity = Nn.Cache.striped ~stripes:1 ~capacity
+let hits c = (Nn.Cache.stats c).Nn.Evalcache.hits
+let size c = (Nn.Cache.stats c).Nn.Evalcache.size
 
 let test_cache_roundtrip () =
-  let c = Nn.Evalcache.create ~capacity:4 in
+  let c = lru ~capacity:4 in
   Alcotest.(check (option (pair (array (float 0.0)) (float 0.0))))
     "empty" None
-    (Nn.Evalcache.find c ~version:1 (42, 0));
-  Nn.Evalcache.store c ~version:1 (42, 0) (entry [ 0.25; 0.75 ] 0.5);
-  (match Nn.Evalcache.find c ~version:1 (42, 0) with
+    (Nn.Cache.find c ~version:1 (42, 0));
+  Nn.Cache.store c ~version:1 (42, 0) (entry [ 0.25; 0.75 ] 0.5);
+  (match Nn.Cache.find c ~version:1 (42, 0) with
   | Some (priors, v) ->
       Alcotest.(check (array (float 0.0))) "priors" [| 0.25; 0.75 |] priors;
       Alcotest.(check (float 0.0)) "value" 0.5 v;
       (* hits are copies: mutating one must not corrupt the cache *)
       priors.(0) <- 99.0
   | None -> Alcotest.fail "stored entry not found");
-  (match Nn.Evalcache.find c ~version:1 (42, 0) with
+  (match Nn.Cache.find c ~version:1 (42, 0) with
   | Some (priors, _) ->
       Alcotest.(check (array (float 0.0)))
         "stored priors unaffected by caller mutation" [| 0.25; 0.75 |] priors
   | None -> Alcotest.fail "entry vanished");
-  Alcotest.(check int) "hits" 2 (Nn.Evalcache.hits c);
-  Alcotest.(check int) "misses" 1 (Nn.Evalcache.misses c)
+  Alcotest.(check int) "hits" 2 (hits c);
+  Alcotest.(check int) "misses" 1 (Nn.Cache.stats c).Nn.Evalcache.misses
 
 let test_cache_lru_eviction () =
-  let c = Nn.Evalcache.create ~capacity:2 in
-  Nn.Evalcache.store c ~version:1 (1, 0) (entry [ 1.0 ] 1.0);
-  Nn.Evalcache.store c ~version:1 (2, 0) (entry [ 1.0 ] 2.0);
+  let c = lru ~capacity:2 in
+  Nn.Cache.store c ~version:1 (1, 0) (entry [ 1.0 ] 1.0);
+  Nn.Cache.store c ~version:1 (2, 0) (entry [ 1.0 ] 2.0);
   (* touch key 1 so key 2 is the least recently used *)
-  ignore (Nn.Evalcache.find c ~version:1 (1, 0));
-  Nn.Evalcache.store c ~version:1 (3, 0) (entry [ 1.0 ] 3.0);
-  Alcotest.(check int) "capacity respected" 2 (Nn.Evalcache.length c);
+  ignore (Nn.Cache.find c ~version:1 (1, 0));
+  Nn.Cache.store c ~version:1 (3, 0) (entry [ 1.0 ] 3.0);
+  Alcotest.(check int) "capacity respected" 2 (size c);
   Alcotest.(check bool) "LRU key evicted" true
-    (Nn.Evalcache.find c ~version:1 (2, 0) = None);
+    (Nn.Cache.find c ~version:1 (2, 0) = None);
   Alcotest.(check bool) "recently-used key kept" true
-    (Nn.Evalcache.find c ~version:1 (1, 0) <> None);
+    (Nn.Cache.find c ~version:1 (1, 0) <> None);
   Alcotest.(check bool) "new key present" true
-    (Nn.Evalcache.find c ~version:1 (3, 0) <> None)
+    (Nn.Cache.find c ~version:1 (3, 0) <> None)
 
 let test_cache_version_invalidates () =
-  let c = Nn.Evalcache.create ~capacity:4 in
-  Nn.Evalcache.store c ~version:1 (7, 2) (entry [ 0.5 ] 0.25);
+  let c = lru ~capacity:4 in
+  Nn.Cache.store c ~version:1 (7, 2) (entry [ 0.5 ] 0.25);
   Alcotest.(check bool) "entry of stale weights is a miss" true
-    (Nn.Evalcache.find c ~version:2 (7, 2) = None);
+    (Nn.Cache.find c ~version:2 (7, 2) = None);
   (* re-store under the new version: served again *)
-  Nn.Evalcache.store c ~version:2 (7, 2) (entry [ 0.5 ] 0.75);
-  (match Nn.Evalcache.find c ~version:2 (7, 2) with
+  Nn.Cache.store c ~version:2 (7, 2) (entry [ 0.5 ] 0.75);
+  (match Nn.Cache.find c ~version:2 (7, 2) with
   | Some (_, v) -> Alcotest.(check (float 0.0)) "fresh value" 0.75 v
   | None -> Alcotest.fail "re-stored entry not found");
   Alcotest.(check (float 1e-9)) "hit rate counts the stale miss"
-    (1.0 /. 2.0) (Nn.Evalcache.hit_rate c);
-  Nn.Evalcache.clear c;
-  Alcotest.(check int) "clear empties" 0 (Nn.Evalcache.length c);
-  Alcotest.(check int) "clear resets hits" 0 (Nn.Evalcache.hits c)
+    (1.0 /. 2.0) (Nn.Cache.hit_rate c);
+  Nn.Cache.clear c;
+  Alcotest.(check int) "clear empties" 0 (size c);
+  Alcotest.(check int) "clear resets hits" 0 (hits c)
 
 let test_cache_validates () =
   Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Evalcache.create: capacity <= 0") (fun () ->
-      ignore (Nn.Evalcache.create ~capacity:0))
+    (Invalid_argument "Cache.striped: capacity <= 0") (fun () ->
+      ignore (lru ~capacity:0));
+  Alcotest.check_raises "stripes must be positive"
+    (Invalid_argument "Cache.striped: stripes <= 0") (fun () ->
+      ignore (Nn.Cache.striped ~stripes:0 ~capacity:4))
 
 let test_pvnet_version_bumps () =
   let m = 3 in
@@ -341,12 +348,11 @@ let test_episode_equivalence =
       let net = tiny_net ~m:spec.m () in
       check_episode_pair ~msg:"batch 1" ~batch:1 g net;
       check_episode_pair ~msg:"batched" ~batch:4 g net;
-      let ec = Nn.Evalcache.create ~capacity:512 in
-      let cache = Nn.Cache.Local ec in
+      let cache = lru ~capacity:512 in
       check_episode_pair ~msg:"cache" ~cache ~batch:4 g net;
       (* second run with the now-warm cache: hits must not change play *)
       check_episode_pair ~msg:"warm cache" ~cache ~batch:4 g net;
-      if Nn.Evalcache.hits ec = 0 then
+      if hits cache = 0 then
         Alcotest.fail "warm cache saw no hits";
       true)
 
@@ -372,10 +378,13 @@ let test_solver_equivalence =
       let sol0, st0 =
         Oracle.Solver.solve_feasible ~net ~mcts ~max_backtracks:200 g
       in
+      let cache capacity =
+        if capacity > 0 then Some (lru ~capacity) else None
+      in
       List.iter
         (fun eval_cache ->
           let sol, st =
-            Core.Solver.solve_feasible ~net ~mcts ~eval_cache
+            Core.Solver.solve_feasible ~net ~mcts ?cache:(cache eval_cache)
               ~max_backtracks:200 g
           in
           if st <> st0 then
@@ -386,7 +395,9 @@ let test_solver_equivalence =
       let min0, mst0 = Oracle.Solver.minimize ~net ~mcts g in
       List.iter
         (fun eval_cache ->
-          let mn, mst = Core.Solver.minimize ~net ~mcts ~eval_cache g in
+          let mn, mst =
+            Core.Solver.minimize ~net ~mcts ?cache:(cache eval_cache) g
+          in
           if mst <> mst0 then
             Alcotest.failf "minimize stats differ (cache=%d)" eval_cache;
           if not (same_min min0 mn) then

@@ -1,5 +1,5 @@
 (* Tests for the cross-worker dynamic-batching inference service
-   (Nn.Infer) and the shared striped evaluation cache (Nn.Stripedcache):
+   (Nn.Infer) and the shared striped evaluation cache (Nn.Cache):
    ticket-protocol semantics (single-worker fast path, full-batch
    coalescing, timeout flushes, quorum flushes of registered searches,
    oversized waves never split, first-exn propagation to every
@@ -411,7 +411,7 @@ let test_episodes_bitwise_under_service () =
 (* Striped cache under concurrent domains *)
 
 let test_striped_cache_consistent_under_domains () =
-  let sc = Nn.Stripedcache.create ~stripes:4 ~capacity:64 in
+  let sc = Nn.Cache.striped ~stripes:4 ~capacity:64 in
   let workers = 4 in
   let ops = 4_000 in
   (* entries encode their own key: any torn or cross-wired read surfaces
@@ -431,10 +431,10 @@ let test_striped_cache_consistent_under_domains () =
                let h = Random.State.int r 97 in
                let next = Random.State.int r 5 in
                if Random.State.bool r then
-                 Nn.Stripedcache.store sc ~version:1 (h, next) (entry h next)
+                 Nn.Cache.store sc ~version:1 (h, next) (entry h next)
                else begin
                  finds.(i) <- finds.(i) + 1;
-                 match Nn.Stripedcache.find sc ~version:1 (h, next) with
+                 match Nn.Cache.find sc ~version:1 (h, next) with
                  | None -> ()
                  | Some (p, v) ->
                      hits.(i) <- hits.(i) + 1;
@@ -448,7 +448,7 @@ let test_striped_cache_consistent_under_domains () =
              done));
       Alcotest.(check (array int)) "no torn or cross-wired reads"
         (Array.make workers 0) bad;
-      let s = Nn.Stripedcache.stats sc in
+      let s = Nn.Cache.stats sc in
       let total_finds = Array.fold_left ( + ) 0 finds in
       let total_hits = Array.fold_left ( + ) 0 hits in
       Alcotest.(check int) "shard counters account for every find"
@@ -459,22 +459,22 @@ let test_striped_cache_consistent_under_domains () =
       Alcotest.(check bool) "capacity respected" true
         (s.Nn.Evalcache.size <= 64);
       Alcotest.(check int) "stripes rounded to a power of two" 4
-        (Nn.Stripedcache.stripes sc))
+        (Nn.Cache.stripes sc))
 
 let test_striped_cache_version_and_stats () =
-  let sc = Nn.Stripedcache.create ~stripes:3 (* rounds to 4 *) ~capacity:16 in
-  Alcotest.(check int) "rounded up" 4 (Nn.Stripedcache.stripes sc);
-  Nn.Stripedcache.store sc ~version:1 (7, 0) ([| 0.5 |], 0.25);
+  let sc = Nn.Cache.striped ~stripes:3 (* rounds to 4 *) ~capacity:16 in
+  Alcotest.(check int) "rounded up" 4 (Nn.Cache.stripes sc);
+  Nn.Cache.store sc ~version:1 (7, 0) ([| 0.5 |], 0.25);
   Alcotest.(check bool) "hit under the same version" true
-    (Nn.Stripedcache.find sc ~version:1 (7, 0) <> None);
+    (Nn.Cache.find sc ~version:1 (7, 0) <> None);
   Alcotest.(check bool) "stale version misses" true
-    (Nn.Stripedcache.find sc ~version:2 (7, 0) = None);
-  let s = Nn.Stripedcache.stats sc in
+    (Nn.Cache.find sc ~version:2 (7, 0) = None);
+  let s = Nn.Cache.stats sc in
   Alcotest.(check int) "one hit" 1 s.Nn.Evalcache.hits;
   Alcotest.(check int) "one miss" 1 s.Nn.Evalcache.misses;
-  Alcotest.(check (float 1e-9)) "hit rate" 0.5 (Nn.Stripedcache.hit_rate sc);
-  Nn.Stripedcache.clear sc;
-  Alcotest.(check int) "clear empties" 0 (Nn.Stripedcache.stats sc).Nn.Evalcache.size
+  Alcotest.(check (float 1e-9)) "hit rate" 0.5 (Nn.Cache.hit_rate sc);
+  Nn.Cache.clear sc;
+  Alcotest.(check int) "clear empties" 0 (Nn.Cache.stats sc).Nn.Evalcache.size
 
 (* ------------------------------------------------------------------ *)
 (* Whole training run: serve on = serve off, bit for bit *)
