@@ -215,7 +215,7 @@ let copy_into ~src ~dst = if src != dst then sync ~src ~dst
 (* Soft availability weight: 1 at cost 0, decaying rationally so that the
    wide dynamic range of spill weights (1 .. 10^3) stays distinguishable,
    and 0 for inadmissible (∞) entries. *)
-let phi_cost scale c =
+let[@inline] phi_cost scale c =
   if Cost.is_inf c then 0.0 else 1.0 /. (1.0 +. (Cost.to_float c /. scale))
 
 let vertex_features t vec =
@@ -251,15 +251,18 @@ let classify config mat =
     Jdiag (Float.Array.init (m + 1) (fun i -> if i < m then cell i i else a))
   else Dense (Tensor.init2 m m cell)
 
+(* [Idtbl.find] with a [Not_found] handler rather than [find_opt]: a hit
+   returns the entry without allocating an option, so a warm [csr_fill]
+   allocates nothing per edge. *)
 let message_matrix t mat =
   let c = t.msg_cache and id = Mat.id mat in
-  match Idtbl.find_opt c.young id with
-  | Some cached -> cached
-  | None ->
+  match Idtbl.find c.young id with
+  | cached -> cached
+  | exception Not_found ->
       let entry =
-        match Idtbl.find_opt c.old id with
-        | Some cached -> cached
-        | None -> classify t.config mat
+        match Idtbl.find c.old id with
+        | cached -> cached
+        | exception Not_found -> classify t.config mat
       in
       if Idtbl.length c.young >= msg_generation then begin
         let dropped = c.old in

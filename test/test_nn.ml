@@ -705,12 +705,13 @@ let test_message_apply_tape () =
 (* Counter gate on the arena forward: once a replica is warm (message
    cache filled, CSR scratch grown), re-preparing the states of the PRO1
    path allocates a fixed number of minor words per call — the result
-   (the 3m readout row and the mask copy) plus what the fill allocates,
-   among it an option per cache lookup and boxed cost features.  The
-   pinned count is the one measured before the structured message
-   kernel; an allocation added to the message pass or the fill (a
-   scratch per edge, a boxed float per row) moves it. *)
-let prepare_minor_words = 1989.5
+   (the 3m readout row and the mask copy) plus what the CSR index and
+   fill still allocate.  The message-cache lookup and the cost
+   features allocate nothing (1989.5 words before they stopped boxing an
+   option per edge and a float per feature); an allocation added to the
+   message pass or the fill (a scratch per edge, a boxed float per row)
+   moves the count. *)
+let prepare_minor_words = 1102.5
 
 let test_prepare_allocation () =
   let states = Array.of_list (pro_path (pro_residual 1)) in
