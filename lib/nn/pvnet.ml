@@ -14,7 +14,7 @@ let default_config ~m =
 type gcn_layer = { w_self : Layer.Linear.t; w_msg : Layer.Linear.t }
 
 (* Scratch buffers for one batch size of the coalesced trunk/heads
-   forward.  Tensors carry exact shapes (matmul_into validates them), so
+   forward.  Tensors carry exact shapes (the packed GEMM validates them), so
    buffers are keyed by the batch row count rather than grown in place;
    the set of distinct batch sizes a search produces is small (wave
    sizes, service batch sizes), and the table is reset if it ever grows

@@ -35,20 +35,19 @@ echo "== dune runtest =="
 dune runtest
 
 echo "== dune build @gemm =="
-# GEMM-kernel equivalence suite: the packed-panel fused kernels and the
-# tiled kernel bitwise against the naive reference, and the floatarray
-# bridges
+# GEMM-kernel equivalence suite: the packed-panel fused kernels bitwise
+# against the naive reference, and the floatarray bridges
 dune build @gemm
 
 echo "== dune build @par =="
-# parallel-runtime equivalence suite: pool GEMM / train step / whole
-# training runs must be bit-identical to serial at every pool size
+# parallel-runtime equivalence suite: pool semantics, and the train step
+# and whole training runs bit-identical to serial at every pool size
 dune build @par
 
 echo "== dune build @incr =="
 # incremental-state/evaluation-cache equivalence suite: trail apply/undo,
 # cursor seeks and roll-outs vs the persistent State oracle (bitwise),
-# Evalcache LRU/version semantics, episodes and solves vs the persistent
+# Nn.Cache LRU/version semantics, episodes and solves vs the persistent
 # reference drivers with the cache off and on, and training runs across
 # {cache off, on} x domains
 dune build @incr
@@ -63,7 +62,7 @@ dune build @exact
 echo "== dune build @serve =="
 # inference-service equivalence suite: the Nn.Infer ticket protocol
 # (full, quorum and timeout flushes, search registration, first-exn),
-# striped-cache consistency under domains, and bitwise episodes/training
+# Nn.Cache consistency under domains, and bitwise episodes/training
 # runs across {direct, service} x pool sizes x {cache off, on}
 dune build @serve
 
@@ -71,15 +70,17 @@ echo "== dune build @daemon =="
 # allocation-service suite: the Serve.Wire codec and malformed-frame
 # rejection, daemon admission control, deadlines, hot-reload, the
 # 4-concurrent-clients-bitwise-=-serial determinism claim (every Infer
-# batch accounted to the full, quorum or timeout flush rule), and the
-# poisoned-batch Nn.Infer regression
+# batch accounted to the full, quorum or timeout flush rule, and the
+# Infer rows = rl leaf evaluations - cache hits), and the poisoned-batch
+# Nn.Infer regression
 dune build @daemon
 
 echo "== dune build @dist =="
 # distributed actor/learner suite: manifest and message codecs, binary
 # parameter-snapshot round trips, the sharded replay vs the plain ring,
 # the weighted (staleness) train step, and the whole-run equalities
-# (--actors 1 = in-process bitwise; multi-actor runs bit-reproducible)
+# (--actors 1 = in-process bitwise; multi-actor runs bit-reproducible,
+# with the learner's frames and payload bytes per iteration pinned)
 dune build @dist
 
 echo "== multi-domain smoke (train -j 2 --eval-cache --check) =="

@@ -382,26 +382,26 @@ let test_solver_equivalence =
         if capacity > 0 then Some (lru ~capacity) else None
       in
       List.iter
-        (fun eval_cache ->
+        (fun capacity ->
           let sol, st =
-            Core.Solver.solve_feasible ~net ~mcts ?cache:(cache eval_cache)
+            Core.Solver.solve_feasible ~net ~mcts ?cache:(cache capacity)
               ~max_backtracks:200 g
           in
           if st <> st0 then
-            Alcotest.failf "feasible stats differ (cache=%d)" eval_cache;
+            Alcotest.failf "feasible stats differ (cache=%d)" capacity;
           if not (same_solution sol0 sol) then
-            Alcotest.failf "feasible solutions differ (cache=%d)" eval_cache)
+            Alcotest.failf "feasible solutions differ (cache=%d)" capacity)
         [ 0; 256 ];
       let min0, mst0 = Oracle.Solver.minimize ~net ~mcts g in
       List.iter
-        (fun eval_cache ->
+        (fun capacity ->
           let mn, mst =
-            Core.Solver.minimize ~net ~mcts ?cache:(cache eval_cache) g
+            Core.Solver.minimize ~net ~mcts ?cache:(cache capacity) g
           in
           if mst <> mst0 then
-            Alcotest.failf "minimize stats differ (cache=%d)" eval_cache;
+            Alcotest.failf "minimize stats differ (cache=%d)" capacity;
           if not (same_min min0 mn) then
-            Alcotest.failf "minimize results differ (cache=%d)" eval_cache)
+            Alcotest.failf "minimize results differ (cache=%d)" capacity)
         [ 0; 256 ];
       true)
 
