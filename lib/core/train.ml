@@ -293,13 +293,12 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
   (* One shared evaluation cache per net role, striped over mutex-guarded
      shards when the pool has several workers (one stripe, the plain LRU,
      at nw = 1) — a position solved by one worker is a hit for every
-     other.
-     Sharing cannot perturb results: hits return bitwise what the network
-     would compute under the same weights version, so only the hit/miss
-     counters — never run outputs — depend on the task→worker mapping.
-     Version stamps make entries from pre-step weights self-invalidating;
-     the promotion/reset [sync]s below copy stamps with weights, so no
-     explicit clearing is needed. *)
+     other.  Sharing cannot perturb results: hits return bitwise what the
+     network would compute under the same weights version, so only the
+     hit/miss counters — never run outputs — depend on the task→worker
+     mapping.  Version stamps make entries from pre-step weights
+     self-invalidating; the promotion/reset [sync]s below copy stamps with
+     weights, so no explicit clearing is needed. *)
   let make_cache () =
     if config.eval_cache > 0 then
       Some

@@ -706,11 +706,10 @@ let test_message_apply_tape () =
    cache filled, CSR scratch grown), re-preparing the states of the PRO1
    path allocates a fixed number of minor words per call — the result
    (the 3m readout row and the mask copy) plus what the CSR index and
-   fill still allocate.  The message-cache lookup and the cost
-   features allocate nothing (1989.5 words before they stopped boxing an
-   option per edge and a float per feature); an allocation added to the
-   message pass or the fill (a scratch per edge, a boxed float per row)
-   moves the count. *)
+   fill still allocate; the message-cache lookup and the cost features
+   allocate nothing.  An allocation added to the message pass or the
+   fill (an option per cache lookup, a boxed float per feature, a
+   scratch per edge) moves the count. *)
 let prepare_minor_words = 1102.5
 
 let test_prepare_allocation () =
