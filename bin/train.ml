@@ -69,10 +69,9 @@ let run m iterations episodes k_train n_mean p_edge p_inf zero_inf planted
           cost_max = 30.0 };
       n_mean;
       n_stddev = n_mean /. 4.0;
-      mcts = { Mcts.default_config with k = k_train };
+      mcts = { Mcts.default_config with k = k_train; batch = batch_leaves };
       planted;
       batch_size = batch;
-      batch_leaves;
       eval_cache;
       serve_batch;
       serve_wait_us;

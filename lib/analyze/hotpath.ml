@@ -17,7 +17,8 @@
      [Tensor.t] does);
    - [hot-alloc-call]: calls into known-allocating stdlib entry points
      (List.map, Array.copy, Float.Array.make, Bigarray.Array1.create,
-     String.concat, ...);
+     String.concat, ...) and qualified [*_opt] lookups (Hashtbl.find_opt,
+     List.assoc_opt, a functor's find_opt), which box every hit;
    - [hot-printf]: Printf/Format — formatting allocates pervasively.
 
    Deliberate non-rules: bare [ref] creation is NOT flagged (the local
@@ -91,6 +92,10 @@ let allocating_calls =
     ([ "Buffer"; "create" ], "allocates a buffer");
   ]
 
+(* a qualified [*_opt] lookup boxes every hit in a fresh [Some] *)
+let option_lookup head =
+  List.length head > 1 && String.ends_with ~suffix:"_opt" (List.hd (List.rev head))
+
 let infix_allocators = [ ("^", "string concatenation"); ("@", "list append") ]
 
 let check_apply env ~line f args =
@@ -115,6 +120,11 @@ let check_apply env ~line f args =
           report env ~rule:"hot-alloc-call" ~line
             "%s in a [@hot] body %s on every call"
             (String.concat "." head) why
+      | None when option_lookup head ->
+          report env ~rule:"hot-alloc-call" ~line
+            "%s in a [@hot] body allocates a Some on every hit; use the \
+             raising lookup with an exception handler"
+            (String.concat "." head)
       | None -> ()));
   (* partial application against the repo-wide arity registry *)
   if head <> [] && not (List.mem_assoc head allocating_calls) then

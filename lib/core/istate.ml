@@ -221,8 +221,8 @@ module Cursor = struct
 
   let graph_snapshot c =
     sync c;
-    (* shared matrices: they are immutable, the trail re-installs the same
-       physical objects on undo, and Mat.id-keyed caches stay hot *)
+    (* shared matrices: they are immutable and the trail re-installs the
+       same physical objects on undo *)
     Graph.copy_shared c.ist.graph
 
   let apply c color =

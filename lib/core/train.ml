@@ -23,7 +23,6 @@ type config = {
   domains : int;
   checkpoint : string option;
   check : bool;
-  batch_leaves : int;
   eval_cache : int;
   serve_batch : int;
   serve_wait_us : int;
@@ -57,7 +56,6 @@ let default_config ~m =
     domains = 1;
     checkpoint = None;
     check = false;
-    batch_leaves = 1;
     eval_cache = 0;
     serve_batch = 0;
     serve_wait_us = 200;
@@ -103,9 +101,8 @@ let play_once ?(collect = false) ?cache ?serve ~rng ~net ~temperature_moves
   (* AlphaZero-style: the training run explores with Dirichlet root noise;
      inference runs (temperature 0) play clean *)
   let root_noise = if temperature_moves > 0 then Some (0.25, 0.5) else None in
-  let mcts = { config.mcts with Mcts.batch = max 1 config.batch_leaves } in
   Episode.play ~collect ?cache ?serve ~rng ~net ~mode
-    { Episode.mcts; temperature_moves; root_noise }
+    { Episode.mcts = config.mcts; temperature_moves; root_noise }
     ist
 
 (* With [config.check]: certify an episode's claim against the original
@@ -279,8 +276,9 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
   let pool = Par.Pool.create ~domains:config.domains in
   Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) @@ fun () ->
   let nw = Par.Pool.size pool in
-  (* Per-worker net replicas (the GCN message cache inside a net is not
-     thread-safe), allocated once for the whole run.  Worker 0 is the
+  (* Per-worker net replicas (a net's arena, which holds the instance
+     encoding and buffers of its inference forward, is single-owner),
+     allocated once for the whole run.  Worker 0 is the
      submitting domain and uses the real nets; workers >= 1 get clones
      refreshed in place — and only when the source weights actually
      changed, which the version counters below track. *)

@@ -24,7 +24,10 @@ type config = {
   n_mean : float;
   n_stddev : float;
   n_min : int;
-  mcts : Mcts.config;  (** [mcts.k] is the paper's k_train *)
+  mcts : Mcts.config;
+      (** [mcts.k] is the paper's k_train; [mcts.batch] > 1 gathers that
+          many leaves per virtual-loss wave into one batched forward,
+          trading some search sequentiality for throughput (DESIGN.md). *)
   net : Nn.Pvnet.config;
   adam : Nn.Adam.config;
   batch_size : int;
@@ -73,12 +76,6 @@ type config = {
           independent recomputation); any violation aborts training with
           [Failure].  Off by default — it adds a per-episode
           recomputation. *)
-  batch_leaves : int;
-      (** MCTS leaves gathered per virtual-loss wave and evaluated in one
-          batched network forward during self-play and arena games
-          (overrides [mcts.batch]).  1 (the default) reproduces the
-          scalar search exactly; larger values trade some search
-          sequentiality for evaluation throughput (see DESIGN.md). *)
   eval_cache : int;
       (** total capacity of the shared per-net-role evaluation cache
           ([Nn.Cache]: [cache_stripes] shards when [domains > 1], one

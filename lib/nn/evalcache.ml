@@ -5,7 +5,7 @@
    the stored version equals the caller's — a stale entry is a miss and
    is overwritten by the following store.  Single-domain by design: the
    training loop keeps one cache per (pool worker, net replica), so no
-   locking is needed (mirroring the per-worker msg_cache discipline). *)
+   locking is needed (like each replica's single-owner arena). *)
 
 type key = int * int
 

@@ -7,8 +7,8 @@
     before an optimizer step is never served afterwards — no explicit
     invalidation is needed.
 
-    Not thread-safe: use one cache per (worker, net replica), like the
-    per-replica message caches (see DESIGN.md).  Hits return copies of
+    Not thread-safe: use one cache per (worker, net replica), like each
+    replica's inference arena (see DESIGN.md).  Hits return copies of
     the stored priors, so callers may mutate them freely.  Because keys
     ({!Zhash} over the exact move sequence of one graph instance) only
     collide for bitwise-identical states under identical weights, search

@@ -84,10 +84,13 @@ type prepared
 val prepare : t -> Pbqp.Graph.t -> next:int -> prepared
 (** The per-state stage: the GCN runs as a flat CSR message pass in the
     net's arena (per-vertex transforms as packed GEMMs over the live
-    vertices), without building an autodiff tape.  Safe to call on a
-    graph that is subsequently mutated (the incremental-search pattern:
-    seek the shared trail graph to each leaf, prepare, move on); the
-    returned value owns its data.
+    vertices), without building an autodiff tape, reading the arena's
+    encoding of the instance (the edge set [Graph.uid g] names, with
+    every directed edge's message matrix), which is rebuilt only when the
+    uid changes or a live vertex is not covered.  Safe to call
+    on a graph that is subsequently mutated (the incremental-search
+    pattern: seek the shared trail graph to each leaf, prepare, move
+    on); the returned value owns its data.
     @raise Invalid_argument with ["Pvnet.prepare: m mismatch"] if the
     graph's [m] differs from the net's, or if [next] is not a live
     vertex. *)
@@ -103,8 +106,8 @@ val predict_prepared : t -> prepared array -> (float array * float) array
     composition; duplicate states and states from different graphs may
     mix in one batch.  [[||]] maps to [[||]].
 
-    Not thread-safe (the arena, like the message cache, belongs to the
-    replica's owning worker) — but safe for {!Infer}'s floating server
+    Not thread-safe (the arena belongs to the replica's owning worker)
+    — but safe for {!Infer}'s floating server
     to run on a submitter's replica, because the owner blocks for the
     result while its ticket is in flight. *)
 
@@ -120,15 +123,17 @@ val reset_eval_count : t -> unit
     [M] is the edge matrix oriented with [v]'s colors as rows.  On the
     0/∞ ATE family nearly every such matrix is [a·J + diag(d)] — one
     value everywhere off the diagonal — and is kept as [m + 1] floats;
-    every other matrix is kept dense.  Both forwards memoize the
-    classified matrix per [Mat.id]. *)
+    every other matrix is kept dense.  {!prepare} classifies each
+    directed edge once per instance encoding; {!predict} and {!loss}
+    classify each once per call. *)
 
 type msg
 
 val classify : config -> Pbqp.Mat.t -> msg
 (** The message matrix of an edge matrix, not memoized: the
-    [a·J + diag(d)] form when [m > 1] and every off-diagonal cell of
-    [φ(M)/m] has the same bits, dense otherwise. *)
+    [a·J + diag(d)] form when [m > 1] and every off-diagonal cost of [M]
+    is equal (so every off-diagonal cell of [φ(M)/m] has the same bits),
+    dense otherwise.  Both forms give the same message bits. *)
 
 val is_jdiag : msg -> bool
 

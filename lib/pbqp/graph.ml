@@ -1,5 +1,5 @@
 type t = {
-  uid : int;
+  mutable uid : int;
   m : int;
   n : int;
   alive : bool array;
@@ -9,9 +9,9 @@ type t = {
          as rows.  Symmetric: adj.(v) holds the transpose. *)
 }
 
-(* Instance identities survive copies (both [copy] flavors use [{ g with
-   ... }]), so all states derived from one problem share the uid.  Atomic:
-   graphs are minted concurrently from self-play worker domains. *)
+(* A uid names an edge set: [add_edge] and [remove_edge] mint a fresh
+   one; everything else keeps it, both [copy] flavors by [{ g with ... }].
+   Atomic: graphs are minted concurrently from self-play worker domains. *)
 let next_uid =
   let counter = Atomic.make 0 in
   fun () -> Atomic.fetch_and_add counter 1 + 1
@@ -74,7 +74,8 @@ let remove_edge g u v =
   check_vertex g u "remove_edge";
   check_vertex g v "remove_edge";
   Hashtbl.remove g.adj.(u) v;
-  Hashtbl.remove g.adj.(v) u
+  Hashtbl.remove g.adj.(v) u;
+  g.uid <- next_uid ()
 
 let add_edge g u v muv =
   check_vertex g u "add_edge";
@@ -90,7 +91,8 @@ let add_edge g u v muv =
   if Mat.is_zero combined then remove_edge g u v
   else begin
     Hashtbl.replace g.adj.(u) v combined;
-    Hashtbl.replace g.adj.(v) u (Mat.transpose combined)
+    Hashtbl.replace g.adj.(v) u (Mat.transpose combined);
+    g.uid <- next_uid ()
   end
 
 let neighbors g u =
@@ -105,36 +107,6 @@ let iter_neighbors g u f =
 [@@analyze.order_insensitive
   "hot-path raw-order iteration; every caller's per-neighbor work is \
    independent (no cross-neighbor accumulation), see Istate.push_node"]
-
-(* Raw-order collection, then an insertion sort by id: degrees are small
-   (the matrices behind each entry cost far more to consume than the
-   sort), and the sort allocates nothing. *)
-let neighbors_into g u ids mats pos =
-  check_vertex g u "neighbors_into";
-  let adj = g.adj.(u) in
-  let d = Hashtbl.length adj in
-  if pos < 0 || pos + d > Array.length ids || pos + d > Array.length mats then
-    invalid_arg "Graph.neighbors_into: arrays too short";
-  let k = ref pos in
-  Hashtbl.iter
-    (fun v muv ->
-      ids.(!k) <- v;
-      mats.(!k) <- muv;
-      incr k)
-    adj;
-  for i = pos + 1 to pos + d - 1 do
-    let v = ids.(i) and muv = mats.(i) in
-    let j = ref (i - 1) in
-    while !j >= pos && ids.(!j) > v do
-      ids.(!j + 1) <- ids.(!j);
-      mats.(!j + 1) <- mats.(!j);
-      decr j
-    done;
-    ids.(!j + 1) <- v;
-    mats.(!j + 1) <- muv
-  done;
-  pos + d
-[@@analyze.order_insensitive "collected set is sorted before use"]
 
 let degree g u =
   check_vertex g u "degree";

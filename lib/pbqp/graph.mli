@@ -21,10 +21,12 @@ val create : m:int -> n:int -> t
     no edges. @raise Invalid_argument if [m <= 0] or [n < 0]. *)
 
 val uid : t -> int
-(** A process-unique {e instance} identity, minted by {!create} and
-    preserved by {!copy} and {!copy_shared} — every state derived from one
-    problem instance shares it.  Used to key per-instance memoization
-    (the evaluation cache's Zobrist base). *)
+(** A process-unique identity of an {e edge set}, minted by {!create},
+    {!add_edge} and {!remove_edge}; everything else (copies, vertex
+    removal, trail primitives, cost updates) keeps it.  Two graphs with
+    one uid hold equal matrices between every pair of vertices both hold
+    alive.  Keys the evaluation cache's Zobrist base and the GCN's
+    instance encoding. *)
 
 val m : t -> int
 (** Number of colors. *)
@@ -76,14 +78,6 @@ val iter_neighbors : t -> int -> (int -> Mat.t -> unit) -> unit
     graph's own — do not mutate.  [f] must not add or remove edges of [u]
     (it iterates the live adjacency table). *)
 
-val neighbors_into : t -> int -> int array -> Mat.t array -> int -> int
-(** [neighbors_into g u ids mats pos] writes the live neighbors of [u],
-    increasing, into [ids.(pos) ..] and their matrices (oriented [u]-rows,
-    the graph's own — do not mutate) into the same slots of [mats], and
-    returns [pos + degree g u].  The list-free counterpart of
-    {!neighbors} for callers that build flat adjacency arrays.
-    @raise Invalid_argument if [u] is dead or either array is too short. *)
-
 val degree : t -> int -> int
 
 val remove_vertex : t -> int -> unit
@@ -118,7 +112,7 @@ val redetach_vertex : t -> detached -> unit
 
 val reattach_vertex : t -> detached -> unit
 (** Restores a detached vertex and its edges, re-installing the {e same}
-    physical matrices (so [Mat.id]-keyed caches stay hot).  Only valid on
+    physical matrices and keeping {!uid}.  Only valid on
     the graph that produced the record, with the neighbors alive again —
     i.e. undo in LIFO order.  @raise Invalid_argument if the vertex is
     alive. *)
@@ -133,8 +127,8 @@ val copy_shared : t -> t
 (** Copy with fresh cost vectors and adjacency tables but {e shared}
     matrix objects.  Sound because no graph operation mutates a matrix in
     place ([add_edge] replaces with a freshly-built sum); the RL state
-    transition uses this so that MCTS states share matrices and
-    per-matrix caches stay hot. *)
+    transition uses this so that MCTS states share matrices instead of
+    copying them. *)
 
 val fold_edges : (int -> int -> Mat.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over each live undirected edge exactly once, with [u < v] and the

@@ -1,6 +1,6 @@
 type t = { id : int; rows : int; cols : int; data : float array }
 
-(* Unique ids let callers (the GCN encoder) memoize derived data by
+(* Unique ids let callers (the exact solver) memoize derived data by
    physical matrix; every constructor mints a fresh id, and no operation
    ever mutates [data] of an existing matrix except the explicit [set].
    Atomic: matrices are minted concurrently from self-play worker
@@ -19,8 +19,6 @@ let init ~rows ~cols f =
     data = Array.init (rows * cols) (fun k -> f (k / cols) (k mod cols)) }
 
 let id m = m.id
-
-let zero ~rows ~cols = make ~rows ~cols 0.0
 
 let of_arrays a =
   let rows = Array.length a in

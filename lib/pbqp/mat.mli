@@ -5,13 +5,13 @@
     of coloring [u] with [i] {e and} [v] with [j].  The all-zero matrix
     means the two vertices do not interact (the edge is redundant). *)
 
-type t
+type t = private { id : int; rows : int; cols : int; data : float array }
+(** Entry [(i, j)] is [data.(i * cols + j)], read directly on hot paths like
+    {!Vec.t}.  Written only through this module. *)
 
 val make : rows:int -> cols:int -> Cost.t -> t
 
 val init : rows:int -> cols:int -> (int -> int -> Cost.t) -> t
-
-val zero : rows:int -> cols:int -> t
 
 val of_arrays : float array array -> t
 (** Row-major copy. @raise Invalid_argument on ragged input, empty input or
@@ -21,8 +21,8 @@ val id : t -> int
 (** A unique identity minted at construction.  Every constructor
     ([init], [copy], [add], [map], [transpose], …) returns a fresh id;
     matrix contents are immutable except through {!set}, so the id is a
-    sound memoization key for callers that never call [set] (the GCN
-    encoder caches per-matrix derived tensors by it). *)
+    sound memoization key for callers that never call [set] (the exact
+    solver caches per-matrix row minima by it). *)
 
 val rows : t -> int
 

@@ -34,8 +34,13 @@ let argmin v =
   done;
   !best
 
+(* a loop: [Array.fold_left] with a closure boxes every entry *)
 let liberty v =
-  Array.fold_left (fun acc c -> if Cost.is_finite c then acc + 1 else acc) 0 v
+  let n = ref 0 in
+  for i = 0 to Array.length v - 1 do
+    if v.(i) <> Cost.inf then incr n
+  done;
+  !n
 
 let finite_indices v =
   let acc = ref [] in

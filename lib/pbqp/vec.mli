@@ -5,7 +5,9 @@
     register) to the vertex.  Vectors are mutable so that graph reductions
     and RL transitions can fold edge costs into them in place. *)
 
-type t
+type t = private float array
+(** Hot paths read it directly: a {!get} call boxes its result when not
+    inlined across modules.  Written only through this module. *)
 
 val make : int -> Cost.t -> t
 (** [make m c] is an [m]-vector filled with [c]. *)

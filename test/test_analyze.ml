@@ -121,6 +121,14 @@ let test_hot_matrix () =
   check_parsed "matrix_good";
   check_clean "matrix_good"
 
+let test_hot_lookup () =
+  let fs = run_fixture "lookup_bad" in
+  (* Hashtbl.find_opt, List.assoc_opt, List.find_opt, Itbl.find_opt *)
+  Alcotest.(check int) "option lookups" 4 (count_rule "hot-alloc-call" fs);
+  Alcotest.(check (list string)) "no other rules" [ "hot-alloc-call" ] (rules fs);
+  check_parsed "lookup_good";
+  check_clean "lookup_good"
+
 (* --- baseline --------------------------------------------------------- *)
 
 let test_baseline () =
@@ -218,6 +226,7 @@ let () =
         [
           Alcotest.test_case "allocation classes" `Quick test_hot;
           Alcotest.test_case "boxed matrices" `Quick test_hot_matrix;
+          Alcotest.test_case "option lookups" `Quick test_hot_lookup;
         ] );
       ( "infra",
         [
