@@ -126,6 +126,6 @@ let pvnet_battery ?eps ?tol () =
   Graph.set_cost g 1 (Vec.of_array [| 0.0; 2.0 |]);
   Graph.add_edge g 0 1 (Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |]);
   let sample =
-    { Nn.Pvnet.graph = g; next = 0; policy = [| 0.7; 0.3 |]; value = 0.5 }
+    { Nn.Pvnet.instance = Graph.freeze g; next = 0; policy = [| 0.7; 0.3 |]; value = 0.5 }
   in
   pvnet ?eps ?tol net sample

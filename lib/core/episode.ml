@@ -37,7 +37,9 @@ let argmax (p : float array) =
 
 (* The loop runs on a trail state: MCTS holds cursors into one shared
    mutable graph, so each simulated move is an O(deg) push/pop and each
-   collected sample is a private snapshot of the root's graph. *)
+   collected sample freezes the root's graph.  With a service, the game
+   is registered with it as one search for its whole length, so a
+   partial batch flushes once every running search is parked in it. *)
 let play ?(collect = false) ?cache ?serve ~rng ~net ~mode config ist =
   let game = Game.make ?cache ?serve ~net ~mode ~m:(Istate.m ist) () in
   let tree = Mcts.create config.mcts game (Istate.Cursor.root ist) in
@@ -57,7 +59,7 @@ let play ?(collect = false) ?cache ?serve ~rng ~net ~mode config ist =
          | Some next ->
              samples :=
                {
-                 Nn.Pvnet.graph = Istate.Cursor.graph_snapshot st;
+                 Nn.Pvnet.instance = Pbqp.Graph.freeze (Istate.Cursor.graph st);
                  next;
                  policy = Array.copy p;
                  value = 0.0;
@@ -73,7 +75,9 @@ let play ?(collect = false) ?cache ?serve ~rng ~net ~mode config ist =
       loop ()
     end
   in
-  loop ();
+  (match serve with
+  | None -> loop ()
+  | Some srv -> Nn.Infer.with_search srv loop);
   let final = Mcts.root_state tree in
   let cost = Game.final_cost final in
   let solution =

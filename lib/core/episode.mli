@@ -40,12 +40,14 @@ val play :
   outcome * Nn.Pvnet.sample list
 (** Play from the trail state's root position.  MCTS holds cursors into
     its one shared mutable graph, so each simulated move costs O(deg)
-    push/pop instead of a graph copy; collected samples are snapshotted
-    per move.  [cache] and [serve] are forwarded to {!Game.make}: every
-    leaf is evaluated in a wave (a lone root expansion is a wave of
-    one), [cache] short-circuits repeated leaf evaluations, and [serve]
-    coalesces wave evaluations across pool workers.  Search results are
-    bit-identical in every combination. *)
+    push/pop instead of a graph copy; each collected sample holds the
+    position's {!Pbqp.Graph.freeze}.  [cache] and [serve] are forwarded
+    to {!Game.make}: every leaf is evaluated in a wave (a lone root
+    expansion is a wave of one), [cache] short-circuits repeated leaf
+    evaluations, and [serve] coalesces wave evaluations across pool
+    workers.  The whole game runs inside [Nn.Infer.with_search serve],
+    so a partial batch flushes by quorum, not by the service's timer.
+    Search results are bit-identical in every combination. *)
 
 val set_values : float -> Nn.Pvnet.sample list -> Nn.Pvnet.sample list
 (** Stamp the final reward on every tuple of the episode (§II-C: "all

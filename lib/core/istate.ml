@@ -219,12 +219,6 @@ module Cursor = struct
   let assignment c = sync c; Solution.copy c.ist.assignment
   let graph c = sync c; c.ist.graph
 
-  let graph_snapshot c =
-    sync c;
-    (* shared matrices: they are immutable and the trail re-installs the
-       same physical objects on undo *)
-    Graph.copy_shared c.ist.graph
-
   let apply c color =
     sync c;
     (match next_vertex c with

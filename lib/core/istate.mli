@@ -96,10 +96,6 @@ module Cursor : sig
   (** Seeks, then returns the live shared graph — valid only until any
       other cursor of the same trail state is queried. *)
 
-  val graph_snapshot : t -> Graph.t
-  (** A private copy that outlives further trail motion (shared immutable
-      matrices, fresh vectors/tables) — for replay samples. *)
-
   val sync : t -> unit
   (** Seek the trail to this cursor explicitly (queries do it
       implicitly).  All cursors must come from the same trail state. *)

@@ -23,9 +23,9 @@ let to_samples ?(order = Order.By_id) ?rng ?(value = 1.0) lbl =
                c u);
         let policy = Array.make m 0.0 in
         policy.(c) <- 1.0;
-        (* the state is persistent, so its graph is a private snapshot *)
         let sample =
-          { Nn.Pvnet.graph = State.graph st; next = u; policy; value }
+          { Nn.Pvnet.instance = Graph.freeze (State.graph st); next = u;
+            policy; value }
         in
         walk (State.apply st c) (sample :: acc)
   in

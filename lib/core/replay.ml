@@ -44,7 +44,7 @@ let write_sample buf (s : Nn.Pvnet.sample) =
        (String.concat ""
           (Array.to_list
              (Array.map (Printf.sprintf " %.17g") s.Nn.Pvnet.policy))));
-  Buffer.add_string buf (Pbqp.Io.to_string s.Nn.Pvnet.graph);
+  Buffer.add_string buf (Pbqp.Io.frozen_to_string s.Nn.Pvnet.instance);
   Buffer.add_string buf "endsample\n"
 
 let sample_to_string s =
@@ -87,8 +87,10 @@ let parse_samples ~what next_line emit =
                 end
               in
               slurp ();
-              let graph = Pbqp.Io.of_string (Buffer.contents buf) in
-              emit { Nn.Pvnet.graph; next; policy; value }
+              let instance =
+                Pbqp.Graph.freeze (Pbqp.Io.of_string (Buffer.contents buf))
+              in
+              emit { Nn.Pvnet.instance; next; policy; value }
           | _ -> fail ("unexpected line: " ^ l))
     done
   with Exit -> ()

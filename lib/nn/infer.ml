@@ -75,23 +75,20 @@ type stats = {
   wait_p99_us : float;
 }
 
-(* Queue-wait histogram: log2 µs buckets — bucket i counts tickets that
-   waited in [2^i, 2^(i+1)) µs between enqueue and batch drain (bucket 0
-   also absorbs sub-µs waits).  Quantiles are read back as a bucket's
-   upper bound, so a reported p99 means "99% of tickets waited at most
-   this long" to within the 2x bucket resolution. *)
-let wait_buckets = 32
+(* Queue-wait histogram: quarter-octave µs buckets — bucket b counts
+   tickets that waited in [2^(b/4), 2^((b+1)/4)) µs between enqueue and
+   batch drain (bucket 0 also absorbs shorter waits).  Quantiles are
+   read back as a bucket's upper bound, so a reported p99 means "99% of
+   tickets waited at most this long", and overstates it by less than
+   2^(1/4) (19%).  128 buckets span 2^32 µs. *)
+let steps_per_octave = 4
+let wait_buckets = 32 * steps_per_octave
 
 let wait_bucket_of_us us =
-  if us < 2.0 then 0
-  else begin
-    let b = ref 0 and v = ref (int_of_float us) in
-    while !v > 1 do
-      incr b;
-      v := !v lsr 1
-    done;
-    min (wait_buckets - 1) !b
-  end
+  if us < 1.0 then 0
+  else
+    let b = int_of_float (float_of_int steps_per_octave *. Float.log2 us) in
+    min (wait_buckets - 1) b
 
 let wait_quantile hist total q =
   if total = 0 then 0.0
@@ -108,7 +105,7 @@ let wait_quantile hist total q =
        done;
        b := wait_buckets - 1
      with Exit -> ());
-    ldexp 1.0 (!b + 1)
+    Float.pow 2.0 (float_of_int (!b + 1) /. float_of_int steps_per_octave)
   end
 
 type t = {
@@ -165,6 +162,18 @@ let poison_next_batch_for_test t e =
   t.poison <- Some e;
   Mutex.unlock t.mutex
 
+(* Called with the lock held: one drained ticket that waited [us]. *)
+let record_wait t us =
+  let b = wait_bucket_of_us us in
+  t.s_wait_hist.(b) <- t.s_wait_hist.(b) + 1;
+  t.s_waits <- t.s_waits + 1
+[@@requires_lock "mutex"]
+
+let plant_wait_for_test t ~us =
+  Mutex.lock t.mutex;
+  record_wait t us;
+  Mutex.unlock t.mutex
+
 let workers t = t.workers
 let max_batch t = t.max_batch
 
@@ -202,10 +211,7 @@ let drain_batch t =
            && (!brows = 0 || !brows + Array.length tk.t_preps <= t.max_batch)
       ->
         ignore (Queue.pop t.queue);
-        let wait_us = (now -. tk.t_enqueued) *. 1e6 in
-        let b = wait_bucket_of_us wait_us in
-        t.s_wait_hist.(b) <- t.s_wait_hist.(b) + 1;
-        t.s_waits <- t.s_waits + 1;
+        record_wait t ((now -. tk.t_enqueued) *. 1e6);
         batch := tk :: !batch;
         brows := !brows + Array.length tk.t_preps
     | _ -> continue_ := false

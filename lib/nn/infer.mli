@@ -65,8 +65,9 @@ type stats = {
   waits : int;  (** tickets drained (one queue wait each) *)
   wait_p50_us : float;
       (** median µs a ticket waited between enqueue and its batch firing,
-          read from a log2-bucket histogram as the containing bucket's
-          upper bound (2x resolution) *)
+          read from a histogram with four buckets per octave as the
+          containing bucket's upper bound: never below the true
+          quantile, and above it by less than 2^(1/4) (19%) *)
   wait_p99_us : float;  (** 99th-percentile queue wait, same resolution *)
 }
 
@@ -81,3 +82,8 @@ val poison_next_batch_for_test : t -> exn -> unit
     the service: the exception must fan out to every ticket of the batch
     (parked waiters included), the server flag must clear, and later
     submissions must succeed.  Never call from serving code. *)
+
+val plant_wait_for_test : t -> us:float -> unit
+(** Test hook: count one drained ticket that waited [us] µs, as the
+    server does, so a test can check the {!stats} quantile readback
+    against known waits.  Never call from serving code. *)

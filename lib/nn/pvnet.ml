@@ -210,8 +210,13 @@ let copy_into ~src ~dst = if src != dst then sync ~src ~dst
 let[@inline] phi_cost scale (c : Cost.t) =
   if c = Float.infinity then 0.0 else 1.0 /. (1.0 +. (c /. scale))
 
-let vertex_features t vec =
-  Tensor.init1 t.config.m (fun i -> phi_cost t.config.cost_scale (Vec.get vec i))
+(* Row [r]'s input features, read from the frozen instance's cost
+   block. *)
+let row_features t (f : Graph.frozen) r =
+  let m = t.config.m in
+  let costs = f.Graph.f_costs in
+  Tensor.init1 m (fun i ->
+      phi_cost t.config.cost_scale (Float.Array.get costs ((r * m) + i)))
 
 (* Message matrix from u into v: [Graph.edge g v u] is already oriented
    with v's colors as rows and u's as columns, so [mv] maps u-space
@@ -282,82 +287,119 @@ let message_apply entry x =
   | Dense a -> Ad.linear ~apply:(Tensor.mv a) ~transpose:(Tensor.tmv a) x
   | Jdiag jd -> Ad.linear ~apply:(jdiag_mv jd) ~transpose:(jdiag_tmv jd) x
 
+(* [Tensor.mv] and [Tensor.tmv] of the transpose of a square [a],
+   reading [a] transposed: the same products summed in the same order. *)
+let mv_transposed a h =
+  let m = Tensor.dim1 h and ad = Tensor.data a and hd = Tensor.data h in
+  Tensor.init1 m (fun i ->
+      let acc = ref 0.0 in
+      for j = 0 to m - 1 do
+        acc :=
+          !acc +. (Float.Array.get ad ((j * m) + i) *. Float.Array.get hd j)
+      done;
+      !acc)
+
+let tmv_transposed a g =
+  let m = Tensor.dim1 g and ad = Tensor.data a and gd = Tensor.data g in
+  let out = Tensor.zeros [| m |] in
+  let od = Tensor.data out in
+  for i = 0 to m - 1 do
+    let gi = Float.Array.get gd i in
+    if gi <> 0.0 then
+      for j = 0 to m - 1 do
+        Float.Array.set od j
+          (Float.Array.get od j +. (Float.Array.get ad ((j * m) + i) *. gi))
+      done
+  done;
+  out
+
+(* [message_apply] for the transposed matrix — the message the other
+   endpoint of an undirected edge takes.  [classify] of a transpose is
+   the transpose of [classify]: a [Jdiag] entry is its own transpose,
+   and a [Dense] one holds the same cells. *)
+let message_apply_transposed entry x =
+  match entry with
+  | Dense a ->
+      Ad.linear ~apply:(mv_transposed a) ~transpose:(tmv_transposed a) x
+  | Jdiag _ -> message_apply entry x
+
 (* --- Forward --------------------------------------------------------- *)
 
-let forward t ctx g ~next =
-  if Graph.m g <> t.config.m then invalid_arg "Pvnet.forward: m mismatch";
-  if not (Graph.is_alive g next) then
-    invalid_arg "Pvnet.forward: next vertex not alive";
-  let verts = Graph.vertices g in
-  let h = Hashtbl.create (List.length verts) in
-  List.iter
-    (fun u -> Hashtbl.replace h u (Ad.const (vertex_features t (Graph.cost g u))))
-    verts;
-  (* each vertex's in-edges with their message matrices, classified once
-     per call and shared by every layer: replay batches mix instances,
-     so nothing is kept between calls *)
-  let inbound =
-    List.map
-      (fun v ->
-        List.map
-          (fun u -> (u, classify t.config (Option.get (Graph.edge_ref g v u))))
-          (Graph.neighbors g v))
-      verts
+(* Whether color [i] of row [r] is inadmissible (its cost is ∞). *)
+let frozen_inf (f : Graph.frozen) r i =
+  Float.Array.get f.Graph.f_costs ((r * f.Graph.f_m) + i) = Float.infinity
+
+(* The tape forward, over a frozen instance; also returns [next]'s row. *)
+let forward t ctx (f : Graph.frozen) ~next =
+  if f.Graph.f_m <> t.config.m then invalid_arg "Pvnet.forward: m mismatch";
+  let rnext =
+    match Array.find_index (Int.equal next) f.Graph.f_verts with
+    | Some r -> r
+    | None -> invalid_arg "Pvnet.forward: next vertex not alive"
   in
+  let n = Array.length f.Graph.f_verts in
+  let h = Array.init n (fun r -> Ad.const (row_features t f r)) in
+  (* each row's in-edges with their message ops, in increasing
+     neighbour order (edges come u-major, v increasing, so prepending
+     them last to first leaves every list increasing); each undirected
+     edge is classified once per call, its v side reading the transpose,
+     and the ops are shared by every layer: replay batches mix
+     instances, so nothing is kept between calls *)
+  let inbound = Array.make n [] in
+  let ends = f.Graph.f_ends in
+  for k = Array.length f.Graph.f_mats - 1 downto 0 do
+    let ur = ends.(2 * k) and vr = ends.((2 * k) + 1) in
+    let e = classify t.config f.Graph.f_mats.(k) in
+    inbound.(vr) <- (ur, message_apply_transposed e) :: inbound.(vr);
+    inbound.(ur) <- (vr, message_apply e) :: inbound.(ur)
+  done;
   Array.iter
     (fun layer ->
-      let h' = Hashtbl.create (Hashtbl.length h) in
-      List.iter2
-        (fun v ins ->
-          let self = Layer.Linear.forward ctx layer.w_self (Hashtbl.find h v) in
-          let combined =
-            match ins with
-            | [] -> self
-            | ins ->
-                let msgs =
-                  List.map
-                    (fun (u, msg) -> message_apply msg (Hashtbl.find h u))
-                    ins
-                in
-                Ad.add self
-                  (Layer.Linear.forward ctx layer.w_msg (Ad.mean_list msgs))
-          in
-          Hashtbl.replace h' v (Ad.relu combined))
-        verts inbound;
-      Hashtbl.reset h;
-      List.iter (fun v -> Hashtbl.replace h v (Hashtbl.find h' v)) verts)
+      let h' = Array.make n h.(0) in
+      for v = 0 to n - 1 do
+        let self = Layer.Linear.forward ctx layer.w_self h.(v) in
+        let combined =
+          match inbound.(v) with
+          | [] -> self
+          | ins ->
+              let msgs = List.map (fun (u, apply) -> apply h.(u)) ins in
+              Ad.add self
+                (Layer.Linear.forward ctx layer.w_msg (Ad.mean_list msgs))
+        in
+        h'.(v) <- Ad.relu combined
+      done;
+      Array.blit h' 0 h 0 n)
     t.gcn;
-  let embeddings = List.map (fun v -> Hashtbl.find h v) verts in
-  let global = Ad.mean_list embeddings in
+  let global = Ad.mean_list (Array.to_list h) in
   let read =
-    Ad.concat1
-      [
-        Hashtbl.find h next;
-        global;
-        Ad.const (vertex_features t (Graph.cost g next));
-      ]
+    Ad.concat1 [ h.(rnext); global; Ad.const (row_features t f rnext) ]
   in
   let x = Ad.relu (Layer.Linear.forward ctx t.trunk_in read) in
   let x = Array.fold_left (fun x blk -> Layer.Residual.forward ctx blk x) x t.trunk in
   let x = Layer.Layernorm.forward ctx t.trunk_ln x in
   let logits = Layer.Linear.forward ctx t.policy_head x in
   let value = Ad.tanh_ (Layer.Linear.forward ctx t.value_head x) in
-  (logits, value)
+  (logits, value, rnext)
 
 (* --- Inference ------------------------------------------------------- *)
 
 let predict t g ~next =
   t.evals <- t.evals + 1;
   let ctx = Ad.ctx () in
-  let logits, value = forward t ctx g ~next in
-  let cost_vec = Graph.cost g next in
+  let f = Graph.freeze g in
+  let logits, value, r = forward t ctx f ~next in
+  let m = t.config.m in
   let masked =
-    Tensor.init1 t.config.m (fun i ->
-        if Cost.is_inf (Vec.get cost_vec i) then neg_infinity
+    Tensor.init1 m (fun i ->
+        if frozen_inf f r i then neg_infinity
         else Tensor.get1 (Ad.value logits) i)
   in
+  let all_inf = ref true in
+  for i = 0 to m - 1 do
+    if not (frozen_inf f r i) then all_inf := false
+  done;
   let priors =
-    if Vec.is_all_inf cost_vec then Array.make t.config.m 0.0
+    if !all_inf then Array.make m 0.0
     else Tensor.to_array1 (Ad.softmax masked)
   in
   (priors, Tensor.get1 (Ad.value value) 0)
@@ -393,14 +435,14 @@ let packed_of t (lin : Layer.Linear.t) =
       Hashtbl.replace a.packs name p;
       p
 
-(* rows(x) ↦ rows(x) Wᵀ + b into a caller-owned buffer, with the
-   epilogue (bias, optional residual add, optional relu) fused into the
-   packed GEMM — one pass over memory, each output cell written once.
-   Bit-identical to [matmul] + bias (+ separate residual/relu passes):
-   same float operations, same order. *)
-let linear_rows_into ?residual ?relu t (lin : Layer.Linear.t) x out =
-  Tensor.matmul_packed_into ~bias:lin.Layer.Linear.b.Var.value ?residual ?relu
-    out x (packed_of t lin)
+(* The first [rows] rows of x ↦ x Wᵀ + b into a caller-owned buffer,
+   with the epilogue (bias, optional relu) fused into the packed GEMM —
+   one pass over memory, each output cell written once.  Bit-identical
+   to [matmul] + bias (+ a separate relu pass): same float operations,
+   same order. *)
+let linear_rows_into ~rows ~relu t (lin : Layer.Linear.t) x out =
+  Tensor.matmul_packed_prefix_into ~rows ~bias:lin.Layer.Linear.b.Var.value
+    ~relu out x (packed_of t lin)
 [@@hot]
 
 (* per-row LayerNorm mirroring Ad.layernorm's arithmetic term for term;
@@ -497,8 +539,10 @@ let csr_index t g =
     c.nbr <- Array.make n 0;
     c.msg <- Array.make n no_msg
   end;
-  if fst (Tensor.dims2 c.h) < !rows then begin
-    let n = max !rows (2 * fst (Tensor.dims2 c.h)) in
+  (* [h]'s row capacity, read without [dims2]'s tuple *)
+  let hrows = Tensor.numel c.h / m in
+  if hrows < !rows then begin
+    let n = max !rows (2 * hrows) in
     c.h <- Tensor.zeros [| n; m |];
     c.hs <- Tensor.zeros [| n; m |];
     c.hm <- Tensor.zeros [| n; m |]
@@ -712,13 +756,13 @@ let readout_row t g ~next =
   for l = 0 to Array.length t.gcn - 1 do
     let { w_self; w_msg } = t.gcn.(l) in
     Tensor.matmul_packed_prefix_into ~rows
-      ~bias:w_self.Layer.Linear.b.Var.value ~residual:None ~relu:false c.hs
-      c.h (packed_of t w_self);
+      ~bias:w_self.Layer.Linear.b.Var.value ~relu:false c.hs c.h
+      (packed_of t w_self);
     message_pass ~m ~rows ~off:c.off ~nbr:c.nbr ~msg:c.msg ~pk:c.pk hd
       (Tensor.data c.hm);
-    Tensor.matmul_packed_prefix_into ~rows
-      ~bias:w_msg.Layer.Linear.b.Var.value ~residual:(Some c.hs) ~relu:true
-      c.h c.hm (packed_of t w_msg);
+    Tensor.matmul_packed_prefix_residual_into ~rows
+      ~bias:w_msg.Layer.Linear.b.Var.value ~residual:c.hs ~relu:true c.h c.hm
+      (packed_of t w_msg);
     isolated_fixup ~m ~rows ~off:c.off hd hsd
   done;
   (* [next's embedding; mean embedding; next's features], the mean
@@ -781,19 +825,22 @@ let buffers t b =
    into the epilogue) into a preallocated buffer, with the packed weight
    panels memoized per weights version, so each layer makes one pass
    over memory and the whole trunk allocates nothing. *)
-let trunk_forward t bu =
-  linear_rows_into ~relu:true t t.trunk_in bu.sx0 bu.sx;
+let trunk_forward t bu ~rows =
+  linear_rows_into ~rows ~relu:true t t.trunk_in bu.sx0 bu.sx;
   Array.iter
     (fun (blk : Layer.Residual.t) ->
       layernorm_rows_into blk.Layer.Residual.ln bu.sx bu.sb1;
-      linear_rows_into ~relu:true t blk.Layer.Residual.fc1 bu.sb1 bu.sb2;
+      linear_rows_into ~rows ~relu:true t blk.Layer.Residual.fc1 bu.sb1 bu.sb2;
       (* fc2 + bias + residual fused, written straight into sx (the
          out == residual aliasing the packed kernel supports) *)
-      linear_rows_into ~residual:bu.sx t blk.Layer.Residual.fc2 bu.sb2 bu.sx)
+      let fc2 = blk.Layer.Residual.fc2 in
+      Tensor.matmul_packed_prefix_residual_into ~rows
+        ~bias:fc2.Layer.Linear.b.Var.value ~residual:bu.sx ~relu:false bu.sx
+        bu.sb2 (packed_of t fc2))
     t.trunk;
   layernorm_rows_into t.trunk_ln bu.sx bu.sb1;
-  linear_rows_into t t.policy_head bu.sb1 bu.slogits;
-  linear_rows_into t t.value_head bu.sb1 bu.svalues
+  linear_rows_into ~rows ~relu:false t t.policy_head bu.sb1 bu.slogits;
+  linear_rows_into ~rows ~relu:false t t.value_head bu.sb1 bu.svalues
 
 (* Per-row mask + softmax straight out of the logits buffer into the
    result array, no intermediate tensors.  Reproduces [Ad.softmax] over
@@ -851,13 +898,13 @@ let predict_prepared t preps =
       t.evals <- t.evals + n;
       let bu = buffers t n in
       Array.iteri (fun i p -> Tensor.blit_row_into p.p_row i bu.sx0) preps;
-      trunk_forward t bu;
+      trunk_forward t bu ~rows:n;
       mask_results t preps bu.slogits bu.svalues
 
 (* --- Training -------------------------------------------------------- *)
 
 type sample = {
-  graph : Pbqp.Graph.t;
+  instance : Pbqp.Graph.frozen;
   next : int;
   policy : float array;
   value : float;
@@ -866,15 +913,15 @@ type sample = {
 let loss t ctx sample =
   if Array.length sample.policy <> t.config.m then
     invalid_arg "Pvnet.loss: policy length mismatch";
-  let logits, value = forward t ctx sample.graph ~next:sample.next in
-  let cost_vec = Graph.cost sample.graph sample.next in
+  let f = sample.instance in
+  let logits, value, r = forward t ctx f ~next:sample.next in
   (* Mask inadmissible colors with a large negative constant so the
      softmax assigns them no probability; the policy target is zero there,
      so no gradient flows to the mask. *)
   let mask =
     Ad.const
       (Tensor.init1 t.config.m (fun i ->
-           if Cost.is_inf (Vec.get cost_vec i) then -1e9 else 0.0))
+           if frozen_inf f r i then -1e9 else 0.0))
   in
   let xent =
     Ad.softmax_xent (Ad.add logits mask) (Tensor.of_array1 sample.policy)

@@ -68,8 +68,9 @@ val bump_version : t -> unit
 
 val predict : t -> Pbqp.Graph.t -> next:int -> float array * float
 (** [(priors, value)] for coloring vertex [next] of a reduced-graph state,
-    computed on the autodiff tape — the reference forward ([loss] runs
-    the same tape) that the test suite and [test/oracle] compare
+    computed on the autodiff tape over [Graph.freeze g] — the one tape
+    forward, which [loss] runs over a sample's frozen instance; the test
+    suite and [test/oracle] compare
     {!prepare} + {!predict_prepared} against, bit for bit.  Priors are a
     distribution over the [m] colors with zero mass on colors whose
     vertex cost is ∞ (all-zero if the vertex is a dead end).
@@ -125,7 +126,8 @@ val reset_eval_count : t -> unit
     value everywhere off the diagonal — and is kept as [m + 1] floats;
     every other matrix is kept dense.  {!prepare} classifies each
     directed edge once per instance encoding; {!predict} and {!loss}
-    classify each once per call. *)
+    classify each undirected edge once per call, the far endpoint's
+    message reading the entry transposed. *)
 
 type msg
 
@@ -145,7 +147,9 @@ val message_apply : msg -> Ad.t -> Ad.t
 (** {1 Training} *)
 
 type sample = {
-  graph : Pbqp.Graph.t;  (** reduced state (a private snapshot) *)
+  instance : Pbqp.Graph.frozen;
+      (** the reduced state, frozen: it outlives the trail graph it was
+          taken from *)
   next : int;  (** the vertex the action colors *)
   policy : float array;  (** MCTS visit distribution π (length m) *)
   value : float;  (** final reward z ∈ {-1, 0, +1} *)

@@ -188,6 +188,19 @@ let copy_with mat_copy g =
 let copy g = copy_with Mat.copy g
 let copy_shared g = copy_with Fun.id g
 
+(* A frozen instance keeps what the network and the codec read, and no
+   more: the live vertices, their costs in one block, and each edge once
+   in [fold_edges] order with its u-oriented matrix, shared with [g]
+   (matrices are never mutated in place, see [copy_shared]). *)
+type frozen = {
+  f_m : int;
+  f_capacity : int;
+  f_verts : int array;
+  f_costs : floatarray;
+  f_ends : int array;
+  f_mats : Mat.t array;
+}
+
 (* Deterministic edge order: u ascending, then v ascending within u's
    (sorted) neighbor list — never raw hash-table order.  Callers fold
    floats through this (Solution.cost, Stats, Liberty), so a fixed
@@ -204,6 +217,36 @@ let fold_edges f g init =
   !acc
 
 let edge_count g = fold_edges (fun _ _ _ acc -> acc + 1) g 0
+
+let freeze g =
+  let m = g.m in
+  let verts = Array.of_list (vertices g) in
+  let row = Array.make g.n 0 in
+  let costs = Float.Array.create (Array.length verts * m) in
+  Array.iteri
+    (fun r u ->
+      row.(u) <- r;
+      Array.iteri
+        (fun i c -> Float.Array.set costs ((r * m) + i) c)
+        (g.costs.(u) :> float array))
+    verts;
+  let edges =
+    List.rev (fold_edges (fun u v muv acc -> (u, v, muv) :: acc) g [])
+  in
+  let ends = Array.make (2 * List.length edges) 0 in
+  List.iteri
+    (fun k (u, v, _) ->
+      ends.(2 * k) <- row.(u);
+      ends.((2 * k) + 1) <- row.(v))
+    edges;
+  {
+    f_m = m;
+    f_capacity = g.n;
+    f_verts = verts;
+    f_costs = costs;
+    f_ends = ends;
+    f_mats = Array.of_list (List.map (fun (_, _, muv) -> muv) edges);
+  }
 
 let iter_adjacency f g =
   Array.iteri (fun u tbl -> Hashtbl.iter (fun v muv -> f u v muv) tbl) g.adj

@@ -4,7 +4,8 @@
     vertex carries an [m]-entry cost vector, every edge an [m × m] cost
     matrix.  The structure is mutable — graph reductions and RL transitions
     delete vertices and fold costs in place — and {!copy} gives
-    persistent snapshots (training samples, the persistent game state).
+    persistent snapshots (the persistent game state), {!freeze} compact
+    read-only ones (training samples).
 
     Vertices are identified by dense integer ids [0 .. capacity-1]; deleted
     vertices stay allocated but dead.  Each undirected edge is stored in
@@ -135,6 +136,33 @@ val fold_edges : (int -> int -> Mat.t -> 'a -> 'a) -> t -> 'a -> 'a
     matrix oriented [u]-rows (the internal matrix, not a copy). *)
 
 val edge_count : t -> int
+
+(** {1 Frozen instances}
+
+    A compact, read-only copy of a graph's live part — what a replay
+    sample keeps of its state.  It holds no dead vertices, no adjacency
+    tables and one orientation of each matrix, so it is a few times
+    smaller than a {!copy_shared} snapshot, and it outlives any later
+    mutation of the source graph.  [Io] prints it exactly as the source
+    graph; [Nn.Pvnet] runs its tape forward over it. *)
+
+type frozen = private {
+  f_m : int;  (** number of colors *)
+  f_capacity : int;  (** the source graph's {!capacity} *)
+  f_verts : int array;  (** live vertex ids, increasing; index = row *)
+  f_costs : floatarray;
+      (** row [r]'s cost vector at [r * f_m .. r * f_m + f_m - 1] *)
+  f_ends : int array;
+      (** edge [k] joins rows [f_ends.(2k) < f_ends.(2k + 1)]; edges in
+          {!fold_edges} order *)
+  f_mats : Mat.t array;
+      (** edge [k]'s matrix, oriented with [f_ends.(2k)]'s colors as
+          rows — the source graph's own matrix, not a copy *)
+}
+
+val freeze : t -> frozen
+(** The live part of [g] as a frozen instance: fresh arrays for the
+    vertices, costs and edge ends, the edge matrices shared. *)
 
 val iter_adjacency : (int -> int -> Mat.t -> unit) -> t -> unit
 (** Iterates over every {e stored} directed adjacency entry [(u, v, muv)],

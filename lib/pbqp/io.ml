@@ -6,30 +6,39 @@ let cost_str c =
     Printf.sprintf "%.0f" c
   else Printf.sprintf "%.17g" c
 
-let print ppf g =
-  let n = Graph.capacity g and m = Graph.m g in
-  Format.fprintf ppf "pbqp %d %d@\n" n m;
-  (let dead =
-     List.filter (fun u -> not (Graph.is_alive g u)) (List.init n Fun.id)
-   in
+(* The one printer: a graph prints as its frozen instance, so a replay
+   sample's text is byte for byte its source graph's. *)
+let print_frozen ppf (f : Graph.frozen) =
+  let m = f.Graph.f_m and verts = f.Graph.f_verts in
+  Format.fprintf ppf "pbqp %d %d@\n" f.Graph.f_capacity m;
+  (let dead = ref [] and r = ref (Array.length verts - 1) in
+   for u = f.Graph.f_capacity - 1 downto 0 do
+     if !r >= 0 && verts.(!r) = u then decr r else dead := u :: !dead
+   done;
+   let dead = !dead in
    if dead <> [] then
      Format.fprintf ppf "dead%s@\n"
        (String.concat "" (List.map (Printf.sprintf " %d") dead)));
-  List.iter
-    (fun u ->
-      let vec = Graph.cost g u in
+  Array.iteri
+    (fun r u ->
       Format.fprintf ppf "v %d" u;
-      Vec.iteri (fun _ c -> Format.fprintf ppf " %s" (cost_str c)) vec;
+      for i = (r * m) to (r * m) + m - 1 do
+        Format.fprintf ppf " %s" (cost_str (Float.Array.get f.Graph.f_costs i))
+      done;
       Format.fprintf ppf "@\n")
-    (Graph.vertices g);
-  Graph.fold_edges
-    (fun u v muv () ->
-      Format.fprintf ppf "e %d %d" u v;
+    verts;
+  Array.iteri
+    (fun k muv ->
+      Format.fprintf ppf "e %d %d"
+        verts.(f.Graph.f_ends.(2 * k))
+        verts.(f.Graph.f_ends.((2 * k) + 1));
       Mat.iteri (fun _ _ c -> Format.fprintf ppf " %s" (cost_str c)) muv;
       Format.fprintf ppf "@\n")
-    g ()
+    f.Graph.f_mats
 
-let to_string g = Format.asprintf "%a" print g
+let print ppf g = print_frozen ppf (Graph.freeze g)
+let frozen_to_string f = Format.asprintf "%a" print_frozen f
+let to_string g = frozen_to_string (Graph.freeze g)
 
 let of_string s =
   let fail lineno msg =

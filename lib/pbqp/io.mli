@@ -15,6 +15,12 @@ val to_string : Graph.t -> string
 
 val print : Format.formatter -> Graph.t -> unit
 
+val frozen_to_string : Graph.frozen -> string
+(** Byte for byte the {!to_string} of the graph it was frozen from: a
+    graph prints as its frozen instance. *)
+
+val print_frozen : Format.formatter -> Graph.frozen -> unit
+
 val of_string : string -> Graph.t
 (** @raise Invalid_argument with a line-numbered message on malformed
     input. *)

@@ -189,8 +189,9 @@ let pack_transposed w =
    to the unfused [matmul_naive; add bias rowwise; add residual; relu]
    sequence, which applies the exact same float operations in the exact
    same order. *)
-let matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~rows =
+let matmul_packed_rows od ad ~ca ~bp ~bd ~rd ~relu ~rows =
   let pn = bp.pn and panels = bp.panels in
+  let bias = F.length bd > 0 and residual = F.length rd > 0 in
   let npanels = (pn + panel_width - 1) / panel_width in
   let pstride = ca * panel_width in
   for i = 0 to rows - 1 do
@@ -228,16 +229,8 @@ let matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~rows =
           | _ -> !c7
         in
         let j = j0 + jj in
-        let v =
-          match bias with
-          | Some bd -> acc +. F.unsafe_get bd j
-          | None -> acc
-        in
-        let v =
-          match residual with
-          | Some rd -> F.unsafe_get rd (orow + j) +. v
-          | None -> v
-        in
+        let v = if bias then acc +. F.unsafe_get bd j else acc in
+        let v = if residual then F.unsafe_get rd (orow + j) +. v else v in
         (* same expression as the standalone relu pass: [else] also maps
            -0.0 and nan to +0.0 *)
         let v = if relu then (if v > 0.0 then v else 0.0) else v in
@@ -247,45 +240,62 @@ let matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~rows =
   done
 [@@hot]
 
-(* Shared validation and dispatch of the two packed entry points: the
+(* The absent bias or residual of the fused kernel.  The entry points
+   pass it instead of an option, and the kernel reads an empty operand
+   as absent, so a call builds no option. *)
+let no_operand = { shape = [| 0 |]; data = F.create 0 }
+
+let rows2 name t =
+  match t.shape with
+  | [| r; _ |] -> r
+  | _ -> invalid_arg ("Tensor." ^ name ^ ": not rank 2")
+
+let cols2 name t =
+  match t.shape with
+  | [| _; c |] -> c
+  | _ -> invalid_arg ("Tensor." ^ name ^ ": not rank 2")
+
+(* [rows] of a buffer with [r] rows: exactly that many when [exact],
+   at least that many otherwise. *)
+let fits ~exact ~rows r = if exact then r = rows else r >= rows
+
+(* Shared validation and dispatch of the packed entry points: the
    product runs over the first [rows] rows of [a], [out] and [residual],
    each of which must have at least that many ([exact]: exactly that
-   many). *)
+   many).  Allocates nothing on the valid path. *)
 let packed_prefix_into name ~exact ~rows ~bias ~residual ~relu out a bp =
-  let fits r = if exact then r = rows else r >= rows in
-  let ra, ca = dims2 a in
+  let ca = cols2 name a in
   if ca <> bp.pk then invalid_arg ("Tensor." ^ name ^ ": inner dims differ");
-  let ro, co = dims2 out in
-  if rows < 0 || not (fits ra && fits ro) || co <> bp.pn then
-    invalid_arg ("Tensor." ^ name ^ ": output shape mismatch");
+  if
+    rows < 0
+    || (not (fits ~exact ~rows (rows2 name a)))
+    || (not (fits ~exact ~rows (rows2 name out)))
+    || cols2 name out <> bp.pn
+  then invalid_arg ("Tensor." ^ name ^ ": output shape mismatch");
   if out.data == a.data then
     invalid_arg ("Tensor." ^ name ^ ": output aliases input");
-  let bias =
-    match bias with
-    | None -> None
-    | Some b ->
-        if dim1 b <> bp.pn then
-          invalid_arg ("Tensor." ^ name ^ ": bias width mismatch");
-        Some b.data
-  in
-  let residual =
-    match residual with
-    | None -> None
-    | Some r ->
-        let rr, rc = dims2 r in
-        if not (fits rr) || rc <> bp.pn then
-          invalid_arg ("Tensor." ^ name ^ ": residual shape mismatch");
-        Some r.data
-  in
-  matmul_packed_rows out.data a.data ~ca ~bp ~bias ~residual ~relu ~rows
+  if bias != no_operand && dim1 bias <> bp.pn then
+    invalid_arg ("Tensor." ^ name ^ ": bias width mismatch");
+  if
+    residual != no_operand
+    && ((not (fits ~exact ~rows (rows2 name residual)))
+       || cols2 name residual <> bp.pn)
+  then invalid_arg ("Tensor." ^ name ^ ": residual shape mismatch");
+  matmul_packed_rows out.data a.data ~ca ~bp ~bd:bias.data ~rd:residual.data
+    ~relu ~rows
 
-let matmul_packed_into ?bias ?residual ?(relu = false) out a bp =
-  packed_prefix_into "matmul_packed_into" ~exact:true ~rows:(fst (dims2 a))
+let matmul_packed_into ?(bias = no_operand) ?(residual = no_operand)
+    ?(relu = false) out a bp =
+  packed_prefix_into "matmul_packed_into" ~exact:true
+    ~rows:(rows2 "matmul_packed_into" a) ~bias ~residual ~relu out a bp
+
+let matmul_packed_prefix_into ~rows ~bias ~relu out a bp =
+  packed_prefix_into "matmul_packed_prefix_into" ~exact:false ~rows ~bias
+    ~residual:no_operand ~relu out a bp
+
+let matmul_packed_prefix_residual_into ~rows ~bias ~residual ~relu out a bp =
+  packed_prefix_into "matmul_packed_prefix_residual_into" ~exact:false ~rows
     ~bias ~residual ~relu out a bp
-
-let matmul_packed_prefix_into ~rows ~bias ~residual ~relu out a bp =
-  packed_prefix_into "matmul_packed_prefix_into" ~exact:false ~rows
-    ~bias:(Some bias) ~residual ~relu out a bp
 
 let blit_row_into src i dst =
   let c = dim1 src in

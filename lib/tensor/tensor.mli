@@ -124,17 +124,22 @@ val matmul_packed_into :
     single write); [out] must not alias [a]. *)
 
 val matmul_packed_prefix_into :
-  rows:int -> bias:t -> residual:t option -> relu:bool -> t -> t -> packed ->
-  unit
-(** [matmul_packed_prefix_into ~rows ~bias ~residual ~relu out a bp] is
-    {!matmul_packed_into} over the first [rows] rows of [a], [out] and
-    [residual], which may each have more: rows past [rows] are neither
-    read nor written.  Lets a caller keep one capacity-sized buffer for
-    products whose row count changes call to call (the GCN message pass,
-    one row per live vertex).  Bit-identical, row for row, to
-    {!matmul_packed_into} on exact-shape operands.
+  rows:int -> bias:t -> relu:bool -> t -> t -> packed -> unit
+(** [matmul_packed_prefix_into ~rows ~bias ~relu out a bp] is
+    {!matmul_packed_into} over the first [rows] rows of [a] and [out],
+    which may each have more: rows past [rows] are neither read nor
+    written.  Lets a caller keep one capacity-sized buffer for products
+    whose row count changes call to call (the GCN message pass, one row
+    per live vertex).  Bit-identical, row for row, to
+    {!matmul_packed_into} on exact-shape operands, and allocates
+    nothing.
     @raise Invalid_argument if [rows] is negative or exceeds a buffer,
     or as {!matmul_packed_into}. *)
+
+val matmul_packed_prefix_residual_into :
+  rows:int -> bias:t -> residual:t -> relu:bool -> t -> t -> packed -> unit
+(** {!matmul_packed_prefix_into} with a residual, whose first [rows]
+    rows are read. *)
 
 val mv : t -> t -> t
 (** rank-2 × rank-1 → rank-1. *)

@@ -181,8 +181,8 @@ module Episode = struct
            match Core.State.next_vertex st with
            | Some next ->
                samples :=
-                 { Nn.Pvnet.graph = Core.State.graph st; next;
-                   policy = Array.copy p; value = 0.0 }
+                 { Nn.Pvnet.instance = Pbqp.Graph.freeze (Core.State.graph st);
+                   next; policy = Array.copy p; value = 0.0 }
                  :: !samples
            | None -> ());
         let a =

@@ -356,7 +356,8 @@ let test_rollout_dead_end () =
 
 let mk_sample v =
   let g = Graph.create ~m:2 ~n:1 in
-  { Nn.Pvnet.graph = g; next = 0; policy = [| 1.0; 0.0 |]; value = v }
+  { Nn.Pvnet.instance = Graph.freeze g; next = 0; policy = [| 1.0; 0.0 |];
+    value = v }
 
 let test_replay_fifo_eviction () =
   let r = Core.Replay.create ~capacity:3 in
@@ -376,10 +377,10 @@ let test_replay_save_load () =
   let st = Core.State.apply (Core.State.of_graph g) 0 in
   let reduced = Core.State.graph st in
   Core.Replay.add r
-    { Nn.Pvnet.graph = Graph.copy reduced; next = 1;
+    { Nn.Pvnet.instance = Graph.freeze reduced; next = 1;
       policy = [| 0.75; 0.25 |]; value = -1.0 };
   Core.Replay.add r
-    { Nn.Pvnet.graph = Graph.copy g; next = 0; policy = [| 0.5; 0.5 |];
+    { Nn.Pvnet.instance = Graph.freeze g; next = 0; policy = [| 0.5; 0.5 |];
       value = 1.0 };
   let path = Filename.temp_file "replay" ".txt" in
   Fun.protect
@@ -395,11 +396,11 @@ let test_replay_save_load () =
           Alcotest.(check bool) "value round-tripped" true
             (s.Nn.Pvnet.value = -1.0 || s.Nn.Pvnet.value = 1.0);
           if s.Nn.Pvnet.next = 1 then begin
+            let f = s.Nn.Pvnet.instance in
             Alcotest.(check bool) "vertex 0 still dead" false
-              (Graph.is_alive s.Nn.Pvnet.graph 0);
-            Alcotest.check vec "reduced vector preserved"
-              (Graph.cost reduced 1)
-              (Graph.cost s.Nn.Pvnet.graph 1)
+              (Array.mem 0 f.Graph.f_verts);
+            Alcotest.(check string) "reduced instance preserved"
+              (Io.to_string reduced) (Io.frozen_to_string f)
           end)
         batch)
 
@@ -439,6 +440,73 @@ let test_replay_empty () =
   Alcotest.check_raises "zero capacity"
     (Invalid_argument "Replay.create: capacity <= 0") (fun () ->
       ignore (Core.Replay.create ~capacity:0))
+
+(* Counter gate on the replay footprint: the heap words reachable from
+   the samples of fixed-seed argmax episodes on graphs of the
+   selfplay_train distribution (m = 13, n ~ N(20, 5), p_edge 0.2,
+   k = 25), per sample.  A sample holds a frozen instance — live costs
+   in one block, each edge once — and the matrices it shares with the
+   trail graph count once per episode.  A [Graph.copy_shared] snapshot
+   per sample instead (n hashtables and cost vectors, both matrix
+   orientations) reads 1444.667 words here.  Replaying each episode's
+   moves also checks that every sample prints as the trail graph it was
+   frozen from, and that the codec round-trips it. *)
+let replay_words_per_sample = 493.25
+
+let test_replay_footprint () =
+  let m = 13 in
+  let net = Nn.Pvnet.create ~rng:(rng 41) (Nn.Pvnet.default_config ~m) in
+  let grng = rng 42 in
+  let config =
+    { Core.Episode.mcts = { Mcts.default_config with k = 25 };
+      temperature_moves = 0; root_noise = None }
+  in
+  let argmax p =
+    let best = ref 0 in
+    Array.iteri (fun i x -> if x > p.(!best) then best := i) p;
+    !best
+  in
+  let samples =
+    List.concat_map
+      (fun i ->
+        let n = Generate.sample_n ~rng:grng ~mean:20.0 ~stddev:5.0 ~min:4 in
+        let g =
+          Generate.erdos_renyi ~rng:grng
+            { Generate.default with n; m; p_edge = 0.2; p_inf = 0.01;
+              zero_inf = false; cost_max = 30.0 }
+        in
+        let _, reference, _ = Solvers.Scholz.solve_with_cost g in
+        let mode = Core.Game.Minimize { reference; shaping = 5.0 } in
+        let _, samples =
+          Core.Episode.play ~collect:true ~rng:(rng (43 + i)) ~net ~mode config
+            (Core.Istate.of_graph g)
+        in
+        let ist = Core.Istate.of_graph g in
+        ignore
+          (List.fold_left
+             (fun cur (s : Nn.Pvnet.sample) ->
+               if
+                 Io.frozen_to_string s.Nn.Pvnet.instance
+                 <> Io.to_string (Core.Istate.Cursor.graph cur)
+               then Alcotest.failf "episode %d: a sample's text differs" i;
+               Core.Istate.Cursor.apply cur (argmax s.Nn.Pvnet.policy))
+             (Core.Istate.Cursor.root ist) samples
+            : Core.Istate.Cursor.t);
+        samples)
+      [ 0; 1; 2; 3 ]
+  in
+  let text = String.concat "" (List.map Core.Replay.sample_to_string samples) in
+  Alcotest.(check string) "codec round trip" text
+    (String.concat ""
+       (List.map Core.Replay.sample_to_string
+          (Core.Replay.samples_of_string text)));
+  let words =
+    float_of_int (Obj.reachable_words (Obj.repr samples))
+    /. float_of_int (List.length samples)
+  in
+  if words <> replay_words_per_sample then
+    Alcotest.failf "%.3f words per sample over %d samples, expected %.3f" words
+      (List.length samples) replay_words_per_sample
 
 (* ------------------------------------------------------------------ *)
 (* Solver facade + training smoke test *)
@@ -746,6 +814,8 @@ let () =
           Alcotest.test_case "full (wrapped) buffer round trip" `Quick
             test_replay_full_buffer_roundtrip;
           Alcotest.test_case "empty & validation" `Quick test_replay_empty;
+          Alcotest.test_case "words per sample (selfplay_train config)"
+            `Quick test_replay_footprint;
         ] );
       ( "solver",
         [

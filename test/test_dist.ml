@@ -63,9 +63,9 @@ let sample_fixture () =
   let g = Generate.fig2 () in
   let st = Core.State.apply (Core.State.of_graph g) 0 in
   [
-    { Nn.Pvnet.graph = Graph.copy (Core.State.graph st); next = 1;
+    { Nn.Pvnet.instance = Graph.freeze (Core.State.graph st); next = 1;
       policy = [| 0.75; 0.25 |]; value = -1.0 };
-    { Nn.Pvnet.graph = g; next = 0; policy = [| 0.5; 0.5 |]; value = 1.0 };
+    { Nn.Pvnet.instance = Graph.freeze g; next = 0; policy = [| 0.5; 0.5 |]; value = 1.0 };
   ]
 
 let test_msg_to_actor_roundtrip () =
@@ -141,7 +141,7 @@ let test_snapshot_roundtrip_bitwise () =
           Generate.erdos_renyi ~rng:(rng (40 + i))
             { Generate.default with n = 6; m; p_edge = 0.4 }
         in
-        { Nn.Pvnet.graph = g; next = 0;
+        { Nn.Pvnet.instance = Graph.freeze g; next = 0;
           policy = Array.make m (1.0 /. float_of_int m);
           value = 0.25 *. float_of_int i })
   in
@@ -292,7 +292,7 @@ let test_checkpoint_strict () =
 
 let mk_sample v =
   let g = Graph.create ~m:2 ~n:1 in
-  { Nn.Pvnet.graph = g; next = 0; policy = [| 1.0; 0.0 |]; value = v }
+  { Nn.Pvnet.instance = Graph.freeze g; next = 0; policy = [| 1.0; 0.0 |]; value = v }
 
 let test_shards_one_equals_replay () =
   (* shards=1 must be element-for-element the plain ring: same draws
@@ -395,7 +395,7 @@ let training_batch ~m ~seed n =
       let raw = Array.init m (fun _ -> Random.State.float r 1.0 +. 0.01) in
       let s = Array.fold_left ( +. ) 0.0 raw in
       {
-        Nn.Pvnet.graph = g;
+        Nn.Pvnet.instance = Graph.freeze g;
         next;
         policy = Array.map (fun x -> x /. s) raw;
         value = Random.State.float r 2.0 -. 1.0;

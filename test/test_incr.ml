@@ -124,14 +124,15 @@ let test_snapshot_outlives_motion () =
   let ist = Core.Istate.of_state st0 in
   let root = Core.Istate.Cursor.root ist in
   let c1 = Core.Istate.Cursor.apply root 0 in
-  let snap = Core.Istate.Cursor.graph_snapshot c1 in
+  let frozen = Graph.freeze (Core.Istate.Cursor.graph c1) in
   let st1 = Core.State.apply st0 0 in
-  (* move the trail somewhere else: the snapshot must not change *)
+  (* move the trail somewhere else: the frozen instance must not change *)
   let c2 = Core.Istate.Cursor.apply c1 1 in
   ignore (Core.Istate.Cursor.graph c2);
   ignore (Core.Istate.Cursor.graph root);
-  Alcotest.(check graph) "snapshot = persistent state after trail motion"
-    (Core.State.graph st1) snap
+  Alcotest.(check string) "frozen = persistent state after trail motion"
+    (Io.to_string (Core.State.graph st1))
+    (Io.frozen_to_string frozen)
 
 let test_istate_validations () =
   let g =
@@ -178,7 +179,7 @@ let test_rollout_matches_oracle =
             (k - 1)
   in
   let st, leaf = walk st0 (Core.Istate.Cursor.root ist) prefix in
-  let snap = Core.Istate.Cursor.graph_snapshot leaf in
+  let snap = Io.frozen_to_string (Graph.freeze (Core.Istate.Cursor.graph leaf)) in
   let depth = Core.Istate.depth ist and hash = Core.Istate.hash ist in
   let restored what =
     if Core.Istate.depth ist <> depth then
@@ -186,7 +187,7 @@ let test_rollout_matches_oracle =
         (Core.Istate.depth ist) depth;
     if Core.Istate.hash ist <> hash then
       Alcotest.failf "%s: hash moved" what;
-    if not (Graph.equal snap (Core.Istate.graph ist)) then
+    if Io.to_string (Core.Istate.graph ist) <> snap then
       Alcotest.failf "%s: graph not restored" what
   in
   let c = Core.Rollout.greedy_cost ist in
@@ -285,7 +286,7 @@ let test_pvnet_version_bumps () =
       { Generate.default with n = 4; m; p_edge = 0.5; p_inf = 0.0 }
   in
   let sample =
-    { Nn.Pvnet.graph = g; next = List.hd (Graph.vertices g);
+    { Nn.Pvnet.instance = Graph.freeze g; next = List.hd (Graph.vertices g);
       policy = Array.make m (1.0 /. float_of_int m); value = 0.5 }
   in
   ignore (Nn.Pvnet.train_batch net opt [ sample ]);
@@ -307,7 +308,8 @@ let samples_identical sa sb =
   List.length sa = List.length sb
   && List.for_all2
        (fun (a : Nn.Pvnet.sample) (b : Nn.Pvnet.sample) ->
-         Graph.equal a.Nn.Pvnet.graph b.Nn.Pvnet.graph
+         Io.frozen_to_string a.Nn.Pvnet.instance
+         = Io.frozen_to_string b.Nn.Pvnet.instance
          && a.next = b.next
          && Array.for_all2 bits_eq a.policy b.policy
          && bits_eq a.value b.value)

@@ -328,7 +328,7 @@ let test_pvnet_training_reduces_loss () =
   let net = mknet () in
   let g = small_graph () in
   let sample =
-    { Nn.Pvnet.graph = g; next = 0; policy = [| 0.8; 0.0; 0.2 |]; value = 1.0 }
+    { Nn.Pvnet.instance = Graph.freeze g; next = 0; policy = [| 0.8; 0.0; 0.2 |]; value = 1.0 }
   in
   let opt = Nn.Adam.create { Nn.Adam.default_config with lr = 0.01 } in
   let first = Nn.Pvnet.train_batch net opt [ sample ] in
@@ -344,7 +344,7 @@ let test_pvnet_training_moves_prediction () =
   let net = mknet ~seed:11 () in
   let g = small_graph () in
   let sample =
-    { Nn.Pvnet.graph = g; next = 0; policy = [| 1.0; 0.0; 0.0 |]; value = 1.0 }
+    { Nn.Pvnet.instance = Graph.freeze g; next = 0; policy = [| 1.0; 0.0; 0.0 |]; value = 1.0 }
   in
   let opt = Nn.Adam.create { Nn.Adam.default_config with lr = 0.01 } in
   for _ = 1 to 150 do
@@ -820,13 +820,14 @@ let allocated_words () =
 
 (* Counter gate on the arena forward: once a replica is warm (instance
    encoding built, CSR scratch grown), re-preparing the states of the
-   PRO1 path allocates a fixed number of words per call — the result
-   (the 3m readout row, the mask copy and the record) plus the option
-   and tuple plumbing of the four GCN GEMM calls; the encoding walk, the
+   PRO1 path allocates a fixed number of words per call, nearly all of
+   them the result (the 3m readout row, the mask copy and the record,
+   64 words at m = 13); the encoding walk, the four GCN GEMM calls, the
    message pass and the cost features allocate nothing.  An allocation
-   added to the message pass or the fill (an option per lookup, a boxed
-   float per feature, a scratch per edge) moves the count. *)
-let prepare_words = 145.0
+   added to the message pass, the GEMM plumbing or the fill (an option
+   per call, a boxed float per feature, a scratch per edge) moves the
+   count. *)
+let prepare_words = 68.0
 let test_prepare_allocation () =
   let states = Array.of_list (pro_path (pro_residual 1)) in
   let m = Graph.m (fst states.(0)) in
@@ -854,7 +855,7 @@ let test_prepare_allocation () =
    per-row mask epilogue and what the trunk and head passes allocate
    today.  A scratch tensor or closure added to the trunk, the heads or
    the masking moves the count, a buffer-sized one by its full size. *)
-let predict_prepared_words = 938.0
+let predict_prepared_words = 799.0
 let test_predict_prepared_allocation () =
   let m = 13 in
   let net = jittered_net ~seed:37 (Nn.Pvnet.default_config ~m) in
@@ -893,7 +894,7 @@ let test_pvnet_full_gradcheck () =
   Graph.set_cost g 1 (Vec.of_array [| 0.0; 2.0 |]);
   Graph.add_edge g 0 1 (Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |]);
   let sample =
-    { Nn.Pvnet.graph = g; next = 0; policy = [| 0.7; 0.3 |]; value = 0.5 }
+    { Nn.Pvnet.instance = Graph.freeze g; next = 0; policy = [| 0.7; 0.3 |]; value = 0.5 }
   in
   check_grads ~tol:2e-3 "pvnet loss" (Nn.Pvnet.params net) (fun ctx ->
       Nn.Pvnet.loss net ctx sample)

@@ -155,7 +155,7 @@ let training_batch ~m ~seed n =
       let raw = Array.init m (fun _ -> Random.State.float r 1.0 +. 0.01) in
       let s = Array.fold_left ( +. ) 0.0 raw in
       {
-        Nn.Pvnet.graph = g;
+        Nn.Pvnet.instance = Pbqp.Graph.freeze g;
         next;
         policy = Array.map (fun x -> x /. s) raw;
         value = Random.State.float r 2.0 -. 1.0;

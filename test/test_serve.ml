@@ -320,6 +320,29 @@ let test_leave_completes_quorum () =
   Alcotest.(check int) "served by quorum" 1 s.Nn.Infer.quorum_flushes;
   Alcotest.(check int) "not by the timer" 0 s.Nn.Infer.timeout_flushes
 
+(* The wait quantiles read back the upper bound of a quarter-octave
+   bucket: never below the planted wait, and above it by less than
+   2^(1/4).  Half the tickets wait 10 µs, so p50 reads the 10 µs
+   bucket; the slowest 5 wait 3 ms, so p99 reads theirs. *)
+let test_wait_histogram_readback () =
+  let srv = Nn.Infer.create ~workers:2 () in
+  List.iter
+    (fun (count, us) ->
+      for _ = 1 to count do
+        Nn.Infer.plant_wait_for_test srv ~us
+      done)
+    [ (50, 10.0); (45, 100.0); (5, 3000.0) ];
+  let s = Nn.Infer.stats srv in
+  Alcotest.(check int) "waits counted" 100 s.Nn.Infer.waits;
+  let within what planted read =
+    if not (read > planted && read <= planted *. Float.pow 2.0 0.25) then
+      Alcotest.failf "%s: read %g for a planted %g us, want (%g, %g]" what
+        read planted planted
+        (planted *. Float.pow 2.0 0.25)
+  in
+  within "p50" 10.0 s.Nn.Infer.wait_p50_us;
+  within "p99" 3000.0 s.Nn.Infer.wait_p99_us
+
 let test_infer_validations () =
   Alcotest.check_raises "max_batch positive"
     (Invalid_argument "Infer.create: max_batch <= 0") (fun () ->
@@ -338,7 +361,8 @@ let samples_identical sa sb =
   List.length sa = List.length sb
   && List.for_all2
        (fun (a : Nn.Pvnet.sample) (b : Nn.Pvnet.sample) ->
-         Graph.equal a.Nn.Pvnet.graph b.Nn.Pvnet.graph
+         Io.frozen_to_string a.Nn.Pvnet.instance
+         = Io.frozen_to_string b.Nn.Pvnet.instance
          && a.next = b.next
          && Array.for_all2 bits_eq a.policy b.policy
          && bits_eq a.value b.value)
@@ -353,6 +377,20 @@ let episode_cfg =
 let play_episode ?cache ?serve ~net i g =
   Core.Episode.play ~collect:true ?cache ?serve ~rng:(rng (100 + i)) ~net
     ~mode:Core.Game.Feasibility episode_cfg (Core.Istate.of_graph g)
+
+(* A lone episode on a two-worker service registers as a search, so
+   each of its waves is its own quorum and no batch waits out the
+   timer. *)
+let test_lone_episode_flushes_by_quorum () =
+  let m = 3 in
+  let net = tiny_net ~m () in
+  let srv = Nn.Infer.create ~max_batch:64 ~workers:2 () in
+  ignore (play_episode ~serve:srv ~net 0 (random_graph ~seed:61 ~n:6 ~m));
+  let s = Nn.Infer.stats srv in
+  Alcotest.(check bool) "the episode was served" true (s.Nn.Infer.batches > 0);
+  Alcotest.(check int) "no timeout flush" 0 s.Nn.Infer.timeout_flushes;
+  Alcotest.(check int) "every batch by quorum" s.Nn.Infer.batches
+    s.Nn.Infer.quorum_flushes
 
 let check_episode_runs ~msg reference outcomes =
   List.iteri
@@ -565,10 +603,14 @@ let () =
             test_failed_search_deregisters;
           Alcotest.test_case "leave completes the quorum" `Quick
             test_leave_completes_quorum;
+          Alcotest.test_case "wait histogram quarter-octave readback" `Quick
+            test_wait_histogram_readback;
           Alcotest.test_case "validations" `Quick test_infer_validations;
         ] );
       ( "episodes",
         [
+          Alcotest.test_case "lone episode flushes by quorum" `Quick
+            test_lone_episode_flushes_by_quorum;
           Alcotest.test_case
             "episodes bitwise: service x pool size x cache" `Slow
             test_episodes_bitwise_under_service;

@@ -176,7 +176,8 @@ let test_fused_residual_aliasing () =
   Tensor.matmul_packed_into ~bias ~residual:out out a (Tensor.pack b);
   Alcotest.check t_bits "out == residual aliasing" expect out
 
-(* [matmul_packed_prefix_into] over the first [rows] rows of larger
+(* [matmul_packed_prefix_into] and [matmul_packed_prefix_residual_into]
+   over the first [rows] rows of larger
    buffers: those rows bitwise equal to the exact-shape fused kernel,
    the rows past [rows] untouched (the GCN readout reuses capacity-sized
    buffers across graphs of every size) *)
@@ -193,7 +194,11 @@ let test_packed_prefix () =
       List.iter
         (fun (name, residual, relu) ->
           let out = Tensor.init2 cap cb (fun _ _ -> Float.nan) in
-          Tensor.matmul_packed_prefix_into ~rows ~bias ~residual ~relu out a bp;
+          (match residual with
+          | None -> Tensor.matmul_packed_prefix_into ~rows ~bias ~relu out a bp
+          | Some residual ->
+              Tensor.matmul_packed_prefix_residual_into ~rows ~bias ~residual
+                ~relu out a bp);
           let expect = Tensor.init2 rows cb (fun _ _ -> Float.nan) in
           Tensor.matmul_packed_into ~bias ?residual:(Option.map top residual)
             ~relu expect (top a) bp;
@@ -212,7 +217,7 @@ let test_packed_prefix () =
     (Invalid_argument "Tensor.matmul_packed_prefix_into: output shape mismatch")
     (fun () ->
       Tensor.matmul_packed_prefix_into ~rows:3 ~bias:(Tensor.zeros [| 4 |])
-        ~residual:None ~relu:false (Tensor.zeros [| 2; 4 |])
+        ~relu:false (Tensor.zeros [| 2; 4 |])
         (Tensor.zeros [| 3; 3 |])
         (Tensor.pack (Tensor.zeros [| 3; 4 |])))
 
