@@ -180,12 +180,21 @@ let () =
                    version, results are unchanged")
   in
   let serve_batch =
-    Arg.(value & opt int 0
+    let positive =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | _ ->
+            Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    Arg.(value & opt positive 16
          & info [ "serve-batch" ] ~docv:"N"
-             ~doc:"coalesce MCTS leaf waves from all workers through a \
-                   dynamic-batching inference service into batched \
-                   forwards of up to N leaves (0 = per-worker batching); \
-                   results are bit-identical either way")
+             ~doc:"row budget of the dynamic-batching inference service \
+                   that coalesces MCTS leaf waves from all workers into \
+                   batched forwards of up to N leaves; results are \
+                   bit-identical for every value")
   in
   let serve_wait_us =
     Arg.(value & opt int 200

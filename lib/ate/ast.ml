@@ -43,8 +43,6 @@ let operand_classes = function
   | Emit rs -> List.map (fun r -> (r, Machine.Pattern)) rs
   | _ -> []
 
-let is_jump = function Jnz _ | Jmp _ -> true | _ -> false
-
 let map_regs f = function
   | Mov { dst; src } ->
       Mov { dst = f dst; src = (match src with Reg r -> Reg (f r) | i -> i) }

@@ -35,8 +35,6 @@ val pair_sources : instr -> (reg * reg) option
 val operand_classes : instr -> (reg * Machine.rclass) list
 (** Register occurrences with a non-[Any] class constraint. *)
 
-val is_jump : instr -> bool
-
 val map_regs : (reg -> reg) -> instr -> instr
 
 val pp_reg : Format.formatter -> reg -> unit

@@ -344,8 +344,3 @@ let pro ?(machine = Machine.default) k =
   | Ok () -> ()
   | Error e -> failwith (Printf.sprintf "Progen.pro: witness invalid: %s" e));
   p
-
-let pro_all ?machine () =
-  List.init 10 (fun i ->
-      let p = pro ?machine (i + 1) in
-      (p.Ast.name, p))

@@ -35,5 +35,3 @@ val pro : ?machine:Machine.t -> int -> Ast.program
 (** [pro k] for [k ∈ 1..10]: the deterministic, feasible PRO[k].
     @raise Invalid_argument on an out-of-range index. *)
 
-val pro_all : ?machine:Machine.t -> unit -> (string * Ast.program) list
-(** [("PRO1", p1); ...; ("PRO10", p10)]. *)

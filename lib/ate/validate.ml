@@ -75,8 +75,3 @@ let check machine info ~assignment =
     done
   done;
   !result
-
-let check_exn machine info ~assignment =
-  match check machine info ~assignment with
-  | Ok () -> ()
-  | Error e -> failwith ("Ate.Validate: " ^ e)

@@ -12,7 +12,3 @@ val check :
   assignment:(int -> int option) ->
   (unit, string) result
 (** [assignment v] is the physical register of virtual register [v]. *)
-
-val check_exn :
-  Machine.t -> Program.info -> assignment:(int -> int option) -> unit
-(** @raise Failure with the violation description. *)

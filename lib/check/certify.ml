@@ -143,7 +143,8 @@ type solver_run = {
    the brute-force search completes within budget, cross-check the
    heuristic costs against the optimum and the feasibility claims against
    each other. *)
-let classic_solvers ?(max_states = 200_000) ?(brute_max = 500_000) g =
+let classic_solvers ?(max_states = 200_000) g =
+  let brute_max = 500_000 in
   let runs = ref [] in
   let push solver cost findings = runs := { solver; cost; findings } :: !runs in
   (* scholz always returns a full assignment; an infinite cost is the
@@ -230,7 +231,8 @@ let has_negative_costs g =
        g false
 
 let certify_optimal ?(max_nodes = 2_000_000) ?(brute_cap = 8)
-    ?(brute_states = 2_000_000) ?(eps = default_eps) g ~reported =
+    ?(eps = default_eps) g ~reported =
+  let brute_states = 2_000_000 in
   let c = Diag.collector () in
   let small = Graph.n_alive g <= brute_cap && not (has_negative_costs g) in
   match Solvers.Exact.solve ~max_nodes g with
@@ -289,8 +291,8 @@ let certify_optimal ?(max_nodes = 2_000_000) ?(brute_cap = 8)
           (Cost.to_string reported) (Cost.to_string opt);
       (Proven opt, own @ Diag.report c)
 
-let classic_findings ?max_states ?brute_max g =
-  let runs, cross = classic_solvers ?max_states ?brute_max g in
+let classic_findings ?max_states g =
+  let runs, cross = classic_solvers ?max_states g in
   List.concat_map
     (fun r -> List.map (fun f -> { f with Diag.rule = r.solver ^ "/" ^ f.Diag.rule }) r.findings)
     runs

@@ -67,7 +67,6 @@ type oracle =
 val certify_optimal :
   ?max_nodes:int ->
   ?brute_cap:int ->
-  ?brute_states:int ->
   ?eps:float ->
   Pbqp.Graph.t ->
   reported:Pbqp.Cost.t ->
@@ -85,11 +84,10 @@ type solver_run = {
     against each other. *)
 val classic_solvers :
   ?max_states:int ->
-  ?brute_max:int ->
   Pbqp.Graph.t ->
   solver_run list * Diag.finding list
 
 (** [classic_solvers] flattened into one finding list, each rule
     prefixed with the solver's name. *)
 val classic_findings :
-  ?max_states:int -> ?brute_max:int -> Pbqp.Graph.t -> Diag.finding list
+  ?max_states:int -> Pbqp.Graph.t -> Diag.finding list

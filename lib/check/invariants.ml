@@ -182,6 +182,3 @@ let parse_file path =
 
 let lint_string s =
   match parse_string s with Ok g -> graph g | Error fs -> fs
-
-let lint_file path =
-  match parse_file path with Ok g -> graph g | Error fs -> fs

@@ -21,5 +21,3 @@ val parse_file : string -> (Pbqp.Graph.t, Diag.finding list) result
 
 (** [parse_string] followed by [graph]; parse errors are findings. *)
 val lint_string : string -> Diag.finding list
-
-val lint_file : string -> Diag.finding list

@@ -70,8 +70,6 @@ let allocation_of_solution t f sol =
     t.vregs;
   alloc
 
-let solution_cost t sol = Solution.cost t.graph sol
-
 let solve_scholz live =
   let t = build live in
   let sol, cost, _ = Solvers.Scholz.solve_with_cost t.graph in

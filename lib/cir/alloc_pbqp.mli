@@ -37,5 +37,3 @@ val solve_rl :
     would.  Falls back to the Scholz solution in the (theoretically
     impossible, since the spill color is always admissible) event of a
     dead end. *)
-
-val solution_cost : t -> Pbqp.Solution.t -> Pbqp.Cost.t

@@ -63,11 +63,3 @@ let run kind (p : Ir.program) =
   }
 
 let reference p = Interp.run p
-
-let cost_sums (p : Ir.program) solver =
-  List.map
-    (fun (f : Ir.func) ->
-      let live = Liveness.analyze f in
-      let _, cost = solver live in
-      (f.Ir.name, cost))
-    p.Ir.funcs

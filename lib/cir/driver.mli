@@ -25,8 +25,3 @@ val run : alloc_kind -> Ir.program -> result
 
 val reference : Ir.program -> Interp.outcome
 (** The virtual-register reference semantics. *)
-
-val cost_sums :
-  Ir.program -> (Liveness.t -> Regalloc.allocation * Pbqp.Cost.t) ->
-  (string * Pbqp.Cost.t) list
-(** Per-function PBQP cost sums under a given PBQP solver (E4). *)

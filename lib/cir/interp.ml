@@ -58,7 +58,7 @@ let eval_binop op a b =
   | Ir.Feq -> cf ( = )
   | Ir.Fne -> cf ( <> )
 
-let run ?(fuel = 50_000_000) ?(entry = "main") ?(args = []) (p : Ir.program) =
+let run ?(fuel = 50_000_000) (p : Ir.program) =
   let genv = make_genv p in
   let output = ref [] in
   let steps = ref 0 in
@@ -132,5 +132,5 @@ let run ?(fuel = 50_000_000) ?(entry = "main") ?(args = []) (p : Ir.program) =
         in
         exec_block 0
   in
-  let ret = call entry args in
+  let ret = call "main" [] in
   { output = List.rev !output; ret; steps = !steps }

@@ -16,9 +16,8 @@ exception Runtime_error of string
 (** Division by zero, array index out of bounds, missing entry function,
     or fuel exhaustion. *)
 
-val run :
-  ?fuel:int -> ?entry:string -> ?args:value list -> Ir.program -> outcome
-(** Default entry ["main"], no arguments, fuel [50_000_000]. *)
+val run : ?fuel:int -> Ir.program -> outcome
+(** Runs [main] with no arguments; fuel defaults to [50_000_000]. *)
 
 val value_to_string : value -> string
 (** The exact formatting [print] uses. *)

@@ -76,26 +76,7 @@ let successors = function
   | Jmp l -> [ l ]
   | Br (_, a, b) -> if a = b then [ a ] else [ a; b ]
 
-let is_float_op = function
-  | Fadd | Fsub | Fmul | Fdiv | Flt | Fle | Fgt | Fge | Feq | Fne -> true
-  | _ -> false
-
 let find_func p name = List.find_opt (fun f -> f.name = name) p.funcs
-
-let map_value f = function VReg v -> VReg (f v) | x -> x
-
-let map_instr_vregs f = function
-  | Bin (op, d, a, b) -> Bin (op, f d, map_value f a, map_value f b)
-  | Mov (d, a) -> Mov (f d, map_value f a)
-  | I2f (d, a) -> I2f (f d, map_value f a)
-  | F2i (d, a) -> F2i (f d, map_value f a)
-  | Load (d, g, i) -> Load (f d, g, map_value f i)
-  | Store (g, i, v) -> Store (g, map_value f i, map_value f v)
-  | Load_var (d, g) -> Load_var (f d, g)
-  | Store_var (g, v) -> Store_var (g, map_value f v)
-  | Call (d, name, args) ->
-      Call (Option.map f d, name, List.map (map_value f) args)
-  | Print (t, v) -> Print (t, map_value f v)
 
 (* --- printing --- *)
 

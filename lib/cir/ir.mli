@@ -62,11 +62,7 @@ val uses_instr : instr -> vreg list
 val uses_term : terminator -> vreg list
 val successors : terminator -> int list
 
-val is_float_op : binop -> bool
 val find_func : program -> string -> func option
-
-val map_instr_vregs : (vreg -> vreg) -> instr -> instr
-(** Used by tests and simple rewrites. *)
 
 val pp_func : Format.formatter -> func -> unit
 val pp_program : Format.formatter -> program -> unit

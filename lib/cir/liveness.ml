@@ -179,7 +179,3 @@ let analyze (f : Ir.func) =
     weights;
     max_pressure = !max_pressure;
   }
-
-let interferes t u v =
-  let p = if u < v then (u, v) else (v, u) in
-  List.mem p t.interference

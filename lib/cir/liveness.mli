@@ -22,6 +22,3 @@ type t = {
 }
 
 val analyze : Ir.func -> t
-
-val interferes : t -> int -> int -> bool
-(** Set-membership test over [interference]. *)

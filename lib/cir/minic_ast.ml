@@ -43,10 +43,3 @@ type func = {
 type global = Garray of typ * string * int | Gvar of typ * string * expr option
 
 type program = { globals : global list; funcs : func list }
-
-let binop_to_string = function
-  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
-  | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" | Eq -> "==" | Ne -> "!="
-  | LAnd -> "&&" | LOr -> "||"
-
-let typ_to_string = function Tint -> "int" | Tfloat -> "float"

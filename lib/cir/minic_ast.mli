@@ -51,6 +51,3 @@ type func = {
 type global = Garray of typ * string * int | Gvar of typ * string * expr option
 
 type program = { globals : global list; funcs : func list }
-
-val binop_to_string : binop -> string
-val typ_to_string : typ -> string

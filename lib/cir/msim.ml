@@ -63,7 +63,7 @@ let eval_binop op a b =
   | Ir.Feq -> cf ( = )
   | Ir.Fne -> cf ( <> )
 
-let run ?(fuel = 200_000_000) ?(entry = "main") ?(args = []) (p : mprogram) =
+let run ?(fuel = 200_000_000) (p : mprogram) =
   let genv = make_genv p in
   let regs = Array.make Target.total_regs garbage in
   let output = ref [] in
@@ -203,5 +203,5 @@ let run ?(fuel = 200_000_000) ?(entry = "main") ?(args = []) (p : mprogram) =
         in
         exec 0
   in
-  let ret = call entry args in
+  let ret = call "main" [] in
   { output = List.rev !output; ret; cycles = !cycles; steps = !steps }

@@ -17,9 +17,5 @@ type outcome = {
 
 exception Runtime_error of string
 
-val run :
-  ?fuel:int ->
-  ?entry:string ->
-  ?args:Interp.value list ->
-  Mach.mprogram ->
-  outcome
+val run : ?fuel:int -> Mach.mprogram -> outcome
+(** Runs [main] with no arguments; fuel defaults to [200_000_000]. *)

@@ -33,9 +33,9 @@ let rank_actions legal st (p : float array) ~excluding =
   (* Highest policy mass first; ties on the smaller color. *)
   List.stable_sort (fun a b -> Float.compare p.(b) p.(a)) legal_actions
 
-let search ?cache ?serve ~net ~mode config ist =
+let search ?cache ~serve ~net ~mode config ist =
   let game =
-    Game.make ~rollouts:config.rollouts ?cache ?serve ~net ~mode
+    Game.make ~rollouts:config.rollouts ?cache ~serve ~net ~mode
       ~m:(Istate.m ist) ()
   in
   let root = Istate.Cursor.root ist in
@@ -122,9 +122,6 @@ let search ?cache ?serve ~net ~mode config ist =
 
 (* Registered with the service for exactly the search, so a partial
    batch flushes as soon as every running search is parked in it. *)
-let solve ?cache ?serve ~net ~mode config ist =
-  match serve with
-  | None -> search ?cache ~net ~mode config ist
-  | Some srv ->
-      Nn.Infer.with_search srv (fun () ->
-          search ?cache ~serve:srv ~net ~mode config ist)
+let solve ?cache ~serve ~net ~mode config ist =
+  Nn.Infer.with_search serve (fun () ->
+      search ?cache ~serve ~net ~mode config ist)

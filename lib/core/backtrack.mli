@@ -41,10 +41,10 @@ type result = {
 
 val solve :
   ?cache:Nn.Cache.t ->
-  ?serve:Nn.Infer.t ->
+  serve:Nn.Infer.t ->
   net:Nn.Pvnet.t -> mode:Game.mode -> config -> Istate.t -> result
 (** Color the trail state from its root position.  [cache] and [serve]
     are forwarded to {!Game.make} — backtracking revisits tree ancestors,
-    so repeated leaf evaluations short-circuit, and wave evaluations can
-    coalesce across pool workers.  With [serve] the whole search runs
-    inside {!Nn.Infer.with_search}. *)
+    so repeated leaf evaluations short-circuit, and wave evaluations go
+    through [serve], coalescing across pool workers.  The whole search
+    runs inside {!Nn.Infer.with_search}. *)

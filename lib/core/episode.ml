@@ -37,11 +37,11 @@ let argmax (p : float array) =
 
 (* The loop runs on a trail state: MCTS holds cursors into one shared
    mutable graph, so each simulated move is an O(deg) push/pop and each
-   collected sample freezes the root's graph.  With a service, the game
-   is registered with it as one search for its whole length, so a
-   partial batch flushes once every running search is parked in it. *)
-let play ?(collect = false) ?cache ?serve ~rng ~net ~mode config ist =
-  let game = Game.make ?cache ?serve ~net ~mode ~m:(Istate.m ist) () in
+   collected sample freezes the root's graph.  The game is registered
+   with the service as one search for its whole length, so a partial
+   batch flushes once every running search is parked in it. *)
+let play ?(collect = false) ?cache ~serve ~rng ~net ~mode config ist =
+  let game = Game.make ?cache ~serve ~net ~mode ~m:(Istate.m ist) () in
   let tree = Mcts.create config.mcts game (Istate.Cursor.root ist) in
   let samples = ref [] in
   let move = ref 0 in
@@ -75,9 +75,7 @@ let play ?(collect = false) ?cache ?serve ~rng ~net ~mode config ist =
       loop ()
     end
   in
-  (match serve with
-  | None -> loop ()
-  | Some srv -> Nn.Infer.with_search srv loop);
+  Nn.Infer.with_search serve loop;
   let final = Mcts.root_state tree in
   let cost = Game.final_cost final in
   let solution =

@@ -31,7 +31,7 @@ type outcome = {
 val play :
   ?collect:bool ->
   ?cache:Nn.Cache.t ->
-  ?serve:Nn.Infer.t ->
+  serve:Nn.Infer.t ->
   rng:Random.State.t ->
   net:Nn.Pvnet.t ->
   mode:Game.mode ->
@@ -44,10 +44,11 @@ val play :
     position's {!Pbqp.Graph.freeze}.  [cache] and [serve] are forwarded
     to {!Game.make}: every leaf is evaluated in a wave (a lone root
     expansion is a wave of one), [cache] short-circuits repeated leaf
-    evaluations, and [serve] coalesces wave evaluations across pool
-    workers.  The whole game runs inside [Nn.Infer.with_search serve],
-    so a partial batch flushes by quorum, not by the service's timer.
-    Search results are bit-identical in every combination. *)
+    evaluations, and every miss goes through [serve], which coalesces
+    waves across pool workers.  The whole game runs inside
+    [Nn.Infer.with_search serve], so a partial batch flushes by quorum,
+    not by the service's timer.  Search results are bit-identical with
+    or without a cache and for every service. *)
 
 val set_values : float -> Nn.Pvnet.sample list -> Nn.Pvnet.sample list
 (** Stamp the final reward on every tuple of the episode (§II-C: "all

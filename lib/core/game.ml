@@ -19,17 +19,7 @@ let reward mode cost =
 let final_cost c =
   if Istate.Cursor.is_complete c then Istate.Cursor.base_cost c else Cost.inf
 
-(* A wave's cache misses in one coalesced forward: through the
-   cross-worker inference service when one is installed, directly on the
-   caller's replica otherwise.  [Infer.submit] is bitwise identical to
-   the direct call (row independence of the batched GEMMs), so the two
-   paths are interchangeable result-wise. *)
-let run_batch serve net preps =
-  match serve with
-  | Some srv -> Nn.Infer.submit srv ~net preps
-  | None -> Nn.Pvnet.predict_prepared net preps
-
-let make ?(rollouts = false) ?cache ?serve ~net ~mode ~m () =
+let make ?(rollouts = false) ?cache ~serve ~net ~mode ~m () =
   (* [blend_at c] takes the leaf's roll-out now — seeking the trail to
      [c], completing greedily and undoing back — and returns the blend to
      apply to the network value once it is known. *)
@@ -44,7 +34,8 @@ let make ?(rollouts = false) ?cache ?serve ~net ~mode ~m () =
   (* Leaves of a wave live on one shared trail graph, so each is seeked
      and captured as a [Pvnet.prepared] in turn (its roll-out taken while
      the trail is there); the trunk GEMMs then run over the whole batch
-     at once — minus the cache hits, which skip the forward entirely.
+     at once, through [serve] — minus the cache hits, which skip the
+     forward entirely.
      The transposition cache holds the network's raw (priors, value)
      keyed by (state hash, next vertex) and stamped with the weights
      version; the roll-out blend is applied after lookup (it depends on
@@ -79,7 +70,7 @@ let make ?(rollouts = false) ?cache ?serve ~net ~mode ~m () =
     | [] -> ()
     | _ ->
         let preds =
-          run_batch serve net
+          Nn.Infer.submit serve ~net
             (Array.of_list (List.map (fun (_, _, p, _) -> p) misses))
         in
         List.iteri

@@ -21,7 +21,7 @@ val reward : mode -> Cost.t -> float
 val make :
   ?rollouts:bool ->
   ?cache:Nn.Cache.t ->
-  ?serve:Nn.Infer.t ->
+  serve:Nn.Infer.t ->
   net:Nn.Pvnet.t ->
   mode:mode ->
   m:int ->
@@ -40,10 +40,12 @@ val make :
     beyond the paper, applied to wave cache hits and misses alike.
 
     Leaves are evaluated in waves by [batched_evaluate]: each leaf is
-    seeked and captured as an {!Nn.Pvnet.prepared}, then the trunk GEMMs
-    run over the whole batch at once.  The scalar [evaluate] (MCTS calls
-    it to expand a root outside a wave, e.g. before root noise) is a
-    wave of one, so every leaf runs the same forward.
+    seeked and captured as an {!Nn.Pvnet.prepared}, then the wave's
+    cache misses go to [serve] ({!Nn.Infer.submit}) as one batch, which
+    may coalesce with other workers' waves — same bits either way.
+    [net] is the caller's own replica.  The scalar [evaluate] (MCTS
+    calls it to expand a root outside a wave, e.g. before root noise)
+    is a wave of one, so every leaf runs the same forward.
 
     [cache] consults an {!Nn.Cache} (single-owner or striped-shared)
     before every network forward, keyed by
@@ -51,11 +53,7 @@ val make :
     {!Nn.Pvnet.version}; hits skip the forward (and drop out of a wave's
     batch), misses are stored.  The cache holds the raw network output;
     the roll-out blend is applied after lookup.  Search results are
-    bit-identical with or without it.
-
-    [serve] routes each wave's cache misses through the cross-worker
-    {!Nn.Infer} service instead of a direct [predict_prepared] — same
-    bits, coalesced GEMMs. *)
+    bit-identical with or without it. *)
 
 val final_cost : Istate.Cursor.t -> Cost.t
 (** [base_cost] if complete, [inf] otherwise. *)

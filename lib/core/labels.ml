@@ -8,7 +8,7 @@ let of_exact ?max_nodes ?max_seconds g =
       Some { graph = Graph.copy g; assignment = sol; cost }
   | (Solvers.Exact.Infeasible | Solvers.Exact.Timeout _), _ -> None
 
-let to_samples ?(order = Order.By_id) ?rng ?(value = 1.0) lbl =
+let to_samples ?(order = Order.By_id) ?rng lbl =
   let m = Graph.m lbl.graph in
   let order = Order.compute ?rng order lbl.graph in
   let rec walk st acc =
@@ -25,7 +25,7 @@ let to_samples ?(order = Order.By_id) ?rng ?(value = 1.0) lbl =
         policy.(c) <- 1.0;
         let sample =
           { Nn.Pvnet.instance = Graph.freeze (State.graph st); next = u;
-            policy; value }
+            policy; value = 1.0 }
         in
         walk (State.apply st c) (sample :: acc)
   in

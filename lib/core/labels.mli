@@ -26,11 +26,10 @@ val of_exact :
 val to_samples :
   ?order:Order.kind ->
   ?rng:Random.State.t ->
-  ?value:float ->
   t ->
   Nn.Pvnet.sample list
 (** One tuple per move of the optimal assignment replayed in [order]
-    (default [By_id], matching self-play); [value] defaults to [+1.0].
+    (default [By_id], matching self-play), each with value [+1.0].
     @raise Invalid_argument if the assignment is not a legal play of its
     graph. *)
 

@@ -25,14 +25,21 @@ let solve_exact ?max_nodes ?max_seconds g =
   ( outcome,
     { nodes = st.Solvers.Exact.nodes; backtracks = st.Solvers.Exact.pruned } )
 
+(* A solve given no service evaluates its leaves through a one-worker
+   service of its own: the same route, run as a direct call. *)
+let own_service = function
+  | Some serve -> serve
+  | None -> Nn.Infer.create ~workers:1 ()
+
 let solve_feasible ~net ?(mcts = Mcts.default_config)
     ?(order = Order.Decreasing_liberty) ?(backtracking = true)
     ?(replan = true) ?(max_backtracks = 100_000) ?(exact_reduce = false)
     ?(rollouts = false) ?cache ?serve ?rng g =
+  let serve = own_service serve in
   let solve_on g =
     let state = make_state ?rng ~order g in
     let result =
-      Backtrack.solve ?cache ?serve ~net ~mode:Game.Feasibility
+      Backtrack.solve ?cache ~serve ~net ~mode:Game.Feasibility
         { Backtrack.mcts; enabled = backtracking; replan; max_backtracks;
           rollouts }
         state
@@ -60,10 +67,11 @@ let minimize ~net ?(mcts = Mcts.default_config) ?(order = Order.By_id)
         c
   in
   let mode = Game.Minimize { reference; shaping } in
+  let serve = own_service serve in
   let solve_on g =
     let state = make_state ?rng ~order g in
     let result =
-      Backtrack.solve ?cache ?serve ~net ~mode
+      Backtrack.solve ?cache ~serve ~net ~mode
         { Backtrack.default_config with mcts; enabled = false; rollouts }
         state
     in

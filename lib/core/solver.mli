@@ -50,11 +50,12 @@ val solve_feasible :
 
     [cache] gives the solve a transposition cache of network evaluations
     (repeated positions appear across backtracking replans and retreats;
-    possibly striped and pool-shared, see {!Nn.Cache}), and [serve]
-    routes wave evaluations through a cross-worker
-    {!Nn.Infer} service so unrelated concurrent solves coalesce into
-    shared forward batches.  Both preserve results bitwise; they are the
-    serving-tier hooks ({!Serve.Daemon}).
+    possibly striped and pool-shared, see {!Nn.Cache}).  Every wave
+    of leaves goes through the {!Nn.Infer} service [serve], so unrelated
+    concurrent solves sharing one coalesce into shared forward batches;
+    without [serve] the solve creates a one-worker service of its own
+    (a direct call, counted).  Results are bitwise the same for every
+    cache and service.
 
     [exact_reduce] (default false) is a hybrid extension beyond the
     paper: the equivalence-preserving R0/R1/R2 reductions strip the easy

@@ -57,7 +57,7 @@ let default_config ~m =
     checkpoint = None;
     check = false;
     eval_cache = 0;
-    serve_batch = 0;
+    serve_batch = 16;
     serve_wait_us = 200;
     cache_stripes = 8;
     pretrain_labels = None;
@@ -94,14 +94,14 @@ let search_mode config g =
     let reference = if Cost.is_finite ref_cost then ref_cost else Cost.inf in
     Game.Minimize { reference; shaping = config.shaping }
 
-let play_once ?(collect = false) ?cache ?serve ~rng ~net ~temperature_moves
+let play_once ?(collect = false) ?cache ~serve ~rng ~net ~temperature_moves
     config g =
   let mode = search_mode config g in
   let ist = Istate.of_graph g in
   (* AlphaZero-style: the training run explores with Dirichlet root noise;
      inference runs (temperature 0) play clean *)
   let root_noise = if temperature_moves > 0 then Some (0.25, 0.5) else None in
-  Episode.play ~collect ?cache ?serve ~rng ~net ~mode
+  Episode.play ~collect ?cache ~serve ~rng ~net ~mode
     { Episode.mcts = config.mcts; temperature_moves; root_noise }
     ist
 
@@ -162,19 +162,24 @@ let actor_root ~manifest_seed actor =
    best player's cost on the same graph; returns the stamped training
    tuples and whether the candidate failed to finish.  Safe to run as a
    pool task — or in an actor process — given private net replicas and a
-   private rng.  Caches and serving are bitwise-neutral (they return
+   private rng.  Caches and services are bitwise-neutral (they return
    what the net would compute), so a plain uncached call produces the
-   same tuples as the learner's cached, coalescing configuration. *)
+   same tuples as the learner's cached, coalescing configuration.  A role
+   given no service gets a one-worker one for this episode. *)
 let self_play_episode ?best_cache ?current_cache ?best_serve ?current_serve
     ~rng ~best ~current config =
+  let own = function
+    | Some serve -> serve
+    | None -> Nn.Infer.create ~workers:1 ()
+  in
   let g = random_graph ~rng config in
   let best_outcome, _ =
-    play_once ?cache:best_cache ?serve:best_serve ~rng ~net:best
+    play_once ?cache:best_cache ~serve:(own best_serve) ~rng ~net:best
       ~temperature_moves:0 config g
   in
   let cur_outcome, samples =
-    play_once ~collect:true ?cache:current_cache ?serve:current_serve ~rng
-      ~net:current ~temperature_moves:config.temperature_moves config g
+    play_once ~collect:true ?cache:current_cache ~serve:(own current_serve)
+      ~rng ~net:current ~temperature_moves:config.temperature_moves config g
   in
   certify_outcome config "best" g best_outcome;
   certify_outcome config "current" g cur_outcome;
@@ -214,6 +219,7 @@ type source = {
 }
 
 let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
+  if config.serve_batch <= 0 then invalid_arg "Train.run: serve_batch <= 0";
   (* resume from a checkpoint prefix when the three original files exist
      (the optimizer file is optional for back-compat with older runs) *)
   let resume =
@@ -311,14 +317,11 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
      role's tickets all carry the same weights version (versions only
      move between regions), which is what lets the server drain a FIFO
      prefix.  Workers' waves coalesce into larger trunk/head GEMMs; the
-     floating-server protocol (Nn.Infer) keeps results bit-identical to
-     per-worker batching. *)
+     floating-server protocol (Nn.Infer) keeps results bit-identical for
+     every pool size and row budget. *)
   let make_serve () =
-    if config.serve_batch > 0 then
-      Some
-        (Nn.Infer.create ~max_batch:config.serve_batch
-           ~wait_us:config.serve_wait_us ~workers:nw ())
-    else None
+    Nn.Infer.create ~max_batch:config.serve_batch
+      ~wait_us:config.serve_wait_us ~workers:nw ()
   in
   let best_serve = make_serve () and current_serve = make_serve () in
   let best_version = ref 0 and current_version = ref 0 in
@@ -353,11 +356,11 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
         let rng = rngs.(i) in
         let g = random_graph ~rng config in
         let b, _ =
-          play_once ?cache:best_cache ?serve:best_serve ~rng
+          play_once ?cache:best_cache ~serve:best_serve ~rng
             ~net:bests.(worker) ~temperature_moves:0 config g
         in
         let c, _ =
-          play_once ?cache:current_cache ?serve:current_serve ~rng
+          play_once ?cache:current_cache ~serve:current_serve ~rng
             ~net:currents.(worker) ~temperature_moves:0 config g
         in
         compare_costs c.Episode.cost b.Episode.cost)
@@ -390,7 +393,7 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
               let samples, failed =
                 self_play_episode ~rng:rngs.(i) ~best:bests.(worker)
                   ~current:currents.(worker) ?best_cache ?current_cache
-                  ?best_serve ?current_serve config
+                  ~best_serve ~current_serve config
               in
               {
                 er_samples = samples;

@@ -88,13 +88,13 @@ type config = {
       (** row budget of the cross-worker dynamic-batching inference
           service ([Nn.Infer]): each net role gets a service that
           coalesces MCTS waves from all pool workers into single batched
-          forwards of up to this many leaves.  0 (the default) keeps
-          per-worker batching.  Coalescing is scheduling-dependent;
-          results are not (row independence of the batched GEMMs), so
-          runs stay bit-identical for every setting. *)
+          forwards of up to this many leaves (default 16; must be
+          positive).  Coalescing is scheduling-dependent; results are not
+          (row independence of the batched GEMMs), so runs stay
+          bit-identical for every setting. *)
   serve_wait_us : int;
       (** microseconds a partial service batch may age before some
-          submitter flushes it (only meaningful with [serve_batch > 0]). *)
+          submitter flushes it. *)
   cache_stripes : int;
       (** number of mutex-guarded shards of the shared striped cache
           (rounded up to a power of two; only meaningful with
@@ -153,8 +153,10 @@ val self_play_episode :
 (** One self-play episode exactly as the training loop plays it (best
     player sets the cost reference, candidate collects tuples): the
     stamped samples and whether the candidate dead-ended.  Exposed for
-    actor processes; caches/serving are bitwise-neutral, so an uncached
-    actor call yields the same tuples as the learner's configuration. *)
+    actor processes; caches and services are bitwise-neutral, so an
+    uncached actor call yields the same tuples as the learner's
+    configuration.  A role given no service plays through a one-worker
+    {!Nn.Infer} service created for the episode. *)
 
 (** {1 Episode/replay source}
 
@@ -207,7 +209,10 @@ val run :
   rng:Random.State.t ->
   config ->
   Nn.Pvnet.t
-(** Returns the final best network.  [make_source] (default: the
-    in-process source) receives the run's manifest seed, the number of
-    episodes already consumed by a resumed checkpoint (its streams must
-    fast-forward past them), and the two live nets it will broadcast. *)
+(** Returns the final best network.  Every search of the run goes
+    through one {!Nn.Infer} service per net role, sized to the pool.
+    [make_source] (default: the in-process source) receives the run's
+    manifest seed, the number of episodes already consumed by a resumed
+    checkpoint (its streams must fast-forward past them), and the two
+    live nets it will broadcast.
+    @raise Invalid_argument if [serve_batch <= 0], before any episode. *)

@@ -25,6 +25,10 @@ let run ~config ~manifest ~actor ~in_fd ~out_fd =
     | Some net -> net
     | None -> invalid_arg "Dist.Actor: assignment before first snapshot"
   in
+  (* one single-worker inference service per net role, for every
+     episode this actor plays *)
+  let best_serve = Nn.Infer.create ~workers:1 ()
+  and current_serve = Nn.Infer.create ~workers:1 () in
   let running = ref true in
   while !running do
     match Frame.read in_fd with
@@ -42,8 +46,8 @@ let run ~config ~manifest ~actor ~in_fd ~out_fd =
               if index mod actors = actor then begin
                 let rng = next_episode_rng ((index - actor) / actors) in
                 let samples, failed =
-                  Core.Train.self_play_episode ~rng ~best:bnet ~current:cnet
-                    config
+                  Core.Train.self_play_episode ~best_serve ~current_serve
+                    ~rng ~best:bnet ~current:cnet config
                 in
                 Frame.write out_fd
                   (Msg.to_learner_to_string

@@ -18,8 +18,11 @@
      least as many tickets are queued as searches are registered — every
      running search is parked, so nobody else can add a row;
    - timeout: the head ticket has aged wait_us.  This is a cap, not a
-     knob: it fires for unregistered submitters (the trainer) and for a
-     registered search that is busy outside its wave.
+     knob: every search registers, so it fires only for a registered
+     search that is busy outside its wave (or a caller that submits
+     without registering).
+   A one-worker service has nobody to coalesce with: [submit] runs the
+   wave directly and counts it as a quorum batch of its own.
    Registration is a count, not a set of identities: a search holds one
    ticket at a time (submit blocks), and while no server runs every
    unanswered ticket is still queued, so the queue length is the number
@@ -227,18 +230,24 @@ type flush = Full | Quorum | Timeout
 let quorum t = t.active > 0 && Queue.length t.queue >= t.active
 [@@requires_lock "mutex"]
 
-(* Called with the lock held; returns with the lock held.  Runs one
-   coalesced batch (the network call itself happens unlocked). *)
-let serve t why =
-  let batch, brows = drain_batch t in
-  t.serving <- true;
+(* Called with the lock held: one batch of [brows] rows, flushed by
+   rule [why]. *)
+let count_batch t why brows =
   t.s_batches <- t.s_batches + 1;
   t.s_rows <- t.s_rows + brows;
   (match why with
   | Full -> t.s_full <- t.s_full + 1
   | Quorum -> t.s_quorum <- t.s_quorum + 1
   | Timeout -> t.s_timeout <- t.s_timeout + 1);
-  if brows > t.s_max_rows then t.s_max_rows <- brows;
+  if brows > t.s_max_rows then t.s_max_rows <- brows
+[@@requires_lock "mutex"]
+
+(* Called with the lock held; returns with the lock held.  Runs one
+   coalesced batch (the network call itself happens unlocked). *)
+let serve t why =
+  let batch, brows = drain_batch t in
+  t.serving <- true;
+  count_batch t why brows;
   Mutex.unlock t.mutex;
   let outcome =
     try
@@ -292,10 +301,14 @@ let serve t why =
 
 let submit t ~net preps =
   if Array.length preps = 0 then [||]
-  else if t.workers <= 1 then
-    (* degenerate service: no other worker will ever coalesce with us,
-       so skip the queue and run the batch directly *)
+  else if t.workers <= 1 then begin
+    (* one submitter: nobody will ever coalesce with it, so the wave is
+       its own quorum and runs directly, with no ticket and no wait *)
+    Mutex.lock t.mutex;
+    count_batch t Quorum (Array.length preps);
+    Mutex.unlock t.mutex;
     Pvnet.predict_prepared net preps
+  end
   else begin
     let tk =
       {

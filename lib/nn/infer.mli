@@ -1,5 +1,9 @@
 (** Cross-worker dynamic-batching inference service.
 
+    Every MCTS leaf reaches the network through a service: the daemon's
+    shared one, one per net role in the trainer, or a one-worker service
+    of its own for a solve that is given none.
+
     Pool workers submit their wave of {!Pvnet.prepared} leaves as a
     ticket and block; whichever submitter first observes a flush
     condition takes the {e floating server role}: it drains a
@@ -29,8 +33,9 @@ val create : ?max_batch:int -> ?wait_us:int -> workers:int -> unit -> t
     (default 200) caps how long a partial batch may age before some
     submitter flushes it; registered searches normally flush earlier,
     by quorum.  [workers] is the number of domains that will
-    submit; with [workers <= 1] {!submit} degenerates to a direct
-    [predict_prepared] with no queue or locking.
+    submit; with [workers = 1] {!submit} runs each wave as a direct
+    [predict_prepared], with no ticket or wait, and counts it as a
+    quorum batch (a lone search is its own quorum).
     @raise Invalid_argument on non-positive [max_batch]/[workers] or
     negative [wait_us]. *)
 
@@ -72,8 +77,9 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Counter snapshot (taken under the service lock).  Note: the direct
-    [workers <= 1] fast path bypasses the queue and counts nothing. *)
+(** Counter snapshot (taken under the service lock).  Every batch is
+    counted by exactly one flush rule, so
+    [full_flushes + quorum_flushes + timeout_flushes = batches]. *)
 
 val poison_next_batch_for_test : t -> exn -> unit
 (** Test hook: make the next coalesced batch raise [exn] inside the

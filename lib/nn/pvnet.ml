@@ -179,7 +179,6 @@ let param_count t = List.fold_left (fun acc v -> acc + Var.numel v) 0 (params t)
 let version t = t.version
 let bump_version t = t.version <- next_version ()
 let eval_count t = t.evals
-let reset_eval_count t = t.evals <- 0
 
 let sync ~src ~dst =
   if src.config <> dst.config then invalid_arg "Pvnet.sync: config mismatch";
@@ -446,18 +445,20 @@ let linear_rows_into ~rows ~relu t (lin : Layer.Linear.t) x out =
 [@@hot]
 
 (* per-row LayerNorm mirroring Ad.layernorm's arithmetic term for term;
-   overwrites every cell of [out], so dirty scratch buffers are fine *)
+   overwrites every cell of [out], so dirty scratch buffers are fine.
+   The row width is the gain's length and the row count follows from the
+   buffer size, so no shape tuple is allocated. *)
 let layernorm_rows_into (ln : Layer.Layernorm.t) x out =
   let eps = 1e-5 in
-  let r, c = Tensor.dims2 x in
-  let ro, co = Tensor.dims2 out in
-  if ro <> r || co <> c then
-    invalid_arg "Pvnet.layernorm_rows_into: shape mismatch";
-  let nf = float_of_int c in
   let xd = Tensor.data x in
   let gd = Tensor.data ln.Layer.Layernorm.gain.Var.value in
   let bd = Tensor.data ln.Layer.Layernorm.bias.Var.value in
   let od = Tensor.data out in
+  let c = Float.Array.length gd in
+  let r = Float.Array.length xd / c in
+  if Float.Array.length od <> r * c || Float.Array.length xd <> r * c then
+    invalid_arg "Pvnet.layernorm_rows_into: shape mismatch";
+  let nf = float_of_int c in
   for i = 0 to r - 1 do
     let base = i * c in
     let s = ref 0.0 in
@@ -802,9 +803,9 @@ let prepare t g ~next =
    sizes, so in steady state this allocates nothing. *)
 let buffers t b =
   let a = t.arena in
-  match Hashtbl.find_opt a.bufs b with
-  | Some bu -> bu
-  | None ->
+  match Hashtbl.find a.bufs b with
+  | bu -> bu
+  | exception Not_found ->
       if Hashtbl.length a.bufs > 64 then Hashtbl.reset a.bufs;
       let m = t.config.m and w = t.config.trunk_width in
       let bu =
@@ -824,20 +825,21 @@ let buffers t b =
    GEMM runs the packed fused kernel (bias, residual add and relu folded
    into the epilogue) into a preallocated buffer, with the packed weight
    panels memoized per weights version, so each layer makes one pass
-   over memory and the whole trunk allocates nothing. *)
+   over memory and the whole trunk allocates nothing (test_nn's
+   predict_prepared word count pins it). *)
 let trunk_forward t bu ~rows =
   linear_rows_into ~rows ~relu:true t t.trunk_in bu.sx0 bu.sx;
-  Array.iter
-    (fun (blk : Layer.Residual.t) ->
-      layernorm_rows_into blk.Layer.Residual.ln bu.sx bu.sb1;
-      linear_rows_into ~rows ~relu:true t blk.Layer.Residual.fc1 bu.sb1 bu.sb2;
-      (* fc2 + bias + residual fused, written straight into sx (the
-         out == residual aliasing the packed kernel supports) *)
-      let fc2 = blk.Layer.Residual.fc2 in
-      Tensor.matmul_packed_prefix_residual_into ~rows
-        ~bias:fc2.Layer.Linear.b.Var.value ~residual:bu.sx ~relu:false bu.sx
-        bu.sb2 (packed_of t fc2))
-    t.trunk;
+  for k = 0 to Array.length t.trunk - 1 do
+    let blk : Layer.Residual.t = t.trunk.(k) in
+    layernorm_rows_into blk.Layer.Residual.ln bu.sx bu.sb1;
+    linear_rows_into ~rows ~relu:true t blk.Layer.Residual.fc1 bu.sb1 bu.sb2;
+    (* fc2 + bias + residual fused, written straight into sx (the
+       out == residual aliasing the packed kernel supports) *)
+    let fc2 = blk.Layer.Residual.fc2 in
+    Tensor.matmul_packed_prefix_residual_into ~rows
+      ~bias:fc2.Layer.Linear.b.Var.value ~residual:bu.sx ~relu:false bu.sx
+      bu.sb2 (packed_of t fc2)
+  done;
   layernorm_rows_into t.trunk_ln bu.sx bu.sb1;
   linear_rows_into ~rows ~relu:false t t.policy_head bu.sb1 bu.slogits;
   linear_rows_into ~rows ~relu:false t t.value_head bu.sb1 bu.svalues
@@ -852,43 +854,44 @@ let trunk_forward t bu ~rows =
    [(1.0 /. z) *. e] — so results stay bit-identical to the scalar
    [predict] epilogue. *)
 let mask_results t preps logits values =
-  let m = t.config.m in
+  let m = t.config.m and n = Array.length preps in
   let ld = Tensor.data logits and vd = Tensor.data values in
-  (if Tensor.dims2 logits <> (Array.length preps, m)
-   || Tensor.dims2 values <> (Array.length preps, 1)
-   then invalid_arg "Pvnet.mask_results: output buffer shape mismatch");
-  Array.mapi
-    (fun i p ->
-      let cost = (p.p_mask :> float array) in
-      let base = i * m in
-      let priors =
-        if Vec.is_all_inf p.p_mask then Array.make m 0.0
-        else begin
-          let e = Array.make m 0.0 in
-          let mx = ref neg_infinity in
-          for c = 0 to m - 1 do
-            let x =
-              if cost.(c) = Float.infinity then neg_infinity
-              else Float.Array.unsafe_get ld (base + c)
-            in
-            e.(c) <- x;
-            if x > !mx || ((not (Float.sign_bit x)) && Float.sign_bit !mx)
-            then mx := x
-          done;
-          let z = ref 0.0 in
-          for c = 0 to m - 1 do
-            e.(c) <- exp (e.(c) -. !mx);
-            z := !z +. e.(c)
-          done;
-          let inv = 1.0 /. !z in
-          for c = 0 to m - 1 do
-            e.(c) <- inv *. e.(c)
-          done;
-          e
-        end
-      in
-      (priors, Float.tanh (Float.Array.unsafe_get vd i)))
-    preps
+  if Float.Array.length ld <> n * m || Float.Array.length vd <> n then
+    invalid_arg "Pvnet.mask_results: output buffer shape mismatch";
+  let out = Array.make n ([||], 0.0) in
+  for i = 0 to n - 1 do
+    let p = preps.(i) in
+    let cost = (p.p_mask :> float array) in
+    let base = i * m in
+    let priors =
+      if Vec.is_all_inf p.p_mask then Array.make m 0.0
+      else begin
+        let e = Array.make m 0.0 in
+        let mx = ref neg_infinity in
+        for c = 0 to m - 1 do
+          let x =
+            if cost.(c) = Float.infinity then neg_infinity
+            else Float.Array.unsafe_get ld (base + c)
+          in
+          e.(c) <- x;
+          if x > !mx || ((not (Float.sign_bit x)) && Float.sign_bit !mx)
+          then mx := x
+        done;
+        let z = ref 0.0 in
+        for c = 0 to m - 1 do
+          e.(c) <- exp (e.(c) -. !mx);
+          z := !z +. e.(c)
+        done;
+        let inv = 1.0 /. !z in
+        for c = 0 to m - 1 do
+          e.(c) <- inv *. e.(c)
+        done;
+        e
+      end
+    in
+    out.(i) <- (priors, Float.tanh (Float.Array.unsafe_get vd i))
+  done;
+  out
 
 let predict_prepared t preps =
   match preps with
@@ -897,7 +900,9 @@ let predict_prepared t preps =
       let n = Array.length preps in
       t.evals <- t.evals + n;
       let bu = buffers t n in
-      Array.iteri (fun i p -> Tensor.blit_row_into p.p_row i bu.sx0) preps;
+      for i = 0 to n - 1 do
+        Tensor.blit_row_into preps.(i).p_row i bu.sx0
+      done;
       trunk_forward t bu ~rows:n;
       mask_results t preps bu.slogits bu.svalues
 

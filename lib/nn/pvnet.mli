@@ -105,7 +105,8 @@ val predict_prepared : t -> prepared array -> (float array * float) array
     in steady state beyond the result arrays.  Every output row depends
     only on its own input row, so results are the same for every batch
     composition; duplicate states and states from different graphs may
-    mix in one batch.  [[||]] maps to [[||]].
+    mix in one batch.  [[||]] maps to [[||]].  Searches reach it only
+    through {!Infer.submit}.
 
     Not thread-safe (the arena belongs to the replica's owning worker)
     — but safe for {!Infer}'s floating server
@@ -115,8 +116,6 @@ val predict_prepared : t -> prepared array -> (float array * float) array
 val eval_count : t -> int
 (** Lifetime number of leaf evaluations this net (replica) has served:
     one per {!predict} call, one per row of {!predict_prepared}. *)
-
-val reset_eval_count : t -> unit
 
 (** {1 Message matrices}
 

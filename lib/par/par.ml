@@ -205,5 +205,4 @@ module Pool = struct
     end
 end
 
-let recommended_domains ?(cap = 8) () =
-  max 1 (min cap (Domain.recommended_domain_count ()))
+let recommended_domains () = max 1 (min 8 (Domain.recommended_domain_count ()))

@@ -68,8 +68,7 @@ module Pool : sig
       by construction, independent of pool size and scheduling. *)
 end
 
-val recommended_domains : ?cap:int -> unit -> int
-(** [Domain.recommended_domain_count ()] clamped to [\[1; cap\]]
-    ([cap] defaults to 8): beyond a handful of domains the self-play
-    workloads here are memory-bound and the marginal domain only adds
-    GC pressure. *)
+val recommended_domains : unit -> int
+(** [Domain.recommended_domain_count ()] clamped to [\[1; 8\]]: beyond
+    a handful of domains the self-play workloads here are memory-bound
+    and the marginal domain only adds GC pressure. *)

@@ -14,9 +14,6 @@ let get (s : t) u = s.(u)
 let set (s : t) u c = s.(u) <- c
 let is_complete s = Array.for_all (fun c -> c <> unassigned) s
 
-let assigned_count s =
-  Array.fold_left (fun acc c -> if c <> unassigned then acc + 1 else acc) 0 s
-
 let cost_gen ~partial g s =
   if Array.length s <> Graph.capacity g then invalid_arg "Solution.cost: length mismatch";
   let m = Graph.m g in

@@ -29,8 +29,6 @@ val set : t -> int -> int -> unit
 val is_complete : t -> bool
 (** Every vertex assigned. *)
 
-val assigned_count : t -> int
-
 val cost : Graph.t -> t -> Cost.t
 (** Equation 1 on the {e original} (fully live) graph.  Unassigned vertices
     contribute [inf] (an incomplete solution is not a solution).

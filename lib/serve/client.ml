@@ -13,18 +13,6 @@ let connect_unix path =
      raise e);
   { fd }
 
-let connect_tcp ~host ~port =
-  let addr =
-    try Unix.inet_addr_of_string host
-    with Failure _ -> (Unix.gethostbyname host).h_addr_list.(0)
-  in
-  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  (try Unix.connect fd (ADDR_INET (addr, port))
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  { fd }
-
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let send t envelope = Wire.write_frame t.fd (Wire.request_to_string envelope)

@@ -8,8 +8,6 @@ val connect_unix : string -> t
 (** Connect to the daemon's Unix-domain socket.
     @raise Unix.Unix_error if the daemon is not listening. *)
 
-val connect_tcp : host:string -> port:int -> t
-
 val close : t -> unit
 
 val send : t -> Wire.envelope -> unit

@@ -75,15 +75,10 @@ let dims2 t =
 
 let same_shape a b = a.shape = b.shape
 let get1 t i = ignore (dim1 t); F.get t.data i
-let set1 t i x = ignore (dim1 t); F.set t.data i x
 
 let get2 t i j =
   let _, c = dims2 t in
   F.get t.data ((i * c) + j)
-
-let set2 t i j x =
-  let _, c = dims2 t in
-  F.set t.data ((i * c) + j) x
 
 let to_array1 t = ignore (dim1 t); F.map_to_array (fun x -> x) t.data
 let data t = t.data
@@ -299,7 +294,7 @@ let matmul_packed_prefix_residual_into ~rows ~bias ~residual ~relu out a bp =
 
 let blit_row_into src i dst =
   let c = dim1 src in
-  let r, cd = dims2 dst in
+  let r = rows2 "blit_row_into" dst and cd = cols2 "blit_row_into" dst in
   if cd <> c then invalid_arg "Tensor.blit_row_into: width mismatch";
   if i < 0 || i >= r then invalid_arg "Tensor.blit_row_into: row out of bounds";
   let sd = src.data and dd = dst.data in
@@ -393,15 +388,6 @@ let uniform ~rng ~lo ~hi shape =
     data =
       F.init (numel_of shape) (fun _ ->
           lo +. Random.State.float rng (hi -. lo)) }
-
-let gaussian ~rng ~mean ~stddev shape =
-  check_shape shape;
-  let sample () =
-    let u1 = Float.max 1e-12 (Random.State.float rng 1.0) in
-    let u2 = Random.State.float rng 1.0 in
-    mean +. (stddev *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
-  in
-  { shape = Array.copy shape; data = F.init (numel_of shape) (fun _ -> sample ()) }
 
 let xavier ~rng ~fan_in ~fan_out shape =
   let bound = sqrt (6.0 /. float_of_int (fan_in + fan_out)) in

@@ -53,9 +53,7 @@ val same_shape : t -> t -> bool
 (** {1 Access} *)
 
 val get1 : t -> int -> float
-val set1 : t -> int -> float -> unit
 val get2 : t -> int -> int -> float
-val set2 : t -> int -> int -> float -> unit
 val to_array1 : t -> float array
 val to_float_array : t -> floatarray
 (** Copy of the flat storage, any rank (row-major for rank 2). *)
@@ -164,7 +162,6 @@ val l2norm_sq : t -> float
 (** {1 Random initialization} *)
 
 val uniform : rng:Random.State.t -> lo:float -> hi:float -> int array -> t
-val gaussian : rng:Random.State.t -> mean:float -> stddev:float -> int array -> t
 
 val xavier : rng:Random.State.t -> fan_in:int -> fan_out:int -> int array -> t
 (** Glorot-uniform initialization. *)

@@ -4,8 +4,10 @@
 
    Two kinds of line, one `name value` per artefact:
    - train.*: MD5 digests of the files a fixed-seed `train` run writes
-     (net, current net, optimizer state, replay buffer), in-process and
-     through the inference service (--serve-batch 16);
+     (net, current net, optimizer state, replay buffer), on one worker
+     (inproc) and on two workers sharing each role's inference service
+     (serve: -j 2 --serve-batch 16) — the determinism contract makes the
+     two equal;
    - batch.*: the search counters of one in-process pass over a subset
      of the batch corpus (PRO graphs and MiniC programs) with the
      tracked bench_cache/ checkpoints: game-tree nodes, backtracks,
@@ -31,8 +33,8 @@ let digest_file path = Digest.to_hex (Digest.file path)
 (* --- fixed-seed training runs ------------------------------------------ *)
 
 let train_args =
-  [ "-i"; "1"; "-e"; "4"; "-j"; "1"; "-k"; "6"; "--n-mean"; "6";
-    "--batch"; "8"; "--seed"; "11" ]
+  [ "-i"; "1"; "-e"; "4"; "-k"; "6"; "--n-mean"; "6"; "--batch"; "8";
+    "--seed"; "11" ]
 
 let run_train ~exe ~dir ~name extra =
   let prefix = Filename.concat dir name in
@@ -60,8 +62,8 @@ let train_lines ~exe =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Sys.rmdir dir)
     (fun () ->
-      run_train ~exe ~dir ~name:"inproc" []
-      @ run_train ~exe ~dir ~name:"serve" [ "--serve-batch"; "16" ])
+      run_train ~exe ~dir ~name:"inproc" [ "-j"; "1" ]
+      @ run_train ~exe ~dir ~name:"serve" [ "-j"; "2"; "--serve-batch"; "16" ])
 
 (* --- search counters over a batch-corpus subset ------------------------ *)
 

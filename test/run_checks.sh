@@ -101,6 +101,10 @@ dune exec bin/train.exe -- -i 1 -e 4 -j 2 -k 8 --n-mean 8 --check \
   --eval-cache 512 --serve-batch 16 --batch 8 \
   -o "$smoke_dir/serve.ckpt"
 test -f "$smoke_dir/serve.ckpt"
+# a row budget of 0 is not a mode: the CLI must refuse it as a usage error
+if dune exec bin/train.exe -- --serve-batch 0 2>/dev/null; then
+  echo "train --serve-batch 0 accepted"; exit 1
+fi
 
 echo "== distributed smoke (2 actor subprocesses vs single-process) =="
 # the real subprocess topology: one in-process reference run, then a

@@ -10,6 +10,9 @@ let tiny_net ?(seed = 3) ~m () =
     { (Nn.Pvnet.default_config ~m) with trunk_width = 8; trunk_blocks = 1;
       gcn_layers = 1 }
 
+(* a one-worker inference service: every search evaluates through one *)
+let serve1 () = Nn.Infer.create ~workers:1 ()
+
 (* ------------------------------------------------------------------ *)
 (* State *)
 
@@ -178,7 +181,7 @@ let test_episode_completes_fig2 () =
   let g = Generate.fig2 () in
   let net = tiny_net ~m:2 () in
   let outcome, samples =
-    Core.Episode.play ~collect:true ~rng:(rng 1) ~net
+    Core.Episode.play ~collect:true ~serve:(serve1 ()) ~rng:(rng 1) ~net
       ~mode:(Core.Game.Minimize { reference = 24.0; shaping = 5.0 })
       { Core.Episode.mcts = { Mcts.default_config with k = 30 };
         temperature_moves = 0; root_noise = None }
@@ -207,7 +210,7 @@ let test_episode_with_enough_search_is_optimal () =
   let g = Generate.fig2 () in
   let net = tiny_net ~m:2 ~seed:5 () in
   let outcome, _ =
-    Core.Episode.play ~rng:(rng 1) ~net
+    Core.Episode.play ~serve:(serve1 ()) ~rng:(rng 1) ~net
       ~mode:(Core.Game.Minimize { reference = 24.0; shaping = 5.0 })
       { Core.Episode.mcts = { Mcts.default_config with k = 200 };
         temperature_moves = 0; root_noise = None }
@@ -238,7 +241,7 @@ let test_backtrack_solves_planted () =
     let g = planted_ate ~seed ~n:16 ~m in
     let order = Core.Order.compute Core.Order.Decreasing_liberty g in
     let result =
-      Core.Backtrack.solve ~net ~mode:Core.Game.Feasibility
+      Core.Backtrack.solve ~serve:(serve1 ()) ~net ~mode:Core.Game.Feasibility
         { Core.Backtrack.default_config with
           mcts = { Mcts.default_config with k = 16 } }
         (Core.Istate.of_graph ~order g)
@@ -262,7 +265,7 @@ let test_backtrack_disabled_fails_on_dead_end () =
   (* color 0 for vertex 0 makes vertex 1 all-inf; color 1 is fine *)
   let net = tiny_net ~m:2 () in
   let run ~enabled =
-    Core.Backtrack.solve ~net ~mode:Core.Game.Feasibility
+    Core.Backtrack.solve ~serve:(serve1 ()) ~net ~mode:Core.Game.Feasibility
       { Core.Backtrack.default_config with
         enabled;
         mcts = { Mcts.default_config with k = 4 } }
@@ -285,7 +288,7 @@ let test_backtrack_infeasible_terminates () =
   Graph.add_edge g 0 2 (Mat.interference 2);
   let net = tiny_net ~m:2 () in
   let result =
-    Core.Backtrack.solve ~net ~mode:Core.Game.Feasibility
+    Core.Backtrack.solve ~serve:(serve1 ()) ~net ~mode:Core.Game.Feasibility
       { Core.Backtrack.default_config with
         mcts = { Mcts.default_config with k = 8 } }
       (Core.Istate.of_graph g)
@@ -298,7 +301,7 @@ let test_backtrack_budget () =
   let g = planted_ate ~seed:9 ~n:20 ~m:3 in
   let net = tiny_net ~m:3 () in
   let result =
-    Core.Backtrack.solve ~net ~mode:Core.Game.Feasibility
+    Core.Backtrack.solve ~serve:(serve1 ()) ~net ~mode:Core.Game.Feasibility
       { Core.Backtrack.default_config with
         max_backtracks = 0;
         mcts = { Mcts.default_config with k = 4 } }
@@ -316,7 +319,7 @@ let test_backtrack_dead_on_arrival () =
   Graph.set_cost g 0 (Vec.make 2 Cost.inf);
   let net = tiny_net ~m:2 () in
   let result =
-    Core.Backtrack.solve ~net ~mode:Core.Game.Feasibility
+    Core.Backtrack.solve ~serve:(serve1 ()) ~net ~mode:Core.Game.Feasibility
       Core.Backtrack.default_config (Core.Istate.of_graph g)
   in
   Alcotest.(check bool) "fails immediately" true
@@ -478,8 +481,8 @@ let test_replay_footprint () =
         let _, reference, _ = Solvers.Scholz.solve_with_cost g in
         let mode = Core.Game.Minimize { reference; shaping = 5.0 } in
         let _, samples =
-          Core.Episode.play ~collect:true ~rng:(rng (43 + i)) ~net ~mode config
-            (Core.Istate.of_graph g)
+          Core.Episode.play ~collect:true ~serve:(serve1 ())
+            ~rng:(rng (43 + i)) ~net ~mode config (Core.Istate.of_graph g)
         in
         let ist = Core.Istate.of_graph g in
         ignore

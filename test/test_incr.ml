@@ -329,7 +329,8 @@ let check_episode_pair ~msg ?cache ~batch g net =
       ~mode:Core.Game.Feasibility cfg (Core.State.of_graph g)
   in
   let ob, sb =
-    Core.Episode.play ~collect:true ?cache ~rng:(rng 7) ~net
+    Core.Episode.play ~collect:true ?cache
+      ~serve:(Nn.Infer.create ~workers:1 ()) ~rng:(rng 7) ~net
       ~mode:Core.Game.Feasibility cfg (Core.Istate.of_graph g)
   in
   if not (bits_eq oa.Core.Episode.cost ob.Core.Episode.cost) then

@@ -246,7 +246,10 @@ let test_wave_net_batch1_identical () =
         zero_inf = true; cost_max = 10.0 }
   in
   let root () = Core.Istate.Cursor.root (Core.Istate.of_graph g) in
-  let batched = Core.Game.make ~net ~mode:Core.Game.Feasibility ~m () in
+  let batched =
+    Core.Game.make ~serve:(Nn.Infer.create ~workers:1 ()) ~net
+      ~mode:Core.Game.Feasibility ~m ()
+  in
   let scalar = { batched with Mcts.batched_evaluate = None } in
   let cfg = { Mcts.default_config with k = 60; check = true } in
   let ts = Mcts.create cfg scalar (root ()) in

@@ -561,7 +561,10 @@ let test_encoding_trail_search () =
   let net = jittered_net ~seed:43 (Nn.Pvnet.default_config ~m) in
   let order = Core.Order.compute Core.Order.Increasing_liberty g in
   let ist = Core.Istate.of_graph ~order g in
-  let game = Core.Game.make ~net ~mode:Core.Game.Feasibility ~m () in
+  let game =
+    Core.Game.make ~serve:(Nn.Infer.create ~workers:1 ()) ~net
+      ~mode:Core.Game.Feasibility ~m ()
+  in
   let leaves = ref 0 in
   let check st =
     match Core.Istate.Cursor.next_vertex st with
@@ -851,11 +854,14 @@ let test_prepare_allocation () =
 
 (* Counter gate on the batched trunk forward: a warm 32-row
    [predict_prepared] (arena buffers for that batch size already grown)
-   allocates a fixed number of words: the (priors, value) results of the
-   per-row mask epilogue and what the trunk and head passes allocate
-   today.  A scratch tensor or closure added to the trunk, the heads or
-   the masking moves the count, a buffer-sized one by its full size. *)
-let predict_prepared_words = 799.0
+   allocates only its results: per row a priors array of m = 13 floats
+   (14 words), the (priors, value) pair (3) and the boxed value (2), plus
+   the 33-word result array — 641 words — and [allocated_words]'s own
+   12 (the [Gc.counters] triple and the boxed [Gc.minor_words]).  The
+   trunk, the heads and the row blits allocate nothing, so a scratch
+   tensor, closure or shape tuple added to any of them moves the count,
+   a buffer-sized one by its full size. *)
+let predict_prepared_words = 653.0
 let test_predict_prepared_allocation () =
   let m = 13 in
   let net = jittered_net ~seed:37 (Nn.Pvnet.default_config ~m) in

@@ -3,10 +3,10 @@
    ticket-protocol semantics (single-worker fast path, full-batch
    coalescing, timeout flushes, quorum flushes of registered searches,
    oversized waves never split, first-exn propagation to every
-   submitter of a failed batch), bitwise episode
-   equivalence across {direct, service} x pool sizes x {cache off, on},
-   striped-cache consistency under concurrent domains, and a whole
-   training run with the service on vs off. *)
+   submitter of a failed batch), the one-worker solve's row accounting,
+   bitwise episode equivalence across service pool sizes x {cache off,
+   on}, striped-cache consistency under concurrent domains, and whole
+   training runs bit-identical across pool sizes and row budgets. *)
 
 open Pbqp
 open Testutil
@@ -55,9 +55,14 @@ let test_single_worker_direct () =
   let srv = Nn.Infer.create ~max_batch:4 ~wait_us:0 ~workers:1 () in
   check_results "single worker = direct predict_prepared" direct
     (Nn.Infer.submit srv ~net preps);
+  (* the direct call is a counted batch: a lone submitter is its own
+     quorum, and no ticket ever waits *)
   let s = Nn.Infer.stats srv in
-  Alcotest.(check int) "fast path counts no batches" 0 s.Nn.Infer.batches;
-  Alcotest.(check int) "fast path counts no rows" 0 s.Nn.Infer.rows;
+  Alcotest.(check int) "one batch" 1 s.Nn.Infer.batches;
+  Alcotest.(check int) "rows = wave length" (Array.length preps)
+    s.Nn.Infer.rows;
+  Alcotest.(check int) "flushed by quorum" 1 s.Nn.Infer.quorum_flushes;
+  Alcotest.(check int) "no wait recorded" 0 s.Nn.Infer.waits;
   Alcotest.(check int) "empty submit" 0
     (Array.length (Nn.Infer.submit srv ~net [||]))
 
@@ -343,6 +348,42 @@ let test_wait_histogram_readback () =
   within "p50" 10.0 s.Nn.Infer.wait_p50_us;
   within "p99" 3000.0 s.Nn.Infer.wait_p99_us
 
+(* The CLI path: a solve on a one-worker service (what pbqp_solve,
+   minicc and atec get, since a solve given no service creates one)
+   sends every cache miss through the service as a counted direct call,
+   so test_wire's daemon row identity holds here too. *)
+let test_one_worker_solve_counts_every_row () =
+  let machine = Ate.Machine.default in
+  let g =
+    (Ate.Pbqp_build.build machine
+       (Ate.Program.analyze_exn (Ate.Progen.pro ~machine 1)))
+      .Ate.Pbqp_build.graph
+  in
+  let net = tiny_net ~m:(Graph.m g) () in
+  let cache = Nn.Cache.striped ~stripes:1 ~capacity:4096 in
+  let serve = Nn.Infer.create ~workers:1 () in
+  let e0 = Nn.Pvnet.eval_count net in
+  (* the second, identical solve is answered from the cache *)
+  for _ = 1 to 2 do
+    ignore
+      (Core.Solver.solve_feasible ~net
+         ~mcts:{ Mcts.default_config with k = 8; batch = 4 }
+         ~max_backtracks:20 ~cache ~serve g)
+  done;
+  let s = Nn.Infer.stats serve and c = Nn.Cache.stats cache in
+  let lookups = c.Nn.Evalcache.hits + c.Nn.Evalcache.misses in
+  Alcotest.(check bool) "leaves were evaluated" true (s.Nn.Infer.rows > 0);
+  Alcotest.(check bool) "the cache answered some" true
+    (c.Nn.Evalcache.hits > 0);
+  Alcotest.(check int) "infer rows = forward rows"
+    (Nn.Pvnet.eval_count net - e0) s.Nn.Infer.rows;
+  Alcotest.(check int) "infer rows = leaf lookups - cache hits"
+    (lookups - c.Nn.Evalcache.hits) s.Nn.Infer.rows;
+  Alcotest.(check int) "full + quorum + timeout flushes = batches"
+    s.Nn.Infer.batches
+    (s.Nn.Infer.full_flushes + s.Nn.Infer.quorum_flushes
+    + s.Nn.Infer.timeout_flushes)
+
 let test_infer_validations () =
   Alcotest.check_raises "max_batch positive"
     (Invalid_argument "Infer.create: max_batch <= 0") (fun () ->
@@ -355,7 +396,7 @@ let test_infer_validations () =
       ignore (Nn.Infer.create ~wait_us:(-1) ~workers:2 ()))
 
 (* ------------------------------------------------------------------ *)
-(* Episode equivalence: {direct} = {service} x pool size x cache *)
+(* Episode equivalence: one worker = service x pool size x cache *)
 
 let samples_identical sa sb =
   List.length sa = List.length sb
@@ -374,8 +415,8 @@ let episode_cfg =
     Core.Episode.mcts = { Mcts.default_config with k = 8; batch = 4 };
   }
 
-let play_episode ?cache ?serve ~net i g =
-  Core.Episode.play ~collect:true ?cache ?serve ~rng:(rng (100 + i)) ~net
+let play_episode ?cache ~serve ~net i g =
+  Core.Episode.play ~collect:true ?cache ~serve ~rng:(rng (100 + i)) ~net
     ~mode:Core.Game.Feasibility episode_cfg (Core.Istate.of_graph g)
 
 (* A lone episode on a two-worker service registers as a search, so
@@ -415,7 +456,10 @@ let test_episodes_bitwise_under_service () =
   let graphs =
     Array.init episodes (fun i -> random_graph ~seed:(40 + i) ~n:7 ~m)
   in
-  let reference = Array.mapi (fun i g -> play_episode ~net:base i g) graphs in
+  let reference =
+    let serve = Nn.Infer.create ~workers:1 () in
+    Array.mapi (fun i g -> play_episode ~serve ~net:base i g) graphs
+  in
   List.iter
     (fun domains ->
       List.iter
@@ -515,7 +559,8 @@ let test_striped_cache_version_and_stats () =
   Alcotest.(check int) "clear empties" 0 (Nn.Cache.stats sc).Nn.Evalcache.size
 
 (* ------------------------------------------------------------------ *)
-(* Whole training run: serve on = serve off, bit for bit *)
+(* Whole training run: j1 = j2 = j4 with a smaller row budget, bit for
+   bit *)
 
 let params_identical a b =
   List.for_all2
@@ -568,7 +613,7 @@ let test_training_invariant_under_service () =
         (Sys.readdir dir);
       Sys.rmdir dir)
     (fun () ->
-      let net0, replay0 = run ~label:"off" ~domains:2 ~serve_batch:0 in
+      let net0, replay0 = run ~label:"j1" ~domains:1 ~serve_batch:16 in
       List.iter
         (fun (label, domains, serve_batch) ->
           let net, replay = run ~label ~domains ~serve_batch in
@@ -579,6 +624,26 @@ let test_training_invariant_under_service () =
             (label ^ ": final net identical, bit for bit")
             true (params_identical net0 net))
         [ ("serve-j2", 2, 16); ("serve-j4-b4", 4, 4) ])
+
+(* A row budget of 0 is no longer a mode: the run refuses it before it
+   generates (let alone plays) any episode. *)
+let test_training_rejects_zero_serve_batch () =
+  let generated = ref 0 in
+  let cfg =
+    {
+      (Core.Train.default_config ~m:3) with
+      serve_batch = 0;
+      instance_generator =
+        Some
+          (fun ~rng ->
+            incr generated;
+            random_graph ~seed:(Random.State.bits rng) ~n:4 ~m:3);
+    }
+  in
+  Alcotest.check_raises "serve_batch 0"
+    (Invalid_argument "Train.run: serve_batch <= 0") (fun () ->
+      ignore (Core.Train.run ~rng:(rng 5) cfg));
+  Alcotest.(check int) "no episode generated" 0 !generated
 
 let () =
   Alcotest.run "serve"
@@ -605,6 +670,8 @@ let () =
             test_leave_completes_quorum;
           Alcotest.test_case "wait histogram quarter-octave readback" `Quick
             test_wait_histogram_readback;
+          Alcotest.test_case "one-worker solve counts every row" `Quick
+            test_one_worker_solve_counts_every_row;
           Alcotest.test_case "validations" `Quick test_infer_validations;
         ] );
       ( "episodes",
@@ -626,5 +693,7 @@ let () =
         [
           Alcotest.test_case "serve on = serve off (replay + weights)"
             `Slow test_training_invariant_under_service;
+          Alcotest.test_case "serve_batch 0 rejected before any episode"
+            `Quick test_training_rejects_zero_serve_batch;
         ] );
     ]
