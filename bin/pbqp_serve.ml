@@ -7,8 +7,7 @@ open Cmdliner
 
 (* --- daemon mode --- *)
 
-let daemon socket tcp_port workers queue_cap max_batch wait_us cache net_path
-    m seed =
+let daemon socket tcp_port workers queue_cap cache net_path m seed =
   let net =
     match net_path with
     | Some path -> Nn.Pvnet.load path
@@ -24,8 +23,6 @@ let daemon socket tcp_port workers queue_cap max_batch wait_us cache net_path
       tcp_port;
       workers;
       queue_cap;
-      max_batch;
-      wait_us;
       cache_capacity = cache;
     }
   in
@@ -139,18 +136,6 @@ let daemon_cmd =
          & info [ "queue-cap" ] ~docv:"N"
              ~doc:"admission bound; beyond it requests get `overloaded'")
   in
-  let max_batch =
-    Arg.(value & opt int Serve.Daemon.default_config.max_batch
-         & info [ "max-batch" ] ~docv:"N"
-             ~doc:"coalesced inference batch row budget")
-  in
-  let wait_us =
-    Arg.(value & opt int Serve.Daemon.default_config.wait_us
-         & info [ "wait-us" ] ~docv:"US"
-             ~doc:"cap on a partial inference batch's age; a batch normally \
-                   flushes earlier, once every running search is waiting \
-                   on it")
-  in
   let cache =
     Arg.(value & opt int Serve.Daemon.default_config.cache_capacity
          & info [ "cache" ] ~docv:"N"
@@ -171,8 +156,8 @@ let daemon_cmd =
   Cmd.v (Cmd.info "daemon" ~doc:"Run the allocation service")
     Term.(
       ret
-        (const daemon $ socket_arg $ tcp $ workers $ queue_cap $ max_batch
-       $ wait_us $ cache $ net $ m $ seed))
+        (const daemon $ socket_arg $ tcp $ workers $ queue_cap $ cache $ net
+       $ m $ seed))
 
 let file_pos =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")

@@ -45,8 +45,7 @@ let spawn_actor ~manifest_path pids ~manifest ~actor =
   (child_stdout_r, child_stdin_w)
 
 let run m iterations episodes k_train n_mean p_edge p_inf zero_inf planted
-    ate batch batch_leaves eval_cache serve_batch serve_wait_us
-    cache_stripes replay domains check checkpoint
+    ate batch batch_leaves eval_cache cache_stripes replay domains check checkpoint
     pretrain_labels actors actor actor_id manifest stale_decay dist_pipeline
     replay_shards seed out =
   let instance_generator =
@@ -73,8 +72,6 @@ let run m iterations episodes k_train n_mean p_edge p_inf zero_inf planted
       planted;
       batch_size = batch;
       eval_cache;
-      serve_batch;
-      serve_wait_us;
       cache_stripes;
       replay_capacity = replay;
       domains;
@@ -179,29 +176,6 @@ let () =
                    workers (0 = off); entries are invalidated by weight \
                    version, results are unchanged")
   in
-  let serve_batch =
-    let positive =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Ok n
-        | _ ->
-            Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt positive 16
-         & info [ "serve-batch" ] ~docv:"N"
-             ~doc:"row budget of the dynamic-batching inference service \
-                   that coalesces MCTS leaf waves from all workers into \
-                   batched forwards of up to N leaves; results are \
-                   bit-identical for every value")
-  in
-  let serve_wait_us =
-    Arg.(value & opt int 200
-         & info [ "serve-wait-us" ] ~docv:"US"
-             ~doc:"microseconds a partial service batch may wait for more \
-                   leaves before it is flushed")
-  in
   let cache_stripes =
     Arg.(value & opt int 8
          & info [ "cache-stripes" ] ~docv:"N"
@@ -292,8 +266,7 @@ let () =
       Term.(
         const run $ m $ iterations $ episodes $ k_train $ n_mean $ p_edge
         $ p_inf $ zero_inf $ planted $ ate $ batch $ batch_leaves
-        $ eval_cache $ serve_batch $ serve_wait_us
-        $ cache_stripes $ replay $ domains $ check
+        $ eval_cache $ cache_stripes $ replay $ domains $ check
         $ checkpoint $ pretrain_labels $ actors $ actor $ actor_id $ manifest
         $ stale_decay $ dist_pipeline $ replay_shards $ seed $ out)
   in

@@ -33,7 +33,7 @@ let rank_actions legal st (p : float array) ~excluding =
   (* Highest policy mass first; ties on the smaller color. *)
   List.stable_sort (fun a b -> Float.compare p.(b) p.(a)) legal_actions
 
-let search ?cache ~serve ~net ~mode config ist =
+let solve ?cache ~serve ~net ~mode config ist =
   let game =
     Game.make ~rollouts:config.rollouts ?cache ~serve ~net ~mode
       ~m:(Istate.m ist) ()
@@ -119,9 +119,3 @@ let search ?cache ~serve ~net ~mode config ist =
   (* Dead-on-arrival instances (some vertex starts all-∞) fail without
      search. *)
   if Istate.Cursor.is_dead_end root then failure () else step ()
-
-(* Registered with the service for exactly the search, so a partial
-   batch flushes as soon as every running search is parked in it. *)
-let solve ?cache ~serve ~net ~mode config ist =
-  Nn.Infer.with_search serve (fun () ->
-      search ?cache ~serve ~net ~mode config ist)

@@ -36,14 +36,14 @@ let argmax (p : float array) =
   !best
 
 (* The loop runs on a trail state: MCTS holds cursors into one shared
-   mutable graph, so each simulated move is an O(deg) push/pop and each
-   collected sample freezes the root's graph.  The game is registered
-   with the service as one search for its whole length, so a partial
-   batch flushes once every running search is parked in it. *)
+   mutable graph, so each simulated move is an O(deg) push/pop.  The
+   collected samples share the root position, frozen once; each keeps
+   only the moves played from it. *)
 let play ?(collect = false) ?cache ~serve ~rng ~net ~mode config ist =
   let game = Game.make ?cache ~serve ~net ~mode ~m:(Istate.m ist) () in
   let tree = Mcts.create config.mcts game (Istate.Cursor.root ist) in
   let samples = ref [] in
+  let pos = ref None in
   let move = ref 0 in
   let rec loop () =
     let st = Mcts.root_state tree in
@@ -54,28 +54,29 @@ let play ?(collect = false) ?cache ~serve ~rng ~net ~mode config ist =
       | None -> ());
       Mcts.run tree;
       let p = Mcts.policy tree in
-      (if collect then
-         match Istate.Cursor.next_vertex st with
-         | Some next ->
-             samples :=
-               {
-                 Nn.Pvnet.instance = Pbqp.Graph.freeze (Istate.Cursor.graph st);
-                 next;
-                 policy = Array.copy p;
-                 value = 0.0;
-               }
-               :: !samples
-         | None -> ());
       let a =
         if !move < config.temperature_moves then sample_index rng p
         else argmax p
       in
+      (if collect then
+         match Istate.Cursor.next_vertex st with
+         | Some next ->
+             let instance =
+               match !pos with
+               | Some f -> f
+               | None -> Pbqp.Graph.freeze (Istate.Cursor.graph st)
+             in
+             samples :=
+               { Nn.Pvnet.instance; next; policy = Array.copy p; value = 0.0 }
+               :: !samples;
+             pos := Some (Pbqp.Graph.play instance ~vertex:next ~color:a)
+         | None -> ());
       incr move;
       Mcts.advance tree a;
       loop ()
     end
   in
-  Nn.Infer.with_search serve loop;
+  loop ();
   let final = Mcts.root_state tree in
   let cost = Game.final_cost final in
   let solution =

@@ -41,9 +41,8 @@ val make :
 
     Leaves are evaluated in waves by [batched_evaluate]: each leaf is
     seeked and captured as an {!Nn.Pvnet.prepared}, then the wave's
-    cache misses go to [serve] ({!Nn.Infer.submit}) as one batch, which
-    may coalesce with other workers' waves — same bits either way.
-    [net] is the caller's own replica.  The scalar [evaluate] (MCTS
+    cache misses go to [serve] ({!Nn.Infer.submit}) as one batch, run
+    on [net], the caller's own replica.  The scalar [evaluate] (MCTS
     calls it to expand a root outside a wave, e.g. before root noise)
     is a wave of one, so every leaf runs the same forward.
 

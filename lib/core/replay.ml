@@ -30,7 +30,9 @@ let sample_batch ~rng t n =
 (* --- sample codec ----------------------------------------------------- *)
 
 (* One sample as a text block ([sample]/[policy] header lines, a PBQP
-   instance via Pbqp.Io, an [endsample] terminator).  Floats are %.17g,
+   instance via Pbqp.Io — the sample's residual, rebuilt for the block —
+   an [endsample] terminator; a block reads back as a root-only frozen
+   instance).  Floats are %.17g,
    so values round-trip exactly.  The same blocks appear inside replay
    checkpoint files and — the distributed trainer — inside actor→learner
    sample frames, which is why the codec is exposed separately from

@@ -51,11 +51,10 @@ val solve_feasible :
     [cache] gives the solve a transposition cache of network evaluations
     (repeated positions appear across backtracking replans and retreats;
     possibly striped and pool-shared, see {!Nn.Cache}).  Every wave
-    of leaves goes through the {!Nn.Infer} service [serve], so unrelated
-    concurrent solves sharing one coalesce into shared forward batches;
-    without [serve] the solve creates a one-worker service of its own
-    (a direct call, counted).  Results are bitwise the same for every
-    cache and service.
+    of leaves goes through the {!Nn.Infer} service [serve], which
+    counts the forward rows of every solve sharing it; without [serve]
+    the solve creates a one-worker service of its own.  Results are
+    bitwise the same for every cache and service.
 
     [exact_reduce] (default false) is a hybrid extension beyond the
     paper: the equivalence-preserving R0/R1/R2 reductions strip the easy

@@ -164,7 +164,7 @@ let actor_root ~manifest_seed actor =
    pool task — or in an actor process — given private net replicas and a
    private rng.  Caches and services are bitwise-neutral (they return
    what the net would compute), so a plain uncached call produces the
-   same tuples as the learner's cached, coalescing configuration.  A role
+   same tuples as the learner's cached, shared configuration.  A role
    given no service gets a one-worker one for this episode. *)
 let self_play_episode ?best_cache ?current_cache ?best_serve ?current_serve
     ~rng ~best ~current config =
@@ -312,18 +312,10 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
     else None
   in
   let best_cache = make_cache () and current_cache = make_cache () in
-  (* Two inference services, one per net role, so a coalesced batch never
-     mixes best-player and candidate leaves: within a pool region each
-     role's tickets all carry the same weights version (versions only
-     move between regions), which is what lets the server drain a FIFO
-     prefix.  Workers' waves coalesce into larger trunk/head GEMMs; the
-     floating-server protocol (Nn.Infer) keeps results bit-identical for
-     every pool size and row budget. *)
-  let make_serve () =
-    Nn.Infer.create ~max_batch:config.serve_batch
-      ~wait_us:config.serve_wait_us ~workers:nw ()
-  in
-  let best_serve = make_serve () and current_serve = make_serve () in
+  (* One inference service per net role, counting that role's forward
+     rows; each worker evaluates its own waves on its own replica. *)
+  let best_serve = Nn.Infer.create ~workers:nw ()
+  and current_serve = Nn.Infer.create ~workers:nw () in
   let best_version = ref 0 and current_version = ref 0 in
   let bver = Array.make nw 0 and cver = Array.make nw 0 in
   let refresh_replicas () =

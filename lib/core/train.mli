@@ -85,16 +85,10 @@ type config = {
           hits return bitwise-identical results, so runs are unchanged by
           the cache at every [domains] value. *)
   serve_batch : int;
-      (** row budget of the cross-worker dynamic-batching inference
-          service ([Nn.Infer]): each net role gets a service that
-          coalesces MCTS waves from all pool workers into single batched
-          forwards of up to this many leaves (default 16; must be
-          positive).  Coalescing is scheduling-dependent; results are not
-          (row independence of the batched GEMMs), so runs stay
-          bit-identical for every setting. *)
-  serve_wait_us : int;
-      (** microseconds a partial service batch may age before some
-          submitter flushes it. *)
+      (** ignored, except that it must be positive (default 16): each
+          worker evaluates its own waves ([Nn.Infer]).  Kept only because
+          the benchmark sets it; goes with its next change. *)
+  serve_wait_us : int;  (** ignored; kept, like [serve_batch], for the benchmark *)
   cache_stripes : int;
       (** number of mutex-guarded shards of the shared striped cache
           (rounded up to a power of two; only meaningful with

@@ -13,11 +13,11 @@ let default_config ~m =
 
 type gcn_layer = { w_self : Layer.Linear.t; w_msg : Layer.Linear.t }
 
-(* Scratch buffers for one batch size of the coalesced trunk/heads
+(* Scratch buffers for one batch size of the batched trunk/heads
    forward.  Tensors carry exact shapes (the packed GEMM validates them), so
    buffers are keyed by the batch row count rather than grown in place;
-   the set of distinct batch sizes a search produces is small (wave
-   sizes, service batch sizes), and the table is reset if it ever grows
+   the set of distinct batch sizes a search produces is small (its
+   wave sizes), and the table is reset if it ever grows
    past a bound, giving geometric-growth behaviour without views. *)
 type buffers = {
   sx0 : Tensor.t;  (* B × 3m   stacked readout rows *)
@@ -209,9 +209,8 @@ let copy_into ~src ~dst = if src != dst then sync ~src ~dst
 let[@inline] phi_cost scale (c : Cost.t) =
   if c = Float.infinity then 0.0 else 1.0 /. (1.0 +. (c /. scale))
 
-(* Row [r]'s input features, read from the frozen instance's cost
-   block. *)
-let row_features t (f : Graph.frozen) r =
+(* Row [r]'s input features, read from the residual's cost block. *)
+let row_features t (f : Graph.residual) r =
   let m = t.config.m in
   let costs = f.Graph.f_costs in
   Tensor.init1 m (fun i ->
@@ -325,11 +324,12 @@ let message_apply_transposed entry x =
 (* --- Forward --------------------------------------------------------- *)
 
 (* Whether color [i] of row [r] is inadmissible (its cost is ∞). *)
-let frozen_inf (f : Graph.frozen) r i =
+let frozen_inf (f : Graph.residual) r i =
   Float.Array.get f.Graph.f_costs ((r * f.Graph.f_m) + i) = Float.infinity
 
-(* The tape forward, over a frozen instance; also returns [next]'s row. *)
-let forward t ctx (f : Graph.frozen) ~next =
+(* The tape forward, over a frozen instance's residual; also returns
+   [next]'s row. *)
+let forward t ctx (f : Graph.residual) ~next =
   if f.Graph.f_m <> t.config.m then invalid_arg "Pvnet.forward: m mismatch";
   let rnext =
     match Array.find_index (Int.equal next) f.Graph.f_verts with
@@ -385,7 +385,7 @@ let forward t ctx (f : Graph.frozen) ~next =
 let predict t g ~next =
   t.evals <- t.evals + 1;
   let ctx = Ad.ctx () in
-  let f = Graph.freeze g in
+  let f = Graph.residual (Graph.freeze g) in
   let logits, value, r = forward t ctx f ~next in
   let m = t.config.m in
   let masked =
@@ -918,7 +918,7 @@ type sample = {
 let loss t ctx sample =
   if Array.length sample.policy <> t.config.m then
     invalid_arg "Pvnet.loss: policy length mismatch";
-  let f = sample.instance in
+  let f = Graph.residual sample.instance in
   let logits, value, r = forward t ctx f ~next:sample.next in
   (* Mask inadmissible colors with a large negative constant so the
      softmax assigns them no probability; the policy target is zero there,

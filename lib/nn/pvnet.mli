@@ -69,7 +69,8 @@ val bump_version : t -> unit
 val predict : t -> Pbqp.Graph.t -> next:int -> float array * float
 (** [(priors, value)] for coloring vertex [next] of a reduced-graph state,
     computed on the autodiff tape over [Graph.freeze g] — the one tape
-    forward, which [loss] runs over a sample's frozen instance; the test
+    forward, which [loss] runs over the {!Pbqp.Graph.residual} of a
+    sample's frozen instance, rebuilt per call; the test
     suite and [test/oracle] compare
     {!prepare} + {!predict_prepared} against, bit for bit.  Priors are a
     distribution over the [m] colors with zero mass on colors whose
@@ -108,10 +109,8 @@ val predict_prepared : t -> prepared array -> (float array * float) array
     mix in one batch.  [[||]] maps to [[||]].  Searches reach it only
     through {!Infer.submit}.
 
-    Not thread-safe (the arena belongs to the replica's owning worker)
-    — but safe for {!Infer}'s floating server
-    to run on a submitter's replica, because the owner blocks for the
-    result while its ticket is in flight. *)
+    Not thread-safe: the arena belongs to the replica's owning worker,
+    which is the only caller. *)
 
 val eval_count : t -> int
 (** Lifetime number of leaf evaluations this net (replica) has served:
@@ -148,7 +147,8 @@ val message_apply : msg -> Ad.t -> Ad.t
 type sample = {
   instance : Pbqp.Graph.frozen;
       (** the reduced state, frozen: it outlives the trail graph it was
-          taken from *)
+          taken from.  A self-play sample shares its episode's root and
+          keeps only the moves played from it *)
   next : int;  (** the vertex the action colors *)
   policy : float array;  (** MCTS visit distribution π (length m) *)
   value : float;  (** final reward z ∈ {-1, 0, +1} *)

@@ -188,11 +188,11 @@ let copy_with mat_copy g =
 let copy g = copy_with Mat.copy g
 let copy_shared g = copy_with Fun.id g
 
-(* A frozen instance keeps what the network and the codec read, and no
-   more: the live vertices, their costs in one block, and each edge once
-   in [fold_edges] order with its u-oriented matrix, shared with [g]
+(* A residual keeps what the network and the codec read, and no more:
+   the live vertices, their costs in one block, and each edge once in
+   [fold_edges] order with its u-oriented matrix, shared with [g]
    (matrices are never mutated in place, see [copy_shared]). *)
-type frozen = {
+type residual = {
   f_m : int;
   f_capacity : int;
   f_verts : int array;
@@ -218,7 +218,7 @@ let fold_edges f g init =
 
 let edge_count g = fold_edges (fun _ _ _ acc -> acc + 1) g 0
 
-let freeze g =
+let freeze_residual g =
   let m = g.m in
   let verts = Array.of_list (vertices g) in
   let row = Array.make g.n 0 in
@@ -247,6 +247,103 @@ let freeze g =
     f_ends = ends;
     f_mats = Array.of_list (List.map (fun (_, _, muv) -> muv) edges);
   }
+
+(* A frozen instance is a root residual and the moves played from it,
+   newest first, each packed as [vertex * m + color].  The samples of
+   one episode share the root, and each one's move list is its
+   predecessor's with one more cell, so a sample costs a few words on
+   top of its share of the root. *)
+type frozen = { root : residual; moves : int list }
+
+let freeze g = { root = freeze_residual g; moves = [] }
+
+let play f ~vertex ~color =
+  let m = f.root.f_m in
+  if color < 0 || color >= m then invalid_arg "Graph.play: color out of range";
+  if vertex < 0 || vertex >= f.root.f_capacity then
+    invalid_arg "Graph.play: vertex out of range";
+  { f with moves = (vertex * m) + color :: f.moves }
+
+(* Row of vertex [u] in [r], by bisection over the increasing ids. *)
+let row_of r u =
+  let rec go lo hi =
+    if lo >= hi then invalid_arg "Graph.residual: vertex not in the root"
+    else
+      let mid = (lo + hi) / 2 in
+      let v = r.f_verts.(mid) in
+      if v = u then mid else if v < u then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length r.f_verts)
+
+(* Replays the moves on a copy of the root's cost block, oldest first.
+   A move at [u] with color [c] adds row [c] of [u]'s matrix with each
+   neighbour still live to that neighbour's costs, then kills [u]: the
+   float additions [Core.Istate]'s first push of the move runs, in the
+   same order for every cost.  Edges keep their root order, which is
+   [fold_edges] order on the trail graph too. *)
+let residual f =
+  match f.moves with
+  | [] -> f.root
+  | moves ->
+      let r = f.root in
+      let m = r.f_m and n = Array.length r.f_verts in
+      let ends = r.f_ends and mats = r.f_mats in
+      let costs = Float.Array.copy r.f_costs in
+      let dead = Array.make n false in
+      List.iter
+        (fun mv ->
+          let ru = row_of r (mv / m) and c = mv mod m in
+          if dead.(ru) then invalid_arg "Graph.residual: vertex played twice";
+          dead.(ru) <- true;
+          for k = 0 to Array.length mats - 1 do
+            let a = ends.(2 * k) and b = ends.((2 * k) + 1) in
+            let d = mats.(k).Mat.data in
+            if a = ru && not dead.(b) then
+              for j = 0 to m - 1 do
+                let i = (b * m) + j in
+                Float.Array.set costs i
+                  (Float.Array.get costs i +. d.((c * m) + j))
+              done
+            else if b = ru && not dead.(a) then
+              for j = 0 to m - 1 do
+                let i = (a * m) + j in
+                Float.Array.set costs i
+                  (Float.Array.get costs i +. d.((j * m) + c))
+              done
+          done)
+        (List.rev moves);
+      let row = Array.make n (-1) in
+      let live = ref 0 in
+      for q = 0 to n - 1 do
+        if not dead.(q) then begin
+          row.(q) <- !live;
+          incr live
+        end
+      done;
+      let verts = Array.make !live 0 in
+      let live_costs = Float.Array.create (!live * m) in
+      for q = 0 to n - 1 do
+        if row.(q) >= 0 then begin
+          verts.(row.(q)) <- r.f_verts.(q);
+          Float.Array.blit costs (q * m) live_costs (row.(q) * m) m
+        end
+      done;
+      let kept =
+        List.filter
+          (fun k -> row.(ends.(2 * k)) >= 0 && row.(ends.((2 * k) + 1)) >= 0)
+          (List.init (Array.length mats) Fun.id)
+      in
+      {
+        r with
+        f_verts = verts;
+        f_costs = live_costs;
+        f_ends =
+          Array.of_list
+            (List.concat_map
+               (fun k -> [ row.(ends.(2 * k)); row.(ends.((2 * k) + 1)) ])
+               kept);
+        f_mats = Array.of_list (List.map (fun k -> mats.(k)) kept);
+      }
 
 let iter_adjacency f g =
   Array.iteri (fun u tbl -> Hashtbl.iter (fun v muv -> f u v muv) tbl) g.adj

@@ -139,14 +139,16 @@ val edge_count : t -> int
 
 (** {1 Frozen instances}
 
-    A compact, read-only copy of a graph's live part — what a replay
-    sample keeps of its state.  It holds no dead vertices, no adjacency
-    tables and one orientation of each matrix, so it is a few times
-    smaller than a {!copy_shared} snapshot, and it outlives any later
-    mutation of the source graph.  [Io] prints it exactly as the source
-    graph; [Nn.Pvnet] runs its tape forward over it. *)
+    A compact, read-only image of a graph's live part — what a replay
+    sample keeps of its state.  A frozen instance is a {e root} residual
+    and the moves played from it: the samples of one episode share the
+    root, frozen once, and each adds one list cell for its move.  It
+    holds no dead vertices, no adjacency tables and one orientation of
+    each matrix, and it outlives any later mutation of the source graph.
+    {!residual} rebuilds the position on demand; [Io] prints it exactly
+    as the source graph, and [Nn.Pvnet] runs its tape forward over it. *)
 
-type frozen = private {
+type residual = private {
   f_m : int;  (** number of colors *)
   f_capacity : int;  (** the source graph's {!capacity} *)
   f_verts : int array;  (** live vertex ids, increasing; index = row *)
@@ -159,10 +161,29 @@ type frozen = private {
       (** edge [k]'s matrix, oriented with [f_ends.(2k)]'s colors as
           rows — the source graph's own matrix, not a copy *)
 }
+(** The live rows, edges and costs of one position. *)
+
+type frozen
 
 val freeze : t -> frozen
-(** The live part of [g] as a frozen instance: fresh arrays for the
+(** The live part of [g], with no moves played: fresh arrays for the
     vertices, costs and edge ends, the edge matrices shared. *)
+
+val play : frozen -> vertex:int -> color:int -> frozen
+(** [play f ~vertex ~color] is [f] with [vertex] colored [color], as
+    [Core.Istate.apply] colors it: O(1), sharing [f]'s root and moves.
+    [vertex] must be a live, uncolored vertex of [f]; {!residual}
+    rejects it otherwise.
+    @raise Invalid_argument if [color] or [vertex] is out of range. *)
+
+val residual : frozen -> residual
+(** The position [f] stands for.  With no moves played it is the root
+    itself; otherwise a fresh residual, rebuilt by folding each colored
+    vertex's matrix row into its live neighbours' costs in move order —
+    the float additions of [Core.Istate]'s push, so the costs equal the
+    trail graph's bit for bit — and dropping the colored rows and their
+    edges.  Nothing is kept between calls.
+    @raise Invalid_argument if a move colors a vertex that is not live. *)
 
 val iter_adjacency : (int -> int -> Mat.t -> unit) -> t -> unit
 (** Iterates over every {e stored} directed adjacency entry [(u, v, muv)],

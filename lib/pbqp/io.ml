@@ -8,7 +8,8 @@ let cost_str c =
 
 (* The one printer: a graph prints as its frozen instance, so a replay
    sample's text is byte for byte its source graph's. *)
-let print_frozen ppf (f : Graph.frozen) =
+let print_frozen ppf f =
+  let f = Graph.residual f in
   let m = f.Graph.f_m and verts = f.Graph.f_verts in
   Format.fprintf ppf "pbqp %d %d@\n" f.Graph.f_capacity m;
   (let dead = ref [] and r = ref (Array.length verts - 1) in

@@ -16,8 +16,9 @@ val to_string : Graph.t -> string
 val print : Format.formatter -> Graph.t -> unit
 
 val frozen_to_string : Graph.frozen -> string
-(** Byte for byte the {!to_string} of the graph it was frozen from: a
-    graph prints as its frozen instance. *)
+(** Byte for byte the {!to_string} of the position it stands for: a
+    graph prints as its frozen instance, and a frozen instance as its
+    {!Graph.residual}, rebuilt for the call. *)
 
 val print_frozen : Format.formatter -> Graph.frozen -> unit
 

@@ -16,10 +16,10 @@
      calling domain participates as one of them).  Each worker pops a
      request, refreshes its warm replica from the [Registry], parses the
      body with the existing parsers, solves with the existing solvers —
-     routing rl leaf evaluations through the shared [Nn.Infer] ticket
-     queue and the shared striped cache, so unrelated in-flight requests
-     coalesce into one [predict_prepared] batch — and pushes the reply
-     text back to the IO domain via the reply queue + self-pipe.
+     evaluating rl leaf waves on its own replica through the shared
+     [Nn.Infer] counter and looking them up in the shared striped cache
+     first — and pushes the reply text back to the IO domain via the
+     reply queue + self-pipe.
 
    Admission control: the request queue is bounded ([queue_cap]); a
    frame arriving while it is full is answered [overloaded]
@@ -40,8 +40,6 @@ type config = {
   tcp_port : int option;
   workers : int;
   queue_cap : int;
-  max_batch : int;
-  wait_us : int;
   cache_capacity : int;
 }
 
@@ -51,8 +49,6 @@ let default_config =
     tcp_port = None;
     workers = 2;
     queue_cap = 64;
-    max_batch = 32;
-    wait_us = 200;
     cache_capacity = 4096;
   }
 
@@ -183,9 +179,7 @@ let create ?(config = default_config) net =
   {
     cfg = config;
     registry = Registry.create ~net ~workers:config.workers;
-    serve =
-      Nn.Infer.create ~max_batch:config.max_batch ~wait_us:config.wait_us
-        ~workers:config.workers ();
+    serve = Nn.Infer.create ~workers:config.workers ();
     cache =
       (if config.cache_capacity > 0 then
          Some
@@ -435,15 +429,8 @@ let stats_kvs t =
     [
       ("infer_batches", string_of_int s.Nn.Infer.batches);
       ("infer_rows", string_of_int s.Nn.Infer.rows);
-      ("infer_full_flushes", string_of_int s.Nn.Infer.full_flushes);
-      ("infer_quorum_flushes", string_of_int s.Nn.Infer.quorum_flushes);
+      (* these three always read 0; kept for the benchmark *)
       ("infer_timeout_flushes", string_of_int s.Nn.Infer.timeout_flushes);
-      ("infer_max_batch_rows", string_of_int s.Nn.Infer.max_batch_rows);
-      ( "infer_rows_per_batch",
-        Printf.sprintf "%.3f"
-          (if s.Nn.Infer.batches = 0 then 0.0
-           else float_of_int s.Nn.Infer.rows /. float_of_int s.Nn.Infer.batches) );
-      ("infer_waits", string_of_int s.Nn.Infer.waits);
       ("infer_wait_p50_us", Printf.sprintf "%.1f" s.Nn.Infer.wait_p50_us);
       ("infer_wait_p99_us", Printf.sprintf "%.1f" s.Nn.Infer.wait_p99_us);
     ]

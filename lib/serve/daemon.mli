@@ -5,10 +5,10 @@
     in the {!Wire} format.  One IO domain owns every file descriptor
     (accept, frame assembly, all writes); [workers] worker loops run on
     a persistent {!Par.Pool} and execute requests with the existing
-    parsers and solvers, routing rl leaf evaluations through a shared
-    {!Nn.Infer} ticket queue and striped {!Nn.Cache} so unrelated
-    in-flight requests coalesce into shared forward batches —
-    result-preserving (a daemon solve is bitwise the CLI solve).
+    parsers and solvers, each worker evaluating its rl leaf waves on its
+    own replica through a shared {!Nn.Infer} counter, behind a shared
+    striped {!Nn.Cache} — result-preserving (a daemon solve is bitwise
+    the CLI solve).
     Identical PBQP bodies resolve to one canonical parse (a
     content-addressed memo), so repeated requests share a [Graph.uid]
     and the version-stamped evaluation cache carries across them.
@@ -29,16 +29,11 @@ type config = {
   tcp_port : int option;  (** also listen on loopback TCP *)
   workers : int;  (** solver domains (the {!Par.Pool} size) *)
   queue_cap : int;  (** admission bound; beyond it: [overloaded] *)
-  max_batch : int;  (** {!Nn.Infer} coalesced-batch row budget *)
-  wait_us : int;
-      (** {!Nn.Infer} partial-batch age cap; a batch normally flushes
-          earlier, once every running search has a ticket parked *)
   cache_capacity : int;  (** shared eval cache entries; [0] disables *)
 }
 
 val default_config : config
-(** [/tmp/pbqp_serve.sock], no TCP, 2 workers, queue 64, batch 32,
-    wait 200 µs, cache 4096. *)
+(** [/tmp/pbqp_serve.sock], no TCP, 2 workers, queue 64, cache 4096. *)
 
 type t
 

@@ -9,10 +9,9 @@
 
    Cache safety is free: a loaded checkpoint carries a globally fresh
    [Pvnet.version] stamp, replicas inherit it via [sync]/[copy_into],
-   version-stamped {!Nn.Evalcache} entries self-invalidate, and
-   {!Nn.Infer} batches only coalesce tickets of equal version — so a
-   reload can never poison a cache entry or mix weights inside one
-   batch.  [generation] (registry-local) and [Pvnet.version] (weights
+   and version-stamped {!Nn.Evalcache} entries self-invalidate — so a
+   reload can never poison a cache entry, and a request in flight keeps
+   evaluating on its own replica's weights.  [generation] (registry-local) and [Pvnet.version] (weights
    identity) are deliberately distinct counters: syncing a replica does
    not bump the version, and directly mutating the master's weights
    without a reload would not bump the generation. *)

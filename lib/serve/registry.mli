@@ -3,10 +3,9 @@
 
     {!reload} swaps the master and bumps the registry generation; it
     never blocks in-flight requests (they finish on the replica they
-    started with) and can never poison caches or coalesced batches — a
-    loaded checkpoint carries a globally fresh {!Nn.Pvnet.version}, so
-    version-stamped {!Nn.Evalcache} entries self-invalidate and
-    {!Nn.Infer} never mixes the old and new weights in one batch. *)
+    started with) and can never poison caches — a loaded checkpoint
+    carries a globally fresh {!Nn.Pvnet.version}, so version-stamped
+    {!Nn.Evalcache} entries self-invalidate. *)
 
 type t
 

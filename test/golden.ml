@@ -6,8 +6,7 @@
    - train.*: MD5 digests of the files a fixed-seed `train` run writes
      (net, current net, optimizer state, replay buffer), on one worker
      (inproc) and on two workers sharing each role's inference service
-     (serve: -j 2 --serve-batch 16) — the determinism contract makes the
-     two equal;
+     (serve: -j 2) — the determinism contract makes the two equal;
    - batch.*: the search counters of one in-process pass over a subset
      of the batch corpus (PRO graphs and MiniC programs) with the
      tracked bench_cache/ checkpoints: game-tree nodes, backtracks,
@@ -63,7 +62,7 @@ let train_lines ~exe =
       Sys.rmdir dir)
     (fun () ->
       run_train ~exe ~dir ~name:"inproc" [ "-j"; "1" ]
-      @ run_train ~exe ~dir ~name:"serve" [ "-j"; "2"; "--serve-batch"; "16" ])
+      @ run_train ~exe ~dir ~name:"serve" [ "-j"; "2" ])
 
 (* --- search counters over a batch-corpus subset ------------------------ *)
 

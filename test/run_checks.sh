@@ -60,19 +60,18 @@ echo "== dune build @exact =="
 dune build @exact
 
 echo "== dune build @serve =="
-# inference-service equivalence suite: the Nn.Infer ticket protocol
-# (full, quorum and timeout flushes, search registration, first-exn),
-# Nn.Cache consistency under domains, and bitwise episodes/training
-# runs across {direct, service} x pool sizes x {cache off, on}
+# inference-service equivalence suite: a Nn.Infer submit is a counted
+# direct call (it never waits on another worker; a forward exception
+# reaches only its submitter), Nn.Cache consistency under domains, and
+# bitwise episodes/training runs across service pool sizes x {cache
+# off, on}
 dune build @serve
 
 echo "== dune build @daemon =="
 # allocation-service suite: the Serve.Wire codec and malformed-frame
 # rejection, daemon admission control, deadlines, hot-reload, the
-# 4-concurrent-clients-bitwise-=-serial determinism claim (every Infer
-# batch accounted to the full, quorum or timeout flush rule, and the
-# Infer rows = rl leaf evaluations - cache hits), and the poisoned-batch
-# Nn.Infer regression
+# 4-concurrent-clients-bitwise-=-serial determinism claim (Infer rows =
+# rl leaf evaluations - cache hits = forward rows)
 dune build @daemon
 
 echo "== dune build @dist =="
@@ -94,17 +93,12 @@ dune exec bin/train.exe -- -i 1 -e 4 -j 2 -k 8 --n-mean 8 --check \
   --eval-cache 512 --batch 8 -o "$smoke_dir/smoke.ckpt"
 test -f "$smoke_dir/smoke.ckpt"
 
-echo "== service smoke (train -j 2 --serve-batch 16) =="
-# the same tiny run with the cross-worker inference service coalescing
-# leaf evaluations across both workers (still under the checker)
+echo "== plain smoke (train -j 2) =="
+# the same tiny run without the evaluation cache: every leaf wave is
+# evaluated by its own worker (still under the checker)
 dune exec bin/train.exe -- -i 1 -e 4 -j 2 -k 8 --n-mean 8 --check \
-  --eval-cache 512 --serve-batch 16 --batch 8 \
-  -o "$smoke_dir/serve.ckpt"
-test -f "$smoke_dir/serve.ckpt"
-# a row budget of 0 is not a mode: the CLI must refuse it as a usage error
-if dune exec bin/train.exe -- --serve-batch 0 2>/dev/null; then
-  echo "train --serve-batch 0 accepted"; exit 1
-fi
+  --batch 8 -o "$smoke_dir/plain.ckpt"
+test -f "$smoke_dir/plain.ckpt"
 
 echo "== distributed smoke (2 actor subprocesses vs single-process) =="
 # the real subprocess topology: one in-process reference run, then a
@@ -138,7 +132,7 @@ cmp "$smoke_dir/d2a.ckpt" "$smoke_dir/d2b.ckpt" || {
 echo "== allocation daemon smoke (4 concurrent clients vs batch CLI) =="
 # start the daemon on a scratch socket, drive it with 4 concurrent
 # clients, check every daemon answer against the batch CLI on the same
-# instance, push one rl solve through the coalescing tier, query stats,
+# instance, push one rl solve through the inference service, query stats,
 # then SIGTERM and require a clean drain (exit 0, socket unlinked)
 serve=./_build/default/bin/pbqp_serve.exe
 solve=./_build/default/bin/pbqp_solve.exe

@@ -401,7 +401,7 @@ let test_replay_save_load () =
           if s.Nn.Pvnet.next = 1 then begin
             let f = s.Nn.Pvnet.instance in
             Alcotest.(check bool) "vertex 0 still dead" false
-              (Array.mem 0 f.Graph.f_verts);
+              (Array.mem 0 (Graph.residual f).Graph.f_verts);
             Alcotest.(check string) "reduced instance preserved"
               (Io.to_string reduced) (Io.frozen_to_string f)
           end)
@@ -445,16 +445,32 @@ let test_replay_empty () =
       ignore (Core.Replay.create ~capacity:0))
 
 (* Counter gate on the replay footprint: the heap words reachable from
-   the samples of fixed-seed argmax episodes on graphs of the
+   the samples of fixed-seed self-play episodes on graphs of the
    selfplay_train distribution (m = 13, n ~ N(20, 5), p_edge 0.2,
-   k = 25), per sample.  A sample holds a frozen instance — live costs
-   in one block, each edge once — and the matrices it shares with the
-   trail graph count once per episode.  A [Graph.copy_shared] snapshot
-   per sample instead (n hashtables and cost vectors, both matrix
-   orientations) reads 1444.667 words here.  Replaying each episode's
-   moves also checks that every sample prints as the trail graph it was
-   frozen from, and that the codec round-trips it. *)
-let replay_words_per_sample = 493.25
+   k = 25, 6 temperature-sampled opening moves under root noise), per
+   sample.  The samples of an episode share its root, frozen once with
+   the matrices of the trail graph, and each keeps the moves played
+   from it.  A residual per sample instead reads 493.25 words here, and
+   a [Graph.copy_shared] snapshot per sample 1444.667 (at argmax play).
+
+   Replaying each episode's moves on a fresh trail state also checks
+   that every sample's rebuilt residual is the trail graph's own freeze,
+   bit for bit in every cost, and that the codec round-trips it. *)
+let replay_words_per_sample = 329.25
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let residual_bits_equal (a : Graph.residual) (b : Graph.residual) =
+  a.Graph.f_m = b.Graph.f_m
+  && a.Graph.f_capacity = b.Graph.f_capacity
+  && a.Graph.f_verts = b.Graph.f_verts
+  && a.Graph.f_ends = b.Graph.f_ends
+  && Array.for_all2 bits_equal
+       (Float.Array.map_to_array Fun.id a.Graph.f_costs)
+       (Float.Array.map_to_array Fun.id b.Graph.f_costs)
+  && Array.for_all2
+       (fun (x : Mat.t) (y : Mat.t) -> Array.for_all2 bits_equal x.Mat.data y.Mat.data)
+       a.Graph.f_mats b.Graph.f_mats
 
 let test_replay_footprint () =
   let m = 13 in
@@ -462,12 +478,7 @@ let test_replay_footprint () =
   let grng = rng 42 in
   let config =
     { Core.Episode.mcts = { Mcts.default_config with k = 25 };
-      temperature_moves = 0; root_noise = None }
-  in
-  let argmax p =
-    let best = ref 0 in
-    Array.iteri (fun i x -> if x > p.(!best) then best := i) p;
-    !best
+      temperature_moves = 6; root_noise = Some (0.25, 0.5) }
   in
   let samples =
     List.concat_map
@@ -480,19 +491,32 @@ let test_replay_footprint () =
         in
         let _, reference, _ = Solvers.Scholz.solve_with_cost g in
         let mode = Core.Game.Minimize { reference; shaping = 5.0 } in
-        let _, samples =
+        let outcome, samples =
           Core.Episode.play ~collect:true ~serve:(serve1 ())
             ~rng:(rng (43 + i)) ~net ~mode config (Core.Istate.of_graph g)
+        in
+        let played =
+          match outcome.Core.Episode.solution with
+          | Some sol -> sol
+          | None -> Alcotest.failf "episode %d: dead end, moves unknown" i
         in
         let ist = Core.Istate.of_graph g in
         ignore
           (List.fold_left
              (fun cur (s : Nn.Pvnet.sample) ->
+               let trail = Core.Istate.Cursor.graph cur in
                if
-                 Io.frozen_to_string s.Nn.Pvnet.instance
-                 <> Io.to_string (Core.Istate.Cursor.graph cur)
+                 not
+                   (residual_bits_equal
+                      (Graph.residual s.Nn.Pvnet.instance)
+                      (Graph.residual (Graph.freeze trail)))
+               then
+                 Alcotest.failf "episode %d, move %d: residual differs" i
+                   (Core.Istate.Cursor.depth cur);
+               if Io.frozen_to_string s.Nn.Pvnet.instance <> Io.to_string trail
                then Alcotest.failf "episode %d: a sample's text differs" i;
-               Core.Istate.Cursor.apply cur (argmax s.Nn.Pvnet.policy))
+               Core.Istate.Cursor.apply cur
+                 (Solution.get played s.Nn.Pvnet.next))
              (Core.Istate.Cursor.root ist) samples
             : Core.Istate.Cursor.t);
         samples)

@@ -1,12 +1,10 @@
-(* Tests for the cross-worker dynamic-batching inference service
-   (Nn.Infer) and the shared striped evaluation cache (Nn.Cache):
-   ticket-protocol semantics (single-worker fast path, full-batch
-   coalescing, timeout flushes, quorum flushes of registered searches,
-   oversized waves never split, first-exn propagation to every
-   submitter of a failed batch), the one-worker solve's row accounting,
-   bitwise episode equivalence across service pool sizes x {cache off,
-   on}, striped-cache consistency under concurrent domains, and whole
-   training runs bit-identical across pool sizes and row budgets. *)
+(* Tests for the inference service (Nn.Infer) and the shared striped
+   evaluation cache (Nn.Cache): a service is a counted direct call (no
+   submit waits on another worker, a forward exception reaches only its
+   submitter), the one-worker solve's row accounting, bitwise episode
+   equivalence across service pool sizes x {cache off, on}, striped-cache
+   consistency under concurrent domains, and whole training runs
+   bit-identical across pool sizes. *)
 
 open Pbqp
 open Testutil
@@ -44,7 +42,7 @@ let check_results msg a b =
   if not (results_eq a b) then Alcotest.failf "%s: results differ" msg
 
 (* ------------------------------------------------------------------ *)
-(* Ticket protocol *)
+(* A counted direct call *)
 
 let test_single_worker_direct () =
   let m = 3 in
@@ -55,298 +53,106 @@ let test_single_worker_direct () =
   let srv = Nn.Infer.create ~max_batch:4 ~wait_us:0 ~workers:1 () in
   check_results "single worker = direct predict_prepared" direct
     (Nn.Infer.submit srv ~net preps);
-  (* the direct call is a counted batch: a lone submitter is its own
-     quorum, and no ticket ever waits *)
+  (* the direct call is one counted batch, and nothing waits *)
   let s = Nn.Infer.stats srv in
   Alcotest.(check int) "one batch" 1 s.Nn.Infer.batches;
   Alcotest.(check int) "rows = wave length" (Array.length preps)
     s.Nn.Infer.rows;
-  Alcotest.(check int) "flushed by quorum" 1 s.Nn.Infer.quorum_flushes;
-  Alcotest.(check int) "no wait recorded" 0 s.Nn.Infer.waits;
+  Alcotest.(check int) "no timeout flush" 0 s.Nn.Infer.timeout_flushes;
+  Alcotest.(check (float 0.0)) "no wait" 0.0 s.Nn.Infer.wait_p99_us;
   Alcotest.(check int) "empty submit" 0
     (Array.length (Nn.Infer.submit srv ~net [||]))
 
-let test_coalesces_full_batch () =
-  let m = 3 in
-  let base = tiny_net ~m () in
-  with_pool ~domains:4 (fun pool ->
-      let nw = Par.Pool.size pool in
-      let replicas =
-        Array.init nw (fun w -> if w = 0 then base else Nn.Pvnet.clone base)
-      in
-      let graphs = Array.init nw (fun i -> random_graph ~seed:(20 + i) ~n:5 ~m) in
-      let waves = Array.init nw (fun i -> wave base graphs.(i)) in
-      let rows = Array.fold_left (fun a w -> a + Array.length w) 0 waves in
-      let direct =
-        Array.map (fun w -> Nn.Pvnet.predict_prepared base w) waves
-      in
-      (* wait far above any plausible scheduling delay: each of the nw
-         submitters blocks until its ticket is answered, so no worker can
-         take a second task, and the only possible flush before the (huge)
-         timeout is the full one that coalesces all nw waves *)
-      let srv =
-        Nn.Infer.create ~max_batch:rows ~wait_us:5_000_000 ~workers:nw ()
-      in
-      let served =
-        Par.Pool.map pool (Array.init nw Fun.id) ~f:(fun ~worker i ->
-            Nn.Infer.submit srv ~net:replicas.(worker) waves.(i))
-      in
-      Array.iteri
-        (fun i r ->
-          check_results
-            (Printf.sprintf "wave %d coalesced = direct (bitwise)" i)
-            direct.(i) r)
-        served;
-      let s = Nn.Infer.stats srv in
-      Alcotest.(check int) "one coalesced batch" 1 s.Nn.Infer.batches;
-      Alcotest.(check int) "all rows in it" rows s.Nn.Infer.rows;
-      Alcotest.(check int) "flushed full" 1 s.Nn.Infer.full_flushes;
-      Alcotest.(check int) "largest batch" rows s.Nn.Infer.max_batch_rows)
+(* Spin until [cond ()] holds or [seconds] pass; whether it held. *)
+let wait_until ~seconds cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    if cond () then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Unix.sleepf 0.001;
+      go ()
+    end
+  in
+  go ()
 
-let test_partial_wave_flushes_on_timeout () =
+(* On a two-worker service, worker B is stalled (it never submits
+   until released) while worker A submits.  A's submit must return with
+   B still stalled: no rule may park a wave until the other worker
+   submits too.  The 10 s [wait_us] would hold a wave far past the 5 s
+   check under any such rule. *)
+let test_submit_never_waits () =
   let m = 3 in
   let net = tiny_net ~m () in
-  let g = random_graph ~seed:13 ~n:5 ~m in
-  let preps = wave net g in
-  let direct = Nn.Pvnet.predict_prepared net preps in
-  (* workers:2 forces the queue path, but nobody else ever submits: the
-     lone ticket can only leave via the wait_us expiry, served by its own
-     submitter *)
-  let srv = Nn.Infer.create ~max_batch:64 ~wait_us:3_000 ~workers:2 () in
-  check_results "timeout-flushed wave = direct" direct
-    (Nn.Infer.submit srv ~net preps);
+  let other = Nn.Pvnet.clone net in
+  let preps = wave net (random_graph ~seed:13 ~n:5 ~m) in
+  let preps_b = wave other (random_graph ~seed:14 ~n:5 ~m) in
+  let srv = Nn.Infer.create ~max_batch:64 ~wait_us:10_000_000 ~workers:2 () in
+  let release = Atomic.make false and a_done = Atomic.make false in
+  let b =
+    Domain.spawn (fun () ->
+        while not (Atomic.get release) do
+          Unix.sleepf 0.001
+        done;
+        Nn.Infer.submit srv ~net:other preps_b)
+  in
+  let a =
+    Domain.spawn (fun () ->
+        let r = Nn.Infer.submit srv ~net preps in
+        Atomic.set a_done true;
+        r)
+  in
+  let returned = wait_until ~seconds:5.0 (fun () -> Atomic.get a_done) in
+  Atomic.set release true;
+  let ra = Domain.join a and rb = Domain.join b in
+  Alcotest.(check bool) "A's submit returned while B was stalled" true
+    returned;
+  check_results "A's wave = direct" (Nn.Pvnet.predict_prepared net preps) ra;
+  check_results "B's wave = direct"
+    (Nn.Pvnet.predict_prepared other preps_b)
+    rb;
   let s = Nn.Infer.stats srv in
-  Alcotest.(check int) "one batch" 1 s.Nn.Infer.batches;
-  Alcotest.(check int) "flushed by timeout" 1 s.Nn.Infer.timeout_flushes;
-  Alcotest.(check int) "not full" 0 s.Nn.Infer.full_flushes;
-  Alcotest.(check int) "rows" (Array.length preps) s.Nn.Infer.rows
+  Alcotest.(check int) "one batch per wave" 2 s.Nn.Infer.batches;
+  Alcotest.(check int) "rows"
+    (Array.length preps + Array.length preps_b)
+    s.Nn.Infer.rows
 
-let test_oversized_wave_never_split () =
-  let m = 3 in
-  let net = tiny_net ~m () in
-  let g = random_graph ~seed:17 ~n:7 ~m in
-  let preps = wave net g in
-  let direct = Nn.Pvnet.predict_prepared net preps in
-  let srv = Nn.Infer.create ~max_batch:2 ~wait_us:1_000 ~workers:2 () in
-  check_results "oversized wave runs whole" direct
-    (Nn.Infer.submit srv ~net preps);
-  let s = Nn.Infer.stats srv in
-  Alcotest.(check int) "one batch despite the budget" 1 s.Nn.Infer.batches;
-  Alcotest.(check int) "all rows together" (Array.length preps)
-    s.Nn.Infer.max_batch_rows
-
-let test_server_exception_propagates () =
+(* Rows prepared under an m = 5 net are wider than an m = 3 net reads,
+   so that wave's forward raises.  The exception reaches its submitter
+   only: the other worker's wave, submitted at the same time, is served,
+   and so is every wave after the failure. *)
+let test_forward_exception_reaches_only_its_submitter () =
   let m = 3 in
   let base = tiny_net ~m () in
   let other = tiny_net ~seed:4 ~m:5 () in
   let w_good = wave base (random_graph ~seed:31 ~n:5 ~m) in
-  (* rows prepared under an m=5 net are wider than the m=3 server
-     expects: whichever ticket heads the batch, the coalesced forward
-     raises, and EVERY submitter of the batch must re-raise *)
   let w_bad = wave other (random_graph ~seed:32 ~n:5 ~m:5) in
   with_pool ~domains:2 (fun pool ->
-      let rows = Array.length w_good + Array.length w_bad in
-      let srv =
-        Nn.Infer.create ~max_batch:rows ~wait_us:5_000_000 ~workers:2 ()
-      in
+      let srv = Nn.Infer.create ~workers:2 () in
       let replicas = [| base; Nn.Pvnet.clone base |] in
-      let raised =
+      let outcomes =
         Par.Pool.map pool [| w_good; w_bad |] ~f:(fun ~worker w ->
             match Nn.Infer.submit srv ~net:replicas.(worker) w with
-            | _ -> false
-            | exception Invalid_argument _ -> true)
+            | r -> Some r
+            | exception Invalid_argument _ -> None)
       in
-      Alcotest.(check (array bool)) "both submitters see the failure"
-        [| true; true |] raised;
-      (* the service survives a failed batch: two good waves coalesce *)
-      let g2 = random_graph ~seed:33 ~n:5 ~m in
-      let w2 = wave base g2 in
+      (match outcomes.(0) with
+      | Some r ->
+          check_results "the good wave = direct"
+            (Nn.Pvnet.predict_prepared base w_good)
+            r
+      | None -> Alcotest.fail "the good wave saw the other's exception");
+      Alcotest.(check bool) "the bad wave raised" true (outcomes.(1) = None);
+      let w2 = wave base (random_graph ~seed:33 ~n:5 ~m) in
       let direct = Nn.Pvnet.predict_prepared base w2 in
-      let srv2 =
-        Nn.Infer.create ~max_batch:(2 * Array.length w2) ~wait_us:5_000_000
-          ~workers:2 ()
-      in
       let again =
         Par.Pool.map pool [| 0; 1 |] ~f:(fun ~worker _ ->
-            Nn.Infer.submit srv2 ~net:replicas.(worker) w2)
+            Nn.Infer.submit srv ~net:replicas.(worker) w2)
       in
-      Array.iter (fun r -> check_results "post-failure submit" direct r) again)
-
-(* Regression for the daemon-wedging failure mode: an exception raised
-   in the server's result-DISTRIBUTION phase (after the forward, lock
-   held) used to propagate with [serving] still set, parking every other
-   submitter in Condition.wait forever.  The poison hook injects exactly
-   that; every ticket of the batch must re-raise, and the service must
-   keep working afterwards. *)
-let test_poisoned_batch_releases_every_waiter () =
-  let m = 3 in
-  let base = tiny_net ~m () in
-  with_pool ~domains:3 (fun pool ->
-      let nw = Par.Pool.size pool in
-      let replicas =
-        Array.init nw (fun w -> if w = 0 then base else Nn.Pvnet.clone base)
-      in
-      let waves =
-        Array.init nw (fun i -> wave base (random_graph ~seed:(70 + i) ~n:5 ~m))
-      in
-      let rows = Array.fold_left (fun a w -> a + Array.length w) 0 waves in
-      (* one full batch holding every wave: all nw submitters have
-         tickets in the poisoned batch, most of them parked waiters *)
-      let srv =
-        Nn.Infer.create ~max_batch:rows ~wait_us:5_000_000 ~workers:nw ()
-      in
-      let exception Poison in
-      Nn.Infer.poison_next_batch_for_test srv Poison;
-      let outcomes =
-        Par.Pool.map pool (Array.init nw Fun.id) ~f:(fun ~worker i ->
-            match Nn.Infer.submit srv ~net:replicas.(worker) waves.(i) with
-            | _ -> false
-            | exception Poison -> true)
-      in
-      Alcotest.(check (array bool)) "poison fans out to every submitter"
-        (Array.make nw true) outcomes;
-      (* not wedged: the poison is one-shot, the serving flag cleared,
-         the broadcast happened — the same waves now evaluate bitwise *)
-      let direct = Array.map (Nn.Pvnet.predict_prepared base) waves in
-      let again =
-        Par.Pool.map pool (Array.init nw Fun.id) ~f:(fun ~worker i ->
-            Nn.Infer.submit srv ~net:replicas.(worker) waves.(i))
-      in
-      Array.iteri
-        (fun i r -> check_results "post-poison submit bitwise" direct.(i) r)
-        again;
+      Array.iter (fun r -> check_results "post-failure submit" direct r) again;
       let s = Nn.Infer.stats srv in
-      Alcotest.(check bool) "batches kept being served" true
-        (s.Nn.Infer.batches >= 2))
-
-(* Spin until [n] parties have arrived at [count]. *)
-let barrier count n =
-  Atomic.incr count;
-  while Atomic.get count < n do
-    Domain.cpu_relax ()
-  done
-
-(* The quorum rule, deterministically: k registered searches each park
-   one ticket after a barrier, so the k-th arrival completes the quorum.
-   The row budget and the 5 s cap are out of reach, so exactly one batch
-   of all k tickets forms and it can only be a quorum flush. *)
-let test_quorum_flushes_lockstepped_searches () =
-  let m = 3 in
-  let base = tiny_net ~m () in
-  List.iter
-    (fun k ->
-      with_pool ~domains:k (fun pool ->
-          let replicas =
-            Array.init k (fun w -> if w = 0 then base else Nn.Pvnet.clone base)
-          in
-          let waves =
-            Array.init k (fun i ->
-                wave base (random_graph ~seed:(80 + i) ~n:5 ~m))
-          in
-          let rows = Array.fold_left (fun a w -> a + Array.length w) 0 waves in
-          let srv =
-            Nn.Infer.create ~max_batch:(rows + 1) ~wait_us:5_000_000
-              ~workers:k ()
-          in
-          let registered = Atomic.make 0 in
-          let served =
-            Par.Pool.map pool (Array.init k Fun.id) ~f:(fun ~worker i ->
-                Nn.Infer.with_search srv (fun () ->
-                    barrier registered k;
-                    Nn.Infer.submit srv ~net:replicas.(worker) waves.(i)))
-          in
-          Array.iteri
-            (fun i r ->
-              check_results
-                (Printf.sprintf "k=%d wave %d = direct (bitwise)" k i)
-                (Nn.Pvnet.predict_prepared base waves.(i))
-                r)
-            served;
-          let s = Nn.Infer.stats srv in
-          let label what = Printf.sprintf "k=%d: %s" k what in
-          Alcotest.(check int) (label "one batch") 1 s.Nn.Infer.batches;
-          Alcotest.(check int) (label "k tickets in it") k s.Nn.Infer.waits;
-          Alcotest.(check int) (label "all rows in it") rows s.Nn.Infer.rows;
-          Alcotest.(check int) (label "quorum flush") 1
-            s.Nn.Infer.quorum_flushes;
-          Alcotest.(check int) (label "no full flush") 0
-            s.Nn.Infer.full_flushes;
-          Alcotest.(check int) (label "no timeout flush") 0
-            s.Nn.Infer.timeout_flushes))
-    [ 2; 4 ]
-
-(* A registered search whose batch fails re-raises out of [with_search]
-   and is deregistered: the next lone registered search is its own
-   quorum and never waits for the 5 s cap. *)
-let test_failed_search_deregisters () =
-  let m = 3 in
-  let net = tiny_net ~m () in
-  let preps = wave net (random_graph ~seed:91 ~n:5 ~m) in
-  let srv = Nn.Infer.create ~max_batch:64 ~wait_us:5_000_000 ~workers:2 () in
-  let exception Poison in
-  Nn.Infer.poison_next_batch_for_test srv Poison;
-  (match
-     Nn.Infer.with_search srv (fun () -> Nn.Infer.submit srv ~net preps)
-   with
-  | _ -> Alcotest.fail "poisoned batch returned"
-  | exception Poison -> ());
-  check_results "lone registered search after a failure"
-    (Nn.Pvnet.predict_prepared net preps)
-    (Nn.Infer.with_search srv (fun () -> Nn.Infer.submit srv ~net preps));
-  let s = Nn.Infer.stats srv in
-  Alcotest.(check int) "both batches by quorum" 2 s.Nn.Infer.quorum_flushes;
-  Alcotest.(check int) "no timeout flush" 0 s.Nn.Infer.timeout_flushes
-
-(* Two registered searches; A parks a ticket, B leaves without ever
-   submitting.  B's release completes A's quorum, so A is served well
-   before the 5 s cap. *)
-let test_leave_completes_quorum () =
-  let m = 3 in
-  let net = tiny_net ~m () in
-  let preps = wave net (random_graph ~seed:93 ~n:5 ~m) in
-  let srv = Nn.Infer.create ~max_batch:64 ~wait_us:5_000_000 ~workers:2 () in
-  let registered = Atomic.make 0 in
-  let b =
-    Domain.spawn (fun () ->
-        Nn.Infer.with_search srv (fun () ->
-            barrier registered 2;
-            (* give A time to park; if it has not yet, A arrives alone
-               and is its own quorum — served by quorum either way *)
-            Unix.sleepf 0.05))
-  in
-  let r =
-    Nn.Infer.with_search srv (fun () ->
-        barrier registered 2;
-        Nn.Infer.submit srv ~net preps)
-  in
-  Domain.join b;
-  check_results "A's wave = direct" (Nn.Pvnet.predict_prepared net preps) r;
-  let s = Nn.Infer.stats srv in
-  Alcotest.(check int) "served by quorum" 1 s.Nn.Infer.quorum_flushes;
-  Alcotest.(check int) "not by the timer" 0 s.Nn.Infer.timeout_flushes
-
-(* The wait quantiles read back the upper bound of a quarter-octave
-   bucket: never below the planted wait, and above it by less than
-   2^(1/4).  Half the tickets wait 10 µs, so p50 reads the 10 µs
-   bucket; the slowest 5 wait 3 ms, so p99 reads theirs. *)
-let test_wait_histogram_readback () =
-  let srv = Nn.Infer.create ~workers:2 () in
-  List.iter
-    (fun (count, us) ->
-      for _ = 1 to count do
-        Nn.Infer.plant_wait_for_test srv ~us
-      done)
-    [ (50, 10.0); (45, 100.0); (5, 3000.0) ];
-  let s = Nn.Infer.stats srv in
-  Alcotest.(check int) "waits counted" 100 s.Nn.Infer.waits;
-  let within what planted read =
-    if not (read > planted && read <= planted *. Float.pow 2.0 0.25) then
-      Alcotest.failf "%s: read %g for a planted %g us, want (%g, %g]" what
-        read planted planted
-        (planted *. Float.pow 2.0 0.25)
-  in
-  within "p50" 10.0 s.Nn.Infer.wait_p50_us;
-  within "p99" 3000.0 s.Nn.Infer.wait_p99_us
+      Alcotest.(check int) "the failed wave is not counted" 3
+        s.Nn.Infer.batches)
 
 (* The CLI path: a solve on a one-worker service (what pbqp_solve,
    minicc and atec get, since a solve given no service creates one)
@@ -378,11 +184,7 @@ let test_one_worker_solve_counts_every_row () =
   Alcotest.(check int) "infer rows = forward rows"
     (Nn.Pvnet.eval_count net - e0) s.Nn.Infer.rows;
   Alcotest.(check int) "infer rows = leaf lookups - cache hits"
-    (lookups - c.Nn.Evalcache.hits) s.Nn.Infer.rows;
-  Alcotest.(check int) "full + quorum + timeout flushes = batches"
-    s.Nn.Infer.batches
-    (s.Nn.Infer.full_flushes + s.Nn.Infer.quorum_flushes
-    + s.Nn.Infer.timeout_flushes)
+    (lookups - c.Nn.Evalcache.hits) s.Nn.Infer.rows
 
 let test_infer_validations () =
   Alcotest.check_raises "max_batch positive"
@@ -419,19 +221,19 @@ let play_episode ?cache ~serve ~net i g =
   Core.Episode.play ~collect:true ?cache ~serve ~rng:(rng (100 + i)) ~net
     ~mode:Core.Game.Feasibility episode_cfg (Core.Istate.of_graph g)
 
-(* A lone episode on a two-worker service registers as a search, so
-   each of its waves is its own quorum and no batch waits out the
-   timer. *)
+(* A lone episode on a two-worker service: each wave is evaluated
+   directly, as its own batch, and nothing waits on a timer. *)
 let test_lone_episode_flushes_by_quorum () =
   let m = 3 in
   let net = tiny_net ~m () in
   let srv = Nn.Infer.create ~max_batch:64 ~workers:2 () in
+  let e0 = Nn.Pvnet.eval_count net in
   ignore (play_episode ~serve:srv ~net 0 (random_graph ~seed:61 ~n:6 ~m));
   let s = Nn.Infer.stats srv in
   Alcotest.(check bool) "the episode was served" true (s.Nn.Infer.batches > 0);
   Alcotest.(check int) "no timeout flush" 0 s.Nn.Infer.timeout_flushes;
-  Alcotest.(check int) "every batch by quorum" s.Nn.Infer.batches
-    s.Nn.Infer.quorum_flushes
+  Alcotest.(check int) "every forward row counted"
+    (Nn.Pvnet.eval_count net - e0) s.Nn.Infer.rows
 
 let check_episode_runs ~msg reference outcomes =
   List.iteri
@@ -652,24 +454,10 @@ let () =
         [
           Alcotest.test_case "single worker = direct" `Quick
             test_single_worker_direct;
-          Alcotest.test_case "full batch coalesces" `Quick
-            test_coalesces_full_batch;
-          Alcotest.test_case "partial wave flushes on timeout" `Quick
-            test_partial_wave_flushes_on_timeout;
-          Alcotest.test_case "oversized wave never split" `Quick
-            test_oversized_wave_never_split;
-          Alcotest.test_case "server exception reaches every submitter"
-            `Quick test_server_exception_propagates;
-          Alcotest.test_case "poisoned batch releases every waiter" `Quick
-            test_poisoned_batch_releases_every_waiter;
-          Alcotest.test_case "quorum flushes lock-stepped searches" `Quick
-            test_quorum_flushes_lockstepped_searches;
-          Alcotest.test_case "failed search deregisters" `Quick
-            test_failed_search_deregisters;
-          Alcotest.test_case "leave completes the quorum" `Quick
-            test_leave_completes_quorum;
-          Alcotest.test_case "wait histogram quarter-octave readback" `Quick
-            test_wait_histogram_readback;
+          Alcotest.test_case "a submit never waits on another worker" `Quick
+            test_submit_never_waits;
+          Alcotest.test_case "a forward exception reaches only its submitter"
+            `Quick test_forward_exception_reaches_only_its_submitter;
           Alcotest.test_case "one-worker solve counts every row" `Quick
             test_one_worker_solve_counts_every_row;
           Alcotest.test_case "validations" `Quick test_infer_validations;

@@ -171,7 +171,7 @@ let test_ping_and_stats () =
                     (Printf.sprintf "stats has %s" key)
                     true (List.mem_assoc key kvs))
                 [ "version"; "generation"; "served"; "eval_count";
-                  "cache_hits"; "infer_batches"; "infer_quorum_flushes";
+                  "cache_hits"; "infer_batches"; "infer_rows";
                   "queue_depth" ]
           | _ -> Alcotest.fail "expected stats"))
 
@@ -433,27 +433,17 @@ let test_concurrent_clients_bitwise_serial () =
                (Printf.sprintf "graph %d assignment bitwise" i)
                rassign assignment))
         all;
-      (* and the leaves went through the service: every batch is
-         accounted to exactly one flush rule, and daemon waves are one
-         leaf (Mcts.default_config.batch = 1), so each ticket is one row.
-         Every rl leaf evaluation looks up the shared cache first, and
-         each miss is one Infer row: the rows summed over all batches
-         are the leaf evaluations minus the cache hits, and they are
-         every forward the workers' replicas ran.  How many tickets
-         share a batch depends on thread timing; the coalescing itself
-         is pinned down in test_serve's quorum case. *)
+      (* and the leaves went through the service: every rl leaf
+         evaluation looks up the shared cache first, and each miss is
+         one Infer row, so the rows summed over all batches are the leaf
+         evaluations minus the cache hits, and they are every forward
+         the workers' replicas ran. *)
       with_client path (fun c ->
           match request_exn c Serve.Wire.Stats with
           | Serve.Wire.Stats_reply kvs ->
               let get key = int_of_string (List.assoc key kvs) in
               let batches = get "infer_batches" in
               Alcotest.(check bool) "batches were served" true (batches > 0);
-              Alcotest.(check int) "full + quorum + timeout flushes = batches"
-                batches
-                (get "infer_full_flushes" + get "infer_quorum_flushes"
-                + get "infer_timeout_flushes");
-              Alcotest.(check int) "one row per ticket" (get "infer_waits")
-                (get "infer_rows");
               let leaf_evals = get "cache_hits" + get "cache_misses" in
               Alcotest.(check bool) "rl leaves were evaluated" true
                 (leaf_evals > 0);
