@@ -45,7 +45,7 @@ let spawn_actor ~manifest_path pids ~manifest ~actor =
   (child_stdout_r, child_stdin_w)
 
 let run m iterations episodes k_train n_mean p_edge p_inf zero_inf planted
-    ate batch batch_leaves eval_cache cache_stripes replay domains check checkpoint
+    ate batch eval_cache cache_stripes replay domains check checkpoint
     pretrain_labels actors actor actor_id manifest stale_decay dist_pipeline
     replay_shards seed out =
   let instance_generator =
@@ -68,7 +68,7 @@ let run m iterations episodes k_train n_mean p_edge p_inf zero_inf planted
           cost_max = 30.0 };
       n_mean;
       n_stddev = n_mean /. 4.0;
-      mcts = { Mcts.default_config with k = k_train; batch = batch_leaves };
+      mcts = { Mcts.default_config with k = k_train };
       planted;
       batch_size = batch;
       eval_cache;
@@ -163,12 +163,6 @@ let () =
          & info [ "ate" ] ~doc:"train on PBQP graphs of synthetic ATE programs")
   in
   let batch = Arg.(value & opt int 32 & info [ "batch" ] ~doc:"paper: 64") in
-  let batch_leaves =
-    Arg.(value & opt int 1
-         & info [ "batch-leaves" ]
-             ~doc:"MCTS leaves per batched network evaluation (1 = exact \
-                   scalar search; >1 uses virtual-loss waves)")
-  in
   let eval_cache =
     Arg.(value & opt int 0
          & info [ "eval-cache" ] ~docv:"SIZE"
@@ -265,9 +259,9 @@ let () =
       (Cmd.info "train" ~doc:"Train a PBQP policy/value network by self-play")
       Term.(
         const run $ m $ iterations $ episodes $ k_train $ n_mean $ p_edge
-        $ p_inf $ zero_inf $ planted $ ate $ batch $ batch_leaves
-        $ eval_cache $ cache_stripes $ replay $ domains $ check
-        $ checkpoint $ pretrain_labels $ actors $ actor $ actor_id $ manifest
+        $ p_inf $ zero_inf $ planted $ ate $ batch $ eval_cache
+        $ cache_stripes $ replay $ domains $ check $ checkpoint
+        $ pretrain_labels $ actors $ actor $ actor_id $ manifest
         $ stale_decay $ dist_pipeline $ replay_shards $ seed $ out)
   in
   exit (Cmd.eval cmd)

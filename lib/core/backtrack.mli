@@ -45,5 +45,5 @@ val solve :
   net:Nn.Pvnet.t -> mode:Game.mode -> config -> Istate.t -> result
 (** Color the trail state from its root position.  [cache] and [serve]
     are forwarded to {!Game.make} — backtracking revisits tree ancestors,
-    so repeated leaf evaluations short-circuit, and every wave that
+    so repeated leaf evaluations short-circuit, and every leaf that
     misses is evaluated through [serve] on the calling worker's [net]. *)

@@ -43,9 +43,8 @@ val play :
     push/pop instead of a graph copy.  The collected samples share the
     root position's {!Pbqp.Graph.freeze}, and each keeps only the moves
     played from it ({!Pbqp.Graph.play}).  [cache] and [serve] are
-    forwarded to {!Game.make}: every leaf is evaluated in a wave (a lone
-    root expansion is a wave of one), [cache] short-circuits repeated
-    leaf evaluations, and every miss goes through [serve] on [net].
+    forwarded to {!Game.make}: [cache] short-circuits repeated leaf
+    evaluations, and every miss goes through [serve] on [net].
     Search results are bit-identical with or without a cache and for
     every service. *)
 

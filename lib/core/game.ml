@@ -31,57 +31,36 @@ let make ?(rollouts = false) ?cache ~serve ~net ~mode ~m () =
     end
     else Fun.id
   in
-  (* Leaves of a wave live on one shared trail graph, so each is seeked
-     and captured as a [Pvnet.prepared] in turn (its roll-out taken while
-     the trail is there); the trunk GEMMs then run over the whole batch
-     at once, through [serve] — minus the cache hits, which skip the
-     forward entirely.
-     The transposition cache holds the network's raw (priors, value)
-     keyed by (state hash, next vertex) and stamped with the weights
-     version; the roll-out blend is applied after lookup (it depends on
-     the state, not the weights).  Keys only repeat for bitwise-identical
-     states, so search results with and without a cache are
-     bit-identical.  Complete games and dead ends that slipped past
-     [is_terminal] get the defensive terminal reward. *)
-  let batched_evaluate cursors =
-    let cursors = Array.of_list cursors in
-    let out = Array.make (Array.length cursors) ([||], 0.0) in
-    let version = Nn.Pvnet.version net in
-    let misses = ref [] in
-    Array.iteri
-      (fun i cur ->
-        match Istate.Cursor.next_vertex cur with
-        | Some next -> (
-            let key = (Istate.Cursor.hash cur, next) in
-            let hit =
-              match cache with
-              | Some cache -> Nn.Cache.find cache ~version key
-              | None -> None
-            in
-            match hit with
-            | Some (priors, v) -> out.(i) <- (priors, blend_at cur v)
-            | None ->
-                let p = Nn.Pvnet.prepare net (Istate.Cursor.graph cur) ~next in
-                misses := (i, key, p, blend_at cur) :: !misses)
-        | None -> out.(i) <- (Array.make m 0.0, reward mode (final_cost cur)))
-      cursors;
-    let misses = List.rev !misses in
-    (match misses with
-    | [] -> ()
-    | _ ->
-        let preds =
-          Nn.Infer.submit serve ~net
-            (Array.of_list (List.map (fun (_, _, p, _) -> p) misses))
+  (* One leaf per call (Algorithm 1's SIMULATE).  The transposition
+     cache holds the network's raw (priors, value) keyed by (state hash,
+     next vertex) and stamped with the weights version; the roll-out
+     blend is applied after lookup (it depends on the state, not the
+     weights).  Keys only repeat for bitwise-identical states, so search
+     results with and without a cache are bit-identical.  A miss is
+     captured as a [Pvnet.prepared] before its roll-out moves the trail,
+     then forwarded through [serve].  Complete games and dead ends that
+     slipped past [is_terminal] get the defensive terminal reward. *)
+  let evaluate cur =
+    match Istate.Cursor.next_vertex cur with
+    | None -> (Array.make m 0.0, reward mode (final_cost cur))
+    | Some next -> (
+        let version = Nn.Pvnet.version net in
+        let key = (Istate.Cursor.hash cur, next) in
+        let hit =
+          match cache with
+          | Some cache -> Nn.Cache.find cache ~version key
+          | None -> None
         in
-        List.iteri
-          (fun j (i, key, _, mix) ->
-            let ((priors, v) as r) = preds.(j) in
+        match hit with
+        | Some (priors, v) -> (priors, blend_at cur v)
+        | None ->
+            let p = Nn.Pvnet.prepare net (Istate.Cursor.graph cur) ~next in
+            let mix = blend_at cur in
+            let ((priors, v) as r) = Nn.Infer.submit serve ~net p in
             (match cache with
             | Some cache -> Nn.Cache.store cache ~version key r
             | None -> ());
-            out.(i) <- (priors, mix v))
-          misses);
-    out
+            (priors, mix v))
   in
   {
     Mcts.num_actions = m;
@@ -89,6 +68,5 @@ let make ?(rollouts = false) ?cache ~serve ~net ~mode ~m () =
     terminal_value = (fun c -> reward mode (final_cost c));
     legal = Istate.Cursor.legal;
     apply = Istate.Cursor.apply;
-    evaluate = (fun c -> (batched_evaluate [ c ]).(0));
-    batched_evaluate = Some batched_evaluate;
+    evaluate;
   }

@@ -37,22 +37,20 @@ val make :
     [rollouts] (default [false]) makes leaf values the mean of the
     network's estimate and the reward of a greedy completion of the leaf
     (see {!Rollout}, run on the trail and undone) — an opt-in extension
-    beyond the paper, applied to wave cache hits and misses alike.
+    beyond the paper, applied to cache hits and misses alike.
 
-    Leaves are evaluated in waves by [batched_evaluate]: each leaf is
-    seeked and captured as an {!Nn.Pvnet.prepared}, then the wave's
-    cache misses go to [serve] ({!Nn.Infer.submit}) as one batch, run
-    on [net], the caller's own replica.  The scalar [evaluate] (MCTS
-    calls it to expand a root outside a wave, e.g. before root noise)
-    is a wave of one, so every leaf runs the same forward.
+    [evaluate] takes one leaf (Algorithm 1): it looks the leaf up in
+    [cache]; on a miss it captures the leaf as an {!Nn.Pvnet.prepared},
+    takes the roll-out, and forwards the row through [serve]
+    ({!Nn.Infer.submit}) on [net], the caller's own replica.
 
     [cache] consults an {!Nn.Cache} (single-owner or striped-shared)
     before every network forward, keyed by
     [(Istate.Cursor.hash, next vertex)] and versioned by
-    {!Nn.Pvnet.version}; hits skip the forward (and drop out of a wave's
-    batch), misses are stored.  The cache holds the raw network output;
-    the roll-out blend is applied after lookup.  Search results are
-    bit-identical with or without it. *)
+    {!Nn.Pvnet.version}; hits skip the forward, misses are stored.  The
+    cache holds the raw network output; the roll-out blend is applied
+    after lookup.  Search results are bit-identical with or without
+    it. *)
 
 val final_cost : Istate.Cursor.t -> Cost.t
 (** [base_cost] if complete, [inf] otherwise. *)

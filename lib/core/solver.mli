@@ -50,8 +50,8 @@ val solve_feasible :
 
     [cache] gives the solve a transposition cache of network evaluations
     (repeated positions appear across backtracking replans and retreats;
-    possibly striped and pool-shared, see {!Nn.Cache}).  Every wave
-    of leaves goes through the {!Nn.Infer} service [serve], which
+    possibly striped and pool-shared, see {!Nn.Cache}).  Every leaf
+    that misses it goes through the {!Nn.Infer} service [serve], which
     counts the forward rows of every solve sharing it; without [serve]
     the solve creates a one-worker service of its own.  Results are
     bitwise the same for every cache and service.

@@ -313,7 +313,7 @@ let run ?(on_iteration = fun _ -> ()) ?make_source ~rng config =
   in
   let best_cache = make_cache () and current_cache = make_cache () in
   (* One inference service per net role, counting that role's forward
-     rows; each worker evaluates its own waves on its own replica. *)
+     rows; each worker evaluates its own leaves on its own replica. *)
   let best_serve = Nn.Infer.create ~workers:nw ()
   and current_serve = Nn.Infer.create ~workers:nw () in
   let best_version = ref 0 and current_version = ref 0 in

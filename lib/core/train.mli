@@ -25,9 +25,7 @@ type config = {
   n_stddev : float;
   n_min : int;
   mcts : Mcts.config;
-      (** [mcts.k] is the paper's k_train; [mcts.batch] > 1 gathers that
-          many leaves per virtual-loss wave into one batched forward,
-          trading some search sequentiality for throughput (DESIGN.md). *)
+      (** [mcts.k] is the paper's k_train *)
   net : Nn.Pvnet.config;
   adam : Nn.Adam.config;
   batch_size : int;
@@ -86,7 +84,7 @@ type config = {
           the cache at every [domains] value. *)
   serve_batch : int;
       (** ignored, except that it must be positive (default 16): each
-          worker evaluates its own waves ([Nn.Infer]).  Kept only because
+          worker evaluates its own leaves ([Nn.Infer]).  Kept only because
           the benchmark sets it; goes with its next change. *)
   serve_wait_us : int;  (** ignored; kept, like [serve_batch], for the benchmark *)
   cache_stripes : int;

@@ -5,19 +5,15 @@ type 'a game = {
   legal : 'a -> int -> bool;
   apply : 'a -> int -> 'a;
   evaluate : 'a -> float array * float;
-  batched_evaluate : ('a list -> (float array * float) array) option;
 }
 
 type config = {
   k : int;
   c_puct : float;
   epsilon : float;
-  check : bool;
-  batch : int;
 }
 
-let default_config =
-  { k = 50; c_puct = 1.5; epsilon = 1e-8; check = false; batch = 1 }
+let default_config = { k = 50; c_puct = 1.5; epsilon = 1e-8 }
 
 type 'a node = {
   state : 'a;
@@ -116,97 +112,10 @@ let rec simulate t node =
     end
   end
 
-(* --- Batched SIMULATE (virtual-loss leaf gathering) ------------------- *)
-
-(* A wave descends up to [config.batch] times, parking each unexpanded
-   leaf it reaches instead of evaluating it on the spot, then runs one
-   [batched_evaluate] call over the distinct parked states and backs all
-   paths up.  During a descent every traversed edge's visit count is
-   incremented (a visit-count-only virtual loss) so later descents of the
-   same wave are steered away from the identical path; backup reverts the
-   increment before applying the standard Q/N update, so the statistics
-   after a wave carry no trace of it.
-
-   A wave of size 1 is exactly the scalar SIMULATE: UCB at a node reads
-   only that node's own edges, and within a single descent the virtual
-   increments sit strictly on ancestor edges the selection below never
-   consults — so batch = 1 reproduces Algorithm 1 node for node (the
-   determinism suite in test_mcts pins this down). *)
-
-let backup path v =
-  List.iter
-    (fun e ->
-      e.n <- e.n - 1;  (* revert the virtual loss *)
-      e.q <- ((float_of_int e.n *. e.q) +. v) /. float_of_int (e.n + 1);
-      e.n <- e.n + 1)
-    path
-
-let rec descend t node path =
-  if t.game.is_terminal node.state then
-    `Value (t.game.terminal_value node.state, path)
-  else if not node.expanded then `Leaf (node, path)
-  else
-    let a = select_action t node in
-    if a < 0 then `Value (t.game.terminal_value node.state, path)
-    else begin
-      let e = node.edges.(a) in
-      let child = child_of t node a in
-      e.n <- e.n + 1;  (* virtual loss *)
-      descend t child (e :: path)
-    end
-
-let evaluate_leaves t leaves =
-  match t.game.batched_evaluate with
-  | Some f -> f leaves
-  | None -> Array.of_list (List.map t.game.evaluate leaves)
-
-let run_wave t wave =
-  let pending = ref [] in
-  for _ = 1 to wave do
-    match descend t t.root [] with
-    | `Value (v, path) -> backup path v
-    | `Leaf (node, path) -> pending := (node, path) :: !pending
-  done;
-  match List.rev !pending with
-  | [] -> ()
-  | pend ->
-      (* evaluate each distinct leaf once; duplicated paths share it *)
-      let uniq =
-        List.rev
-          (List.fold_left
-             (fun acc (node, _) ->
-               if List.exists (fun n -> n == node) acc then acc
-               else node :: acc)
-             [] pend)
-      in
-      let results = evaluate_leaves t (List.map (fun n -> n.state) uniq) in
-      if Array.length results <> List.length uniq then
-        invalid_arg "Mcts: batched_evaluate returned wrong result count";
-      List.iteri
-        (fun i node ->
-          let priors, v = results.(i) in
-          if Array.length priors <> t.game.num_actions then
-            invalid_arg "Mcts: evaluate returned wrong prior length";
-          node.priors <- priors;
-          node.value_est <- v;
-          node.expanded <- true)
-        uniq;
-      List.iter (fun (node, path) -> backup path node.value_est) pend
-
 let run_n t n =
-  if t.config.batch <= 1 && Option.is_none t.game.batched_evaluate then
-    for _ = 1 to n do
-      ignore (simulate t t.root)
-    done
-  else begin
-    let wave = max 1 t.config.batch in
-    let remaining = ref n in
-    while !remaining > 0 do
-      let w = min wave !remaining in
-      run_wave t w;
-      remaining := !remaining - w
-    done
-  end
+  for _ = 1 to n do
+    ignore (simulate t t.root)
+  done
 
 (* Marsaglia-Tsang gamma sampling (shape < 1 handled by boosting). *)
 let rec gamma_sample rng shape =
@@ -313,16 +222,6 @@ let validate t =
   if !reachable > t.created then
     bad "%d reachable nodes exceed the creation count %d" !reachable t.created;
   List.rev !violations
-
-let check_tree t =
-  if t.config.check then
-    match validate t with
-    | [] -> ()
-    | vs -> failwith ("Mcts.validate: " ^ String.concat "; " vs)
-
-let run_n t n =
-  run_n t n;
-  check_tree t
 
 let run t = run_n t t.config.k
 

@@ -20,35 +20,19 @@ type 'a game = {
   legal : 'a -> int -> bool;
   apply : 'a -> int -> 'a;
   evaluate : 'a -> float array * float;
-      (** DNN roll-out: priors over actions (illegal entries ignored) and
-          value estimate [v̂] *)
-  batched_evaluate : ('a list -> (float array * float) array) option;
-      (** optional batched roll-out: one result per input state, in
-          order.  When present, {!run}/{!run_n} gather up to
-          [config.batch] leaves per wave (using a visit-count virtual
-          loss during selection, reverted on backup) and evaluate them in
-          one call — and even [batch = 1] searches route single-leaf
-          batches through it.  [None] falls back to mapping
-          [evaluate]. *)
+      (** DNN roll-out of one leaf: priors over actions (illegal entries
+          ignored) and value estimate [v̂].  Each SIMULATE that reaches
+          an unexpanded node calls it exactly once. *)
 }
 
 type config = {
   k : int;  (** simulations per {!run} *)
   c_puct : float;  (** exploration constant of Eq. 2 *)
   epsilon : float;  (** the [ε] under the square root of Eq. 2 *)
-  check : bool;
-      (** validate the whole game tree after every {!run}/{!run_n} (see
-          {!validate}) and raise [Failure] on any violation — a debugging
-          aid for new games; costs a full tree walk per search *)
-  batch : int;
-      (** leaves gathered per virtual-loss wave before one (batched)
-          evaluation.  1 (the default) reproduces the scalar Algorithm 1
-          search node for node; larger batches trade some search
-          sequentiality for evaluation throughput (see DESIGN.md). *)
 }
 
 val default_config : config
-(** [k = 50; c_puct = 1.5; epsilon = 1e-8; check = false; batch = 1] *)
+(** [k = 50; c_puct = 1.5; epsilon = 1e-8] *)
 
 type 'a t
 
@@ -108,5 +92,5 @@ val validate : 'a t -> string list
     legal action; visit counts are non-negative, unvisited edges carry
     [Q = 0], illegal actions are never visited or expanded; parent links
     are coherent; reachable nodes never exceed {!nodes_created}.  Returns
-    {e all} violations, [[]] on a healthy tree.  Run automatically when
-    [config.check] is set. *)
+    {e all} violations, [[]] on a healthy tree — a debugging aid for new
+    games; it costs a full tree walk. *)

@@ -5,14 +5,13 @@
     of its own for a solve that is given none.
 
     A service is a counted direct call, for every worker count: each
-    worker runs its own wave as one {!Pvnet.predict_prepared} on its own
-    replica, and the service counts the wave and its rows.  No wave
-    waits for another worker's, so one worker's domain can never stall
-    another's.  Per-sample results are bitwise identical for every
-    batch composition (row independence of the batched GEMMs and
-    LayerNorms), so episodes are the same for every worker count.  An
-    exception raised by a forward reaches only the worker whose wave
-    raised it. *)
+    worker runs its own leaf as a one-row {!Pvnet.predict_prepared} on
+    its own replica, and the service counts the row.  No leaf waits for
+    another worker's, so one worker's domain can never stall another's.
+    Per-sample results are bitwise identical for every batch
+    composition (row independence of the GEMMs and LayerNorms), so
+    episodes are the same for every worker count.  An exception raised
+    by a forward reaches only the worker whose leaf raised it. *)
 
 type t
 
@@ -24,20 +23,20 @@ val create : ?max_batch:int -> ?wait_us:int -> workers:int -> unit -> t
     @raise Invalid_argument on non-positive [max_batch]/[workers] or
     negative [wait_us]. *)
 
-val submit : t -> net:Pvnet.t -> Pvnet.prepared array -> (float array * float) array
-(** [submit t ~net preps] is [Pvnet.predict_prepared net preps], counted
-    as one batch of [Array.length preps] rows once it returns.  [net]
-    must be the calling worker's own replica.  Returns [[||]] for [[||]],
-    counting nothing. *)
+val submit : t -> net:Pvnet.t -> Pvnet.prepared -> float array * float
+(** [submit t ~net prep] is the one row of [Pvnet.predict_prepared net
+    [| prep |]], counted once it returns.  [net] must be the calling
+    worker's own replica. *)
 
 type stats = {
-  batches : int;  (** waves evaluated *)
-  rows : int;  (** total leaf rows across all waves *)
+  batches : int;  (** forwards run: always equal to [rows] *)
+  rows : int;  (** leaf rows evaluated *)
   timeout_flushes : int;  (** always 0: nothing waits on a timer *)
-  wait_p50_us : float;  (** always 0: no wave waits *)
+  wait_p50_us : float;  (** always 0: no leaf waits *)
   wait_p99_us : float;  (** always 0 *)
 }
 
 val stats : t -> stats
-(** Counter snapshot.  The three fields that always read 0 remain only
-    because the benchmark reads them, and go with its next change. *)
+(** Counter snapshot.  [batches] and the three fields that always read
+    0 remain only because the benchmark reads them, and go with its next
+    change. *)

@@ -16,8 +16,8 @@ type gcn_layer = { w_self : Layer.Linear.t; w_msg : Layer.Linear.t }
 (* Scratch buffers for one batch size of the batched trunk/heads
    forward.  Tensors carry exact shapes (the packed GEMM validates them), so
    buffers are keyed by the batch row count rather than grown in place;
-   the set of distinct batch sizes a search produces is small (its
-   wave sizes), and the table is reset if it ever grows
+   the set of distinct batch sizes is small (a search leaf is one row),
+   and the table is reset if it ever grows
    past a bound, giving geometric-growth behaviour without views. *)
 type buffers = {
   sx0 : Tensor.t;  (* B × 3m   stacked readout rows *)

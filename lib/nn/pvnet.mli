@@ -62,7 +62,8 @@ val bump_version : t -> unit
 (** {1 Inference}
 
     One inference forward serves every leaf evaluation: {!prepare} per
-    state, then {!predict_prepared} over the batch, in the net's arena.
+    state, then {!predict_prepared} over the prepared rows, in the net's
+    arena.
     {!predict} is the autodiff-tape forward that training differentiates,
     kept as the reference the tests compare the arena forward against. *)
 

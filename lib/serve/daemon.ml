@@ -12,14 +12,14 @@
      [stats] are answered inline (counter snapshots, no blocking);
      solve/reload requests go through the bounded queue.
 
-   - [config.workers] worker loops on a persistent [Par.Pool] (the
-     calling domain participates as one of them).  Each worker pops a
-     request, refreshes its warm replica from the [Registry], parses the
-     body with the existing parsers, solves with the existing solvers —
-     evaluating rl leaf waves on its own replica through the shared
-     [Nn.Infer] counter and looking them up in the shared striped cache
-     first — and pushes the reply text back to the IO domain via the
-     reply queue + self-pipe.
+   - [config.workers] worker loops, one per domain: [run] spawns
+     workers 1..n-1 and runs worker 0 on the calling domain.  Each
+     worker pops a request, refreshes its warm replica from the
+     [Registry], parses the body with the existing parsers, solves with
+     the existing solvers — evaluating rl leaves on its own replica
+     through the shared [Nn.Infer] counter and looking them up in the
+     shared striped cache first — and pushes the reply text back to the
+     IO domain via the reply queue + self-pipe.
 
    Admission control: the request queue is bounded ([queue_cap]); a
    frame arriving while it is full is answered [overloaded]
@@ -660,26 +660,14 @@ let run t =
      signal — standard daemon hygiene *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let io = Domain.spawn (fun () -> io_loop t) in
-  let nw = t.cfg.workers in
-  (if nw <= 1 then worker_loop t ~worker:0
-   else begin
-     let pool = Par.Pool.create ~domains:nw in
-     (* Rendezvous: a worker task spins until all [nw] tasks have
-        started, so no pool domain can grab two loop tasks — exactly one
-        long-lived loop per domain (Par.Pool assigns tasks dynamically;
-        without the rendezvous a fast domain could steal a second loop
-        and idle a worker for the daemon's whole lifetime). *)
-     let started = Atomic.make 0 in
-     Par.Pool.run pool
-       (Array.init nw (fun i ->
-            fun _pool_worker ->
-             Atomic.incr started;
-             while Atomic.get started < nw do
-               Domain.cpu_relax ()
-             done;
-             worker_loop t ~worker:i));
-     Par.Pool.shutdown pool
-   end);
+  (* one long-lived loop per domain: workers 1..n-1 on their own
+     domains, worker 0 on the caller *)
+  let others =
+    List.init (t.cfg.workers - 1) (fun i ->
+        Domain.spawn (fun () -> worker_loop t ~worker:(i + 1)))
+  in
+  worker_loop t ~worker:0;
+  List.iter Domain.join others;
   Domain.join io;
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ())

@@ -3,12 +3,11 @@
     A long-lived process serving PBQP, MiniC, and ATE allocation
     requests over a Unix-domain socket (optionally also loopback TCP)
     in the {!Wire} format.  One IO domain owns every file descriptor
-    (accept, frame assembly, all writes); [workers] worker loops run on
-    a persistent {!Par.Pool} and execute requests with the existing
-    parsers and solvers, each worker evaluating its rl leaf waves on its
-    own replica through a shared {!Nn.Infer} counter, behind a shared
-    striped {!Nn.Cache} — result-preserving (a daemon solve is bitwise
-    the CLI solve).
+    (accept, frame assembly, all writes); [workers] worker loops, one
+    per domain, execute requests with the existing parsers and solvers,
+    each worker evaluating its rl leaves on its own replica through a
+    shared {!Nn.Infer} counter, behind a shared striped {!Nn.Cache} —
+    result-preserving (a daemon solve is bitwise the CLI solve).
     Identical PBQP bodies resolve to one canonical parse (a
     content-addressed memo), so repeated requests share a [Graph.uid]
     and the version-stamped evaluation cache carries across them.
@@ -27,7 +26,9 @@
 type config = {
   socket_path : string;
   tcp_port : int option;  (** also listen on loopback TCP *)
-  workers : int;  (** solver domains (the {!Par.Pool} size) *)
+  workers : int;
+      (** solver domains, one worker loop each; the caller of {!run} is
+          one of them *)
   queue_cap : int;  (** admission bound; beyond it: [overloaded] *)
   cache_capacity : int;  (** shared eval cache entries; [0] disables *)
 }
@@ -44,9 +45,9 @@ val create : ?config:config -> Nn.Pvnet.t -> t
     [Unix.Unix_error] if binding fails. *)
 
 val run : t -> unit
-(** Serve until {!stop}: spawns the IO domain, runs the worker loops on
-    the calling domain's pool (the caller participates as a worker),
-    and returns only after the graceful drain completes — queued
+(** Serve until {!stop}: spawns the IO domain and [workers - 1] worker
+    domains, runs worker 0 on the calling domain, joins them all, and
+    returns only after the graceful drain completes — queued
     requests finished, replies flushed, sockets closed and unlinked.
     Call at most once. *)
 

@@ -64,7 +64,6 @@ let game ?(rollouts = false) ~net ~mode ~m () =
             let priors, v = Nn.Pvnet.predict net (Core.State.graph st) ~next in
             (priors, blend st v)
         | None -> (Array.make m 0.0, Core.Game.reward mode (final_cost st)));
-    batched_evaluate = None;
   }
 
 module Backtrack = struct

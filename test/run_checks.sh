@@ -9,9 +9,9 @@ echo "== dune build =="
 dune build
 
 echo "== dune build @quick =="
-# sub-minute inner-loop suites (tensor/nn equivalence, MCTS, pbqp, the
-# Nn.Infer ticket protocol); the full matrix follows, this just fails
-# fast on the cheap ones
+# sub-minute inner-loop suites (tensor/nn equivalence, MCTS, pbqp, trail
+# state, the Nn.Infer counted call); the full matrix follows, this just
+# fails fast on the cheap ones
 dune build @quick
 
 echo "== dune build @golden =="
@@ -60,11 +60,11 @@ echo "== dune build @exact =="
 dune build @exact
 
 echo "== dune build @serve =="
-# inference-service equivalence suite: a Nn.Infer submit is a counted
-# direct call (it never waits on another worker; a forward exception
-# reaches only its submitter), Nn.Cache consistency under domains, and
-# bitwise episodes/training runs across service pool sizes x {cache
-# off, on}
+# inference-service equivalence suite: a Nn.Infer submit is one counted
+# forward row on the caller's replica (it never waits on another worker;
+# a forward exception reaches only its submitter), Nn.Cache consistency
+# under domains, and bitwise episodes/training runs across service pool
+# sizes x {cache off, on}
 dune build @serve
 
 echo "== dune build @daemon =="
@@ -94,8 +94,8 @@ dune exec bin/train.exe -- -i 1 -e 4 -j 2 -k 8 --n-mean 8 --check \
 test -f "$smoke_dir/smoke.ckpt"
 
 echo "== plain smoke (train -j 2) =="
-# the same tiny run without the evaluation cache: every leaf wave is
-# evaluated by its own worker (still under the checker)
+# the same tiny run without the evaluation cache: every search leaf is
+# a forward on its own worker's replica (still under the checker)
 dune exec bin/train.exe -- -i 1 -e 4 -j 2 -k 8 --n-mean 8 --check \
   --batch 8 -o "$smoke_dir/plain.ckpt"
 test -f "$smoke_dir/plain.ckpt"

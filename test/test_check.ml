@@ -262,15 +262,11 @@ let counting_game =
     legal = (fun s a -> a = 0 || s mod 2 = 0);
     apply = (fun s _ -> s + 1);
     evaluate = (fun _ -> ([| 0.6; 0.4 |], 0.5));
-    batched_evaluate = None;
   }
 
 let test_mcts_validate_healthy () =
-  let t =
-    Mcts.create { Mcts.default_config with k = 40; check = true } counting_game 0
-  in
+  let t = Mcts.create { Mcts.default_config with k = 40 } counting_game 0 in
   Mcts.run t;
-  (* config.check already validated after run; also assert directly *)
   Alcotest.(check (list string)) "no violations" [] (Mcts.validate t);
   Mcts.advance t 0;
   Mcts.run t;

@@ -315,13 +315,13 @@ let samples_identical sa sb =
          && bits_eq a.value b.value)
        sa sb
 
-(* The library episode (trail, waves of [batch] leaves, cache on or
-   off) against the persistent reference episode. *)
-let check_episode_pair ~msg ?cache ~batch g net =
+(* The library episode (trail, cache on or off) against the persistent
+   reference episode. *)
+let check_episode_pair ~msg ?cache g net =
   let cfg =
     {
       Core.Episode.default_config with
-      Core.Episode.mcts = { Mcts.default_config with k = 8; batch };
+      Core.Episode.mcts = { Mcts.default_config with k = 8 };
     }
   in
   let oa, sa =
@@ -344,17 +344,16 @@ let check_episode_pair ~msg ?cache ~batch g net =
   if not (samples_identical sa sb) then Alcotest.failf "%s: samples differ" msg
 
 let test_episode_equivalence =
-  qtest ~count:20 "play = persistent oracle (scalar, batched, cached)"
+  qtest ~count:20 "play = persistent oracle (scalar, both cache states)"
     (arb_graph_spec ~nmax:8 ~mmax:4 ())
     (fun spec ->
       let g = build_graph spec in
       let net = tiny_net ~m:spec.m () in
-      check_episode_pair ~msg:"batch 1" ~batch:1 g net;
-      check_episode_pair ~msg:"batched" ~batch:4 g net;
+      check_episode_pair ~msg:"no cache" g net;
       let cache = lru ~capacity:512 in
-      check_episode_pair ~msg:"cache" ~cache ~batch:4 g net;
+      check_episode_pair ~msg:"cache" ~cache g net;
       (* second run with the now-warm cache: hits must not change play *)
-      check_episode_pair ~msg:"warm cache" ~cache ~batch:4 g net;
+      check_episode_pair ~msg:"warm cache" ~cache g net;
       if hits cache = 0 then
         Alcotest.fail "warm cache saw no hits";
       true)
@@ -438,22 +437,20 @@ let test_solver_trail_default () =
 (* MiniC allocation runs [minimize ~rollouts:true ~exact_reduce:true]:
    roll-outs on the trail must leave the search exactly as the persistent
    reference runs it — same solution, cost bits, nodes and backtracks —
-   on the residual graphs of real programs.  Waves of 4 leaves take each
-   leaf's roll-out while the shared trail sits on it, then one batched
-   forward; the reference evaluates the same leaves one by one. *)
+   on the residual graphs of real programs. *)
 let test_solver_rollouts_minic () =
   let net = tiny_net ~m:Cir.Alloc_pbqp.num_colors () in
   let searched = ref 0 in
+  let mcts = { Mcts.default_config with k = 8 } in
   List.iter
-    (fun (name, batch) ->
-      let mcts = { Mcts.default_config with k = 8; batch } in
+    (fun name ->
       let ir = Cir.Lower.compile (Cir.Programs.find name) in
       List.iter
         (fun (f : Cir.Ir.func) ->
           let g = (Cir.Alloc_pbqp.build (Cir.Liveness.analyze f)).graph in
           let residual, _ = Solvers.Scholz.reduce_exact g in
           if Graph.n_alive residual > 0 then incr searched;
-          let msg = Printf.sprintf "%s/%s batch %d" name f.Cir.Ir.name batch in
+          let msg = Printf.sprintf "%s/%s" name f.Cir.Ir.name in
           let r_p, st_p =
             Oracle.Solver.minimize ~net ~mcts ~exact_reduce:true ~rollouts:true g
           in
@@ -467,8 +464,7 @@ let test_solver_rollouts_minic () =
           Alcotest.(check bool) (msg ^ ": solution and cost bits") true
             (same_min r_p r_d))
         ir.Cir.Ir.funcs)
-    [ ("Queens", 1); ("Quicksort", 1); ("Knapsack", 1); ("Queens", 4);
-      ("Knapsack", 4) ];
+    [ "Queens"; "Quicksort"; "Knapsack" ];
   Alcotest.(check bool) "some residual was searched" true (!searched > 0);
   (* feasibility mode blends roll-outs the same way *)
   let g =
@@ -476,7 +472,6 @@ let test_solver_rollouts_minic () =
       { Generate.default with n = 6; m = 3; p_edge = 0.5; p_inf = 0.2 }
   in
   let net = tiny_net ~m:3 () in
-  let mcts = { Mcts.default_config with k = 8; batch = 4 } in
   let sol_p, st_p =
     Oracle.Solver.solve_feasible ~net ~mcts ~rollouts:true ~max_backtracks:20 g
   in

@@ -19,7 +19,6 @@ let toy_game ?(value_est = fun _ -> 0.0) rewards =
     legal = (fun _ _ -> true);
     apply = (fun s a -> { path = a :: s.path });
     evaluate = (fun s -> ([| 0.5; 0.5 |], value_est s));
-    batched_evaluate = None;
   }
 
 let test_finds_best_leaf () =
@@ -117,8 +116,7 @@ let test_q_converges_to_terminal_reward () =
       legal = (fun _ _ -> true);
       apply = (fun s a -> { path = a :: s.path });
       evaluate = (fun _ -> ([| 1.0 |], 0.0));
-      batched_evaluate = None;
-    }
+      }
   in
   let t = Mcts.create { Mcts.default_config with k = 20 } game { path = [] } in
   Mcts.run t;
@@ -164,74 +162,13 @@ let test_illegal_advance_rejected () =
       Mcts.advance t 1)
 
 (* ------------------------------------------------------------------ *)
-(* Batched leaf evaluation (virtual-loss waves) *)
+(* The PBQP game *)
 
-(* route the same scalar evaluator through batched_evaluate *)
-let with_batched game =
-  {
-    game with
-    Mcts.batched_evaluate =
-      Some (fun states -> Array.of_list (List.map game.Mcts.evaluate states));
-  }
-
-let test_wave_batch1_identical_toy () =
-  (* batch = 1 routed through batched_evaluate must reproduce the scalar
-     search node for node: identical visits, Q values, policy, and node
-     count — exactly, not approximately *)
-  let rewards = [| [| -1.0; 0.3 |]; [| 0.8; -0.2 |] |] in
-  List.iter
-    (fun k ->
-      let cfg = { Mcts.default_config with k; check = true } in
-      let ts = Mcts.create cfg (toy_game rewards) { path = [] } in
-      let tb = Mcts.create cfg (with_batched (toy_game rewards)) { path = [] } in
-      Mcts.run ts;
-      Mcts.run tb;
-      Alcotest.(check (array int))
-        (Printf.sprintf "visits k=%d" k)
-        (Mcts.visit_counts ts) (Mcts.visit_counts tb);
-      Alcotest.(check (array (float 0.0)))
-        (Printf.sprintf "Q k=%d" k)
-        (Mcts.root_qs ts) (Mcts.root_qs tb);
-      Alcotest.(check (array (float 0.0)))
-        (Printf.sprintf "policy k=%d" k)
-        (Mcts.policy ts) (Mcts.policy tb);
-      Alcotest.(check int)
-        (Printf.sprintf "nodes k=%d" k)
-        (Mcts.nodes_created ts) (Mcts.nodes_created tb))
-    [ 1; 7; 50; 200 ]
-
-let test_wave_batch_gt1_toy () =
-  (* larger waves remain a well-formed search: invariants hold
-     (check = true), the policy stays normalized, the best arm is still
-     found, and the simulation budget is spent (the only descents that do
-     not touch a root edge are the ones before the root is expanded — at
-     most one wave's worth) *)
-  let rewards = [| [| -1.0; -0.5 |]; [| 1.0; -1.0 |] |] in
-  List.iter
-    (fun batch ->
-      let cfg = { Mcts.default_config with k = 200; batch; check = true } in
-      let t = Mcts.create cfg (with_batched (toy_game rewards)) { path = [] } in
-      Mcts.run t;
-      let p = Mcts.policy t in
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "normalized batch=%d" batch)
-        1.0
-        (p.(0) +. p.(1));
-      Alcotest.(check bool)
-        (Printf.sprintf "best arm batch=%d" batch)
-        true
-        (p.(1) > p.(0));
-      let visits = Array.fold_left ( + ) 0 (Mcts.visit_counts t) in
-      Alcotest.(check bool)
-        (Printf.sprintf "budget spent batch=%d (%d visits)" batch visits)
-        true
-        (visits >= 200 - batch && visits < 200))
-    [ 2; 8; 64 ]
-
-let test_wave_net_batch1_identical () =
-  (* the real PBQP game: scalar SIMULATE through the game's [evaluate]
-     (a wave of one) vs batch-1 waves must give bit-identical search
-     statistics *)
+let test_pbqp_tree_valid () =
+  (* the real game on a planted instance: every invariant [validate]
+     checks holds after each search, advance and retreat, walking two
+     ways down to depth 3 and back; and a solve's leaves each cost one
+     counted forward row *)
   let m = 3 in
   let net =
     Nn.Pvnet.create
@@ -245,54 +182,44 @@ let test_wave_net_batch1_identical () =
       { Pbqp.Generate.default with n = 8; m; p_edge = 0.4; p_inf = 0.3;
         zero_inf = true; cost_max = 10.0 }
   in
-  let root () = Core.Istate.Cursor.root (Core.Istate.of_graph g) in
-  let batched =
+  let game =
     Core.Game.make ~serve:(Nn.Infer.create ~workers:1 ()) ~net
       ~mode:Core.Game.Feasibility ~m ()
   in
-  let scalar = { batched with Mcts.batched_evaluate = None } in
-  let cfg = { Mcts.default_config with k = 60; check = true } in
-  let ts = Mcts.create cfg scalar (root ()) in
-  let tb = Mcts.create cfg batched (root ()) in
-  Mcts.run ts;
-  Mcts.run tb;
-  Alcotest.(check (array int)) "visits" (Mcts.visit_counts ts)
-    (Mcts.visit_counts tb);
-  Alcotest.(check (array (float 0.0))) "Q" (Mcts.root_qs ts) (Mcts.root_qs tb);
-  Alcotest.(check (array (float 0.0))) "policy" (Mcts.policy ts)
-    (Mcts.policy tb)
-
-let test_wave_batch_gt1_certified () =
-  (* batch > 1 changes which leaves get explored, so no node-for-node
-     claim — but solutions on guaranteed-solvable planted ATE instances
-     must still exist and certify against the original graph *)
-  let m = 3 in
-  let net =
-    Nn.Pvnet.create
-      ~rng:(Random.State.make [| 9 |])
-      { (Nn.Pvnet.default_config ~m) with trunk_width = 8; trunk_blocks = 1;
-        gcn_layers = 1 }
+  let t =
+    Mcts.create { Mcts.default_config with k = 30 } game
+      (Core.Istate.Cursor.root (Core.Istate.of_graph g))
   in
-  let rng = Random.State.make [| 77 |] in
-  for trial = 1 to 4 do
-    let g, _ =
-      Pbqp.Generate.planted ~rng
-        { Pbqp.Generate.default with n = 8; m; p_edge = 0.4; p_inf = 0.3;
-          zero_inf = true; cost_max = 10.0 }
-    in
-    let sol, _ =
-      Core.Solver.solve_feasible ~net
-        ~mcts:{ Mcts.default_config with k = 40; batch = 8 }
-        g
-    in
-    match sol with
-    | None -> Alcotest.failf "trial %d: no solution on a planted instance" trial
-    | Some s ->
-        let findings = Check.Certify.solution g s in
-        if Check.Diag.has_errors findings then
-          Alcotest.failf "trial %d: certification failed:\n%s" trial
-            (Check.Diag.to_string (Check.Diag.errors_only findings))
-  done
+  let valid msg = Alcotest.(check (list string)) msg [] (Mcts.validate t) in
+  let rec walk depth =
+    Mcts.run t;
+    valid (Printf.sprintf "run at depth %d" depth);
+    let st = Mcts.root_state t in
+    if depth < 3 && not (game.Mcts.is_terminal st) then
+      List.filter (game.Mcts.legal st) (List.init m Fun.id)
+      |> List.iteri (fun i a ->
+             if i < 2 then begin
+               Mcts.advance t a;
+               valid (Printf.sprintf "advance %d at depth %d" a depth);
+               walk (depth + 1);
+               Mcts.retreat t;
+               valid (Printf.sprintf "retreat to depth %d" depth)
+             end)
+  in
+  walk 0;
+  Alcotest.(check int) "back at the root" 0 (Mcts.depth t);
+  Mcts.run_n t 20;
+  valid "run_n at the root";
+  let serve = Nn.Infer.create ~workers:1 () in
+  let e0 = Nn.Pvnet.eval_count net in
+  ignore
+    (Core.Solver.solve_feasible ~net ~serve
+       ~mcts:{ Mcts.default_config with k = 16 } g);
+  let s = Nn.Infer.stats serve in
+  Alcotest.(check bool) "the solve evaluated leaves" true (s.Nn.Infer.rows > 0);
+  Alcotest.(check int) "batches = rows" s.Nn.Infer.rows s.Nn.Infer.batches;
+  Alcotest.(check int) "rows = forward rows" (Nn.Pvnet.eval_count net - e0)
+    s.Nn.Infer.rows
 
 let () =
   Alcotest.run "mcts"
@@ -317,16 +244,7 @@ let () =
           Alcotest.test_case "node counter" `Quick test_nodes_created_counts;
           Alcotest.test_case "illegal advance rejected" `Quick
             test_illegal_advance_rejected;
-        ] );
-      ( "batched",
-        [
-          Alcotest.test_case "batch=1 wave = scalar (toy)" `Quick
-            test_wave_batch1_identical_toy;
-          Alcotest.test_case "batch>1 waves well-formed (toy)" `Quick
-            test_wave_batch_gt1_toy;
-          Alcotest.test_case "batch=1 wave = scalar (pvnet game)" `Quick
-            test_wave_net_batch1_identical;
-          Alcotest.test_case "batch>1 solutions certified" `Quick
-            test_wave_batch_gt1_certified;
+          Alcotest.test_case "search tree valid on the PBQP game" `Quick
+            test_pbqp_tree_valid;
         ] );
     ]

@@ -578,10 +578,6 @@ let test_encoding_trail_search () =
     {
       game with
       Mcts.evaluate = (fun st -> check st; game.Mcts.evaluate st);
-      batched_evaluate =
-        Option.map
-          (fun f sts -> List.iter check sts; f sts)
-          game.Mcts.batched_evaluate;
     }
   in
   let tree =

@@ -24,8 +24,8 @@ let random_graph ~seed ~n ~m =
   Generate.erdos_renyi ~rng:(rng seed)
     { Generate.default with n; m; p_edge = 0.5; p_inf = 0.1 }
 
-(* One prepared leaf per vertex of [g] — a stand-in for an MCTS wave. *)
-let wave net g =
+(* One prepared leaf per vertex of [g]: a stand-in for MCTS leaves. *)
+let leaves net g =
   Array.of_list
     (List.map (fun v -> Nn.Pvnet.prepare net g ~next:v) (Graph.vertices g))
 
@@ -44,24 +44,26 @@ let check_results msg a b =
 (* ------------------------------------------------------------------ *)
 (* A counted direct call *)
 
+(* Submit every prepared row, one at a time. *)
+let submit_all srv ~net preps = Array.map (Nn.Infer.submit srv ~net) preps
+
 let test_single_worker_direct () =
   let m = 3 in
   let net = tiny_net ~m () in
   let g = random_graph ~seed:11 ~n:6 ~m in
-  let preps = wave net g in
+  let preps = leaves net g in
   let direct = Nn.Pvnet.predict_prepared net preps in
   let srv = Nn.Infer.create ~max_batch:4 ~wait_us:0 ~workers:1 () in
   check_results "single worker = direct predict_prepared" direct
-    (Nn.Infer.submit srv ~net preps);
-  (* the direct call is one counted batch, and nothing waits *)
+    (submit_all srv ~net preps);
+  (* each row is one counted forward, and nothing waits *)
   let s = Nn.Infer.stats srv in
-  Alcotest.(check int) "one batch" 1 s.Nn.Infer.batches;
-  Alcotest.(check int) "rows = wave length" (Array.length preps)
+  Alcotest.(check int) "rows = leaves" (Array.length preps)
     s.Nn.Infer.rows;
+  Alcotest.(check int) "one batch per row" s.Nn.Infer.rows
+    s.Nn.Infer.batches;
   Alcotest.(check int) "no timeout flush" 0 s.Nn.Infer.timeout_flushes;
-  Alcotest.(check (float 0.0)) "no wait" 0.0 s.Nn.Infer.wait_p99_us;
-  Alcotest.(check int) "empty submit" 0
-    (Array.length (Nn.Infer.submit srv ~net [||]))
+  Alcotest.(check (float 0.0)) "no wait" 0.0 s.Nn.Infer.wait_p99_us
 
 (* Spin until [cond ()] holds or [seconds] pass; whether it held. *)
 let wait_until ~seconds cond =
@@ -77,16 +79,16 @@ let wait_until ~seconds cond =
   go ()
 
 (* On a two-worker service, worker B is stalled (it never submits
-   until released) while worker A submits.  A's submit must return with
-   B still stalled: no rule may park a wave until the other worker
-   submits too.  The 10 s [wait_us] would hold a wave far past the 5 s
+   until released) while worker A submits.  A's submits must return with
+   B still stalled: no rule may park a row until the other worker
+   submits too.  The 10 s [wait_us] would hold a row far past the 5 s
    check under any such rule. *)
 let test_submit_never_waits () =
   let m = 3 in
   let net = tiny_net ~m () in
   let other = Nn.Pvnet.clone net in
-  let preps = wave net (random_graph ~seed:13 ~n:5 ~m) in
-  let preps_b = wave other (random_graph ~seed:14 ~n:5 ~m) in
+  let preps = leaves net (random_graph ~seed:13 ~n:5 ~m) in
+  let preps_b = leaves other (random_graph ~seed:14 ~n:5 ~m) in
   let srv = Nn.Infer.create ~max_batch:64 ~wait_us:10_000_000 ~workers:2 () in
   let release = Atomic.make false and a_done = Atomic.make false in
   let b =
@@ -94,64 +96,66 @@ let test_submit_never_waits () =
         while not (Atomic.get release) do
           Unix.sleepf 0.001
         done;
-        Nn.Infer.submit srv ~net:other preps_b)
+        submit_all srv ~net:other preps_b)
   in
   let a =
     Domain.spawn (fun () ->
-        let r = Nn.Infer.submit srv ~net preps in
+        let r = submit_all srv ~net preps in
         Atomic.set a_done true;
         r)
   in
   let returned = wait_until ~seconds:5.0 (fun () -> Atomic.get a_done) in
   Atomic.set release true;
   let ra = Domain.join a and rb = Domain.join b in
-  Alcotest.(check bool) "A's submit returned while B was stalled" true
+  Alcotest.(check bool) "A's submits returned while B was stalled" true
     returned;
-  check_results "A's wave = direct" (Nn.Pvnet.predict_prepared net preps) ra;
-  check_results "B's wave = direct"
+  check_results "A's rows = direct" (Nn.Pvnet.predict_prepared net preps) ra;
+  check_results "B's rows = direct"
     (Nn.Pvnet.predict_prepared other preps_b)
     rb;
   let s = Nn.Infer.stats srv in
-  Alcotest.(check int) "one batch per wave" 2 s.Nn.Infer.batches;
   Alcotest.(check int) "rows"
     (Array.length preps + Array.length preps_b)
-    s.Nn.Infer.rows
+    s.Nn.Infer.rows;
+  Alcotest.(check int) "one batch per row" s.Nn.Infer.rows
+    s.Nn.Infer.batches
 
 (* Rows prepared under an m = 5 net are wider than an m = 3 net reads,
-   so that wave's forward raises.  The exception reaches its submitter
-   only: the other worker's wave, submitted at the same time, is served,
-   and so is every wave after the failure. *)
+   so their forward raises.  The exception reaches its submitter only:
+   the other worker's rows, submitted at the same time, are served, and
+   so is every row after the failure. *)
 let test_forward_exception_reaches_only_its_submitter () =
   let m = 3 in
   let base = tiny_net ~m () in
   let other = tiny_net ~seed:4 ~m:5 () in
-  let w_good = wave base (random_graph ~seed:31 ~n:5 ~m) in
-  let w_bad = wave other (random_graph ~seed:32 ~n:5 ~m:5) in
+  let w_good = leaves base (random_graph ~seed:31 ~n:5 ~m) in
+  let w_bad = leaves other (random_graph ~seed:32 ~n:5 ~m:5) in
   with_pool ~domains:2 (fun pool ->
       let srv = Nn.Infer.create ~workers:2 () in
       let replicas = [| base; Nn.Pvnet.clone base |] in
       let outcomes =
         Par.Pool.map pool [| w_good; w_bad |] ~f:(fun ~worker w ->
-            match Nn.Infer.submit srv ~net:replicas.(worker) w with
+            match submit_all srv ~net:replicas.(worker) w with
             | r -> Some r
             | exception Invalid_argument _ -> None)
       in
       (match outcomes.(0) with
       | Some r ->
-          check_results "the good wave = direct"
+          check_results "the good rows = direct"
             (Nn.Pvnet.predict_prepared base w_good)
             r
-      | None -> Alcotest.fail "the good wave saw the other's exception");
-      Alcotest.(check bool) "the bad wave raised" true (outcomes.(1) = None);
-      let w2 = wave base (random_graph ~seed:33 ~n:5 ~m) in
+      | None -> Alcotest.fail "the good rows saw the other's exception");
+      Alcotest.(check bool) "the bad rows raised" true (outcomes.(1) = None);
+      let w2 = leaves base (random_graph ~seed:33 ~n:5 ~m) in
       let direct = Nn.Pvnet.predict_prepared base w2 in
       let again =
         Par.Pool.map pool [| 0; 1 |] ~f:(fun ~worker _ ->
-            Nn.Infer.submit srv ~net:replicas.(worker) w2)
+            submit_all srv ~net:replicas.(worker) w2)
       in
       Array.iter (fun r -> check_results "post-failure submit" direct r) again;
       let s = Nn.Infer.stats srv in
-      Alcotest.(check int) "the failed wave is not counted" 3
+      Alcotest.(check int) "the failed row is not counted"
+        (Array.length w_good + (2 * Array.length w2))
         s.Nn.Infer.batches)
 
 (* The CLI path: a solve on a one-worker service (what pbqp_solve,
@@ -173,7 +177,7 @@ let test_one_worker_solve_counts_every_row () =
   for _ = 1 to 2 do
     ignore
       (Core.Solver.solve_feasible ~net
-         ~mcts:{ Mcts.default_config with k = 8; batch = 4 }
+         ~mcts:{ Mcts.default_config with k = 8 }
          ~max_backtracks:20 ~cache ~serve g)
   done;
   let s = Nn.Infer.stats serve and c = Nn.Cache.stats cache in
@@ -214,14 +218,14 @@ let samples_identical sa sb =
 let episode_cfg =
   {
     Core.Episode.default_config with
-    Core.Episode.mcts = { Mcts.default_config with k = 8; batch = 4 };
+    Core.Episode.mcts = { Mcts.default_config with k = 8 };
   }
 
 let play_episode ?cache ~serve ~net i g =
   Core.Episode.play ~collect:true ?cache ~serve ~rng:(rng (100 + i)) ~net
     ~mode:Core.Game.Feasibility episode_cfg (Core.Istate.of_graph g)
 
-(* A lone episode on a two-worker service: each wave is evaluated
+(* A lone episode on a two-worker service: each leaf is evaluated
    directly, as its own batch, and nothing waits on a timer. *)
 let test_lone_episode_flushes_by_quorum () =
   let m = 3 in

@@ -435,7 +435,7 @@ let test_concurrent_clients_bitwise_serial () =
         all;
       (* and the leaves went through the service: every rl leaf
          evaluation looks up the shared cache first, and each miss is
-         one Infer row, so the rows summed over all batches are the leaf
+         one Infer row (a batch of its own), so the rows are the leaf
          evaluations minus the cache hits, and they are every forward
          the workers' replicas ran. *)
       with_client path (fun c ->
@@ -444,6 +444,8 @@ let test_concurrent_clients_bitwise_serial () =
               let get key = int_of_string (List.assoc key kvs) in
               let batches = get "infer_batches" in
               Alcotest.(check bool) "batches were served" true (batches > 0);
+              Alcotest.(check int) "one batch per row" (get "infer_rows")
+                batches;
               let leaf_evals = get "cache_hits" + get "cache_misses" in
               Alcotest.(check bool) "rl leaves were evaluated" true
                 (leaf_evals > 0);
